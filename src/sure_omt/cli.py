@@ -12,20 +12,29 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
 import sys
 
 from .discrete import ContingencyTable2x2, fisher_two_sided
-from .procedures import FWER_NAMES, PROCEDURE_NAMES, ProcedureConfig, \
-    audit_fwer_budget, audit_mfdr_budget, make_procedure
-from .simulate import SWEEP_AXES, ProcSpec, ScenarioConfig, run_sweep, run_trials
+from .evaluate import open_atomic
+from .procedures import (FWER_NAMES, ProcedureConfig, audit_fwer_budget,
+                         audit_mfdr_budget, make_procedure, parse_name)
+from .simulate import ScenarioConfig, run_sweep, sweep_points
 from .spending import parse_sequence_spec
-from .evaluate import EvalReport
-from .simulate import _report_from_outcomes
 
 CONFIG_ENV_VAR = "SURE_OMT_CONFIG"
+
+PROCEDURE_KEYS = ("alpha", "lambda", "w0", "gamma", "gamma_prime")
+DEFAULT_GAMMA = {"family": "power", "q": 1.6}
+# analyze fills in only alpha and lambda; w0 and gamma_prime must be given
+ANALYZE_DEFAULTS = {"alpha": 0.2, "lambda": 0.0}
+# simulate fills in the standard experimental configuration: w0 = alpha/2 for
+# investing rules and a kernel gamma' of bandwidth 100 (FWER) or 10 (mFDR)
+STANDARD_DEFAULTS = {"alpha": 0.2, "lambda": 0.5, "w0_share": 0.5,
+                     "kernel_h": {"fwer": 100, "mfdr": 10}}
 
 
 class InputError(Exception):
@@ -49,6 +58,8 @@ def _apply_overrides(config: dict, overrides: list[str]) -> dict:
         parts = key.split(".")
         for part in parts[:-1]:
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise InputError(f"--set {key}: {part} is not an object")
         node[parts[-1]] = value
     return config
 
@@ -64,81 +75,95 @@ def _load_config(path: str | None, overrides: list[str]) -> dict:
                 config = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read config {path}: {exc}")
+        if not isinstance(config, dict):
+            raise InputError(f"config {path} must be a JSON object")
     return _apply_overrides(config, overrides)
 
 
-def _build_procedure(config: dict):
-    name = config.get("procedure")
-    if name not in PROCEDURE_NAMES:
-        raise InputError(f"unknown or missing procedure name: {name!r}")
-    is_fwer = name in FWER_NAMES
-    rewarded = name.startswith("rho-")
-    alpha = float(config.get("alpha", 0.2))
-    lam = float(config.get("lambda", 0.0))
-    w0 = config.get("w0")
-    if is_fwer and w0 is not None:
-        raise InputError("w0 applies to mFDR procedures only")
-    if not is_fwer and w0 is None:
-        raise InputError(f"{name} requires w0 in (0, alpha)")
-    gamma_spec = config.get("gamma", {"family": "power", "q": 1.6})
-    gp_spec = config.get("gamma_prime")
-    if rewarded and gp_spec is None:
-        raise InputError(f"{name} requires a gamma_prime spec")
-    if not rewarded and gp_spec is not None:
-        raise InputError("gamma_prime applies to rewarded procedures only")
-    try:
-        cfg = ProcedureConfig(
-            alpha=alpha,
-            gamma=parse_sequence_spec(gamma_spec),
-            lam=lam,
-            w0=None if w0 is None else float(w0),
-            gamma_prime=parse_sequence_spec(gp_spec) if gp_spec else None,
-        )
-        return make_procedure(name, cfg), is_fwer
-    except (ValueError, KeyError) as exc:
-        raise InputError(str(exc))
+def parse_procedures(entries, name_key: str = "name",
+                     defaults: dict = STANDARD_DEFAULTS) -> dict[str, ProcedureConfig]:
+    """Turn a nonempty list of procedure entries into configs keyed by public name.
+
+    An entry has its name under ``name_key`` and any of PROCEDURE_KEYS;
+    ``defaults`` fills in the keys left out (see ANALYZE_DEFAULTS and
+    STANDARD_DEFAULTS), and the default gamma is built at most once and
+    shared.  A config has w0 if and only if the rule is investing, and
+    gamma_prime if and only if it is rewarded.
+    """
+    if not isinstance(entries, list) or not entries:
+        raise InputError("procedures must be a nonempty list")
+    default_gamma = functools.cache(lambda: parse_sequence_spec(DEFAULT_GAMMA))
+    configs = {}
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise InputError(f"a procedure entry must be an object, got {entry!r}")
+        spec = dict(entry)
+        name = spec.pop(name_key, None)
+        try:
+            rule = parse_name(name)
+            if name in configs:
+                raise ValueError("listed twice")
+            unknown = sorted(set(spec) - set(PROCEDURE_KEYS))
+            if unknown:
+                raise ValueError(f"unknown key(s) {', '.join(unknown)}")
+            alpha = float(spec.get("alpha", defaults["alpha"]))
+            if rule.investing and "w0_share" in defaults:
+                spec.setdefault("w0", defaults["w0_share"] * alpha)
+            if rule.rewarded and "kernel_h" in defaults:
+                h = defaults["kernel_h"]["mfdr" if rule.investing else "fwer"]
+                spec.setdefault("gamma_prime", {"family": "kernel", "h": h})
+            if ("w0" in spec) != rule.investing:
+                raise ValueError("w0 is required by the investing rules and taken by no other")
+            if ("gamma_prime" in spec) != rule.rewarded:
+                raise ValueError("gamma_prime is required by the rewarded rules and taken by no other")
+            configs[name] = ProcedureConfig(
+                alpha=alpha,
+                gamma=parse_sequence_spec(spec["gamma"]) if "gamma" in spec else default_gamma(),
+                lam=float(spec.get("lambda", defaults["lambda"])),
+                w0=float(spec["w0"]) if rule.investing else None,
+                gamma_prime=parse_sequence_spec(spec["gamma_prime"]) if rule.rewarded else None,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"procedure {name!r}: {exc}") from None
+    return configs
 
 
-def _read_tables(path: str, max_rows: int | None):
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise InputError(str(exc))
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+def _test_rows(fh, max_rows: int | None):
+    """Yield (id, exact test result) for each row of an open table CSV."""
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is None:
+        return
+    if [h.strip() for h in header] != ["id", "a", "b", "c", "d"]:
+        raise InputError(f"line 1: expected header id,a,b,c,d, got {header}")
+    for lineno, row in enumerate(reader, start=2):
+        if max_rows is not None and lineno - 1 > max_rows:
             return
-        if [h.strip() for h in header] != ["id", "a", "b", "c", "d"]:
-            raise InputError(f"line 1: expected header id,a,b,c,d, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if max_rows is not None and lineno - 1 > max_rows:
-                return
-            if len(row) != 5:
-                raise InputError(f"line {lineno}: expected 5 fields, got {len(row)}")
-            try:
-                cells = [int(v) for v in row[1:]]
-            except ValueError:
-                raise InputError(f"line {lineno}: non-integer cell count")
-            if min(cells) < 0:
-                raise InputError(f"line {lineno}: negative cell count")
-            yield row[0], cells
+        if len(row) != 5:
+            raise InputError(f"line {lineno}: expected 5 fields, got {len(row)}")
+        try:
+            result = fisher_two_sided(ContingencyTable2x2(*map(int, row[1:])))
+        except ValueError as exc:
+            raise InputError(f"line {lineno}: {exc}") from None
+        yield row[0], result
 
 
 def cmd_analyze(args) -> int:
     config = _load_config(args.config, args.set or [])
-    proc, is_fwer = _build_procedure(config)
-    max_rows = config.get("max_rows")
-    with open(args.out_trace, "w", newline="") as out:
+    max_rows = config.pop("max_rows", None)
+    if max_rows is not None and (type(max_rows) is not int or max_rows < 0):
+        raise InputError(f"max_rows must be a nonnegative integer, got {max_rows!r}")
+    [(name, proc_config)] = parse_procedures([config], "procedure", ANALYZE_DEFAULTS).items()
+    proc = make_procedure(name, proc_config)
+    with open(args.input, newline="") as fh, open_atomic(args.out_trace, newline="") as out:
         writer = csv.writer(out)
         writer.writerow(["t", "id", "p", "alpha", "rho", "epsilon", "reject"])
-        for row_id, (a, b, c, d) in _read_tables(args.input, max_rows):
-            result = fisher_two_sided(ContingencyTable2x2(a, b, c, d))
+        for row_id, result in _test_rows(fh, max_rows):
             proc.emit_alpha()
             dec = proc.observe(result.p_value, result.null_bound)
             writer.writerow([dec.t, row_id, _fmt(dec.p), _fmt(dec.alpha),
                              _fmt(dec.rho), _fmt(dec.eps_part), int(dec.reject)])
-    audit = audit_fwer_budget(proc) if is_fwer else audit_mfdr_budget(proc)
+    audit = audit_fwer_budget(proc) if name in FWER_NAMES else audit_mfdr_budget(proc)
     summary = {
         "rows": proc.t,
         "discoveries": proc.r_count,
@@ -148,46 +173,23 @@ def cmd_analyze(args) -> int:
     }
     text = json.dumps(summary, indent=2)
     if args.out_summary:
-        with open(args.out_summary, "w") as fh:
+        with open_atomic(args.out_summary) as fh:
             fh.write(text + "\n")
     print(text)
     return 0 if audit.ok else 1
 
 
-def _specs_from_config(config: dict) -> list[ProcSpec]:
-    specs = []
-    for entry in config.get("procedures", [{"name": "rho-ob"}, {"name": "rho-lord"}]):
-        name = entry.get("name")
-        if name not in PROCEDURE_NAMES:
-            raise InputError(f"unknown procedure {name!r}")
-        specs.append(ProcSpec(
-            name=name,
-            alpha=float(entry.get("alpha", 0.2)),
-            lam=float(entry.get("lambda", 0.5)),
-            w0=entry.get("w0"),
-            q=float(entry.get("q", 1.6)),
-            h=entry.get("h"),
-        ))
-    return specs
-
-
 def cmd_simulate(args) -> int:
     config = _load_config(args.config, args.set or [])
+    configs = parse_procedures(config.get("procedures", [{"name": "rho-ob"}, {"name": "rho-lord"}]))
+    sweep = config.get("sweep")
     try:
         scenario = ScenarioConfig(**config.get("scenario", {}))
-        specs = _specs_from_config(config)
+        # the sweep object's keys are sweep_points' axis and values
+        points = sweep_points(scenario, configs, **({} if sweep is None else sweep))
     except (TypeError, ValueError) as exc:
-        raise InputError(str(exc))
-    sweep = config.get("sweep")
-    if sweep:
-        axis = sweep.get("axis")
-        if axis not in SWEEP_AXES:
-            raise InputError(f"unknown sweep axis {axis!r}")
-        report = run_sweep(scenario, axis, sweep["values"], specs, audit=True)
-    else:
-        results = run_trials(scenario, specs, audit=True)
-        report = EvalReport(audits_ok=results.audits_ok)
-        _report_from_outcomes(report, results.outcomes, scenario.m)
+        raise InputError(f"scenario or sweep: {exc}") from None
+    report = run_sweep(points, audit=True)
     report.to_csv(args.out)
     if args.out_json:
         report.to_json(args.out_json)
@@ -204,11 +206,7 @@ def _loglog(y: float) -> str:
 
 def cmd_plotdata(args) -> int:
     transform = args.transform
-    try:
-        fh = open(args.trace, newline="")
-    except OSError as exc:
-        raise InputError(str(exc))
-    with fh, open(args.out, "w", newline="") as out:
+    with open(args.trace, newline="") as fh, open_atomic(args.out, newline="") as out:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"t", "p", "alpha"} <= set(reader.fieldnames):
             raise InputError("trace file must have t, p and alpha columns")
@@ -257,7 +255,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -58,11 +58,6 @@ def identity_bound() -> StepCdf:
     return IDENTITY_BOUND
 
 
-def step_cdf_eval(cdf: StepCdf, u: float) -> float:
-    """Functional form of StepCdf evaluation."""
-    return cdf(u)
-
-
 def sure_reward(alpha: float, cdf: StepCdf) -> float:
     """Unspent fraction of the critical value: alpha - F(alpha), always >= 0."""
     if alpha < 0:

@@ -55,8 +55,11 @@ def hypergeom_pmf(k: int, margins: tuple[int, int, int]) -> float:
 
 
 @lru_cache(maxsize=None)
-def _two_sided_table(r1: int, r2: int, c1: int) -> tuple[tuple[float, ...], int, tuple[float, ...]]:
-    """Per-margin cache: (p-value for each feasible k, lower end of the range, support).
+def fisher_margins(r1: int, r2: int, c1: int) -> tuple[tuple[float, ...], int, tuple[float, ...]]:
+    """p-values and support for all feasible first cells given the margins.
+
+    Returns (pvals, lo, support), cached per margin: entry pvals[k - lo] is
+    the two-sided p-value when the first cell equals k.
 
     The pmf is computed in log space with a single exponentiation pass, and
     tail sums are accumulated in ascending pmf order so that tie handling is
@@ -108,14 +111,6 @@ def fisher_two_sided(table: ContingencyTable2x2) -> ExactTestResult:
     if r1 + r2 == 0 or c1 == 0 or c1 == r1 + r2 or r1 == 0 or r2 == 0:
         # degenerate margins: a single feasible table, no evidence either way
         return ExactTestResult(1.0, (1.0,), support_to_bound((1.0,)))
-    pvals, lo, support = _two_sided_table(r1, r2, c1)
+    pvals, lo, support = fisher_margins(r1, r2, c1)
     return ExactTestResult(pvals[table.a - lo], support, support_to_bound(support))
 
-
-def fisher_margins(r1: int, r2: int, c1: int):
-    """p-values and support for all feasible first cells given the margins.
-
-    Returns (pvals, lo, support): entry pvals[k - lo] is the two-sided
-    p-value when the first cell equals k.
-    """
-    return _two_sided_table(r1, r2, c1)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -115,6 +117,20 @@ def wealth_curves(gamma: SpendingSequence, alpha: float, cdfs: Sequence[StepCdf]
     return nominal, effective
 
 
+@contextmanager
+def open_atomic(path, newline: str | None = None):
+    """Write ``path`` through a temporary file beside it, which replaces
+    ``path`` only when the block finishes and is removed otherwise."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 @dataclass
 class EvalReport:
     """Flat grid of Monte-Carlo estimates, exportable as CSV or JSON."""
@@ -140,7 +156,7 @@ class EvalReport:
 
     def to_csv(self, path):
         fields = sorted({k for r in self.rows for k in r})
-        with open(path, "w", newline="") as fh:
+        with open_atomic(path, newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=fields)
             writer.writeheader()
             for r in self.rows:
@@ -151,5 +167,5 @@ class EvalReport:
                 writer.writerow(out)
 
     def to_json(self, path):
-        with open(path, "w") as fh:
+        with open_atomic(path) as fh:
             json.dump(self.rows, fh, indent=2)

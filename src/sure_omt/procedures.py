@@ -11,17 +11,41 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import Decision, IDENTITY_BOUND, StepCdf
 from .spending import SpendingSequence
 
-BASE_NAMES = ("ob", "aob", "lord", "alord")
-PROCEDURE_NAMES = (
-    "ob", "rho-ob", "aob", "rho-aob",
-    "lord", "rho-lord", "alord", "rho-alord", "saffron-capped",
-)
-FWER_NAMES = ("ob", "rho-ob", "aob", "rho-aob")
+
+class Rule(NamedTuple):
+    """What a public procedure name means: a base rule, rewarded or capped."""
+
+    base: str               # ob | aob | lord | alord
+    rewarded: bool = False
+    capped: bool = False    # level capped at lambda (SAFFRON-style)
+
+    @property
+    def investing(self) -> bool:
+        """Alpha-investing rules need w0 and control mFDR; the others control FWER."""
+        return self.base in ("lord", "alord")
+
+
+RULES = {
+    "ob": Rule("ob"), "rho-ob": Rule("ob", rewarded=True),
+    "aob": Rule("aob"), "rho-aob": Rule("aob", rewarded=True),
+    "lord": Rule("lord"), "rho-lord": Rule("lord", rewarded=True),
+    "alord": Rule("alord"), "rho-alord": Rule("alord", rewarded=True),
+    "saffron-capped": Rule("alord", capped=True),
+}
+FWER_NAMES = tuple(name for name, rule in RULES.items() if not rule.investing)
+
+
+def parse_name(name: str) -> Rule:
+    """The rule a public procedure name stands for."""
+    try:
+        return RULES[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown procedure {name!r}") from None
 
 
 @dataclass
@@ -33,7 +57,6 @@ class ProcedureConfig:
     lam: float = 0.0
     w0: float | None = None
     gamma_prime: SpendingSequence | None = None
-    saffron_capping: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -45,40 +68,32 @@ class ProcedureConfig:
 
 
 class OnlineProcedure:
-    """One single-stream online testing state machine.
+    """One single-stream online testing state machine for a public procedure name.
 
-    ``base`` selects the base rule; ``rewarded`` adds the reward convolution
-    and (for adaptive bases) the carry term for sub-lambda p-values.
+    The name's base rule sets the base critical values; a rewarded name adds
+    the reward convolution and (for adaptive bases) the carry term for
+    sub-lambda p-values.
     """
 
-    def __init__(self, base: str, config: ProcedureConfig, rewarded: bool = False,
-                 use_lambda: bool | None = None):
-        if base not in BASE_NAMES:
-            raise ValueError(f"unknown base rule {base!r}")
-        if base in ("lord", "alord") and config.w0 is None:
-            raise ValueError(f"{base} requires an initial wealth w0")
-        if rewarded and config.gamma_prime is None:
+    def __init__(self, name: str, config: ProcedureConfig):
+        rule = parse_name(name)
+        if rule.investing and config.w0 is None:
+            raise ValueError(f"{name} requires an initial wealth w0")
+        if rule.rewarded and config.gamma_prime is None:
             raise ValueError("rewarded procedures require gamma_prime")
-        if config.saffron_capping and base != "alord":
-            raise ValueError("capping applies to the alord base only")
-        self.base = base
+        self.base = rule.base
         self.config = config
-        self.rewarded = rewarded
-        adaptive = base in ("aob", "alord") if use_lambda is None else use_lambda
-        self._lam = config.lam if adaptive else 0.0
+        self.rewarded = rule.rewarded
+        self._lam = config.lam if rule.base in ("aob", "alord") else 0.0  # adaptive rules
         self._alpha = config.alpha
         self._w0 = config.w0
         self._g = config.gamma
         self._gp = config.gamma_prime
-        self._capped = config.saffron_capping
+        self._capped = rule.capped
         # history, appended once per step
-        self.pvals: list[float] = []
         self.lam_flags: list[bool] = []       # p_t >= lambda
         self.alphas: list[float] = []
         self.bases: list[float] = []
-        self.sures: list[float] = []
-        self.epss: list[float] = []
-        self.rhos: list[float] = []
         self.rejects: list[bool] = []
         self.cdfs: list[StepCdf] = []
         self.taus: list[int] = []
@@ -181,13 +196,9 @@ class OnlineProcedure:
         reject = p <= alpha
         rho = alpha - bound(alpha)
         eligible = p >= self._lam
-        self.pvals.append(p)
         self.lam_flags.append(eligible)
         self.alphas.append(alpha)
         self.bases.append(base)
-        self.sures.append(sure)
-        self.epss.append(eps)
-        self.rhos.append(rho)
         self.rejects.append(reject)
         self.cdfs.append(bound)
         if self.rewarded and eligible and rho > 0.0:
@@ -229,65 +240,10 @@ class OnlineProcedure:
         """Number of completed steps."""
         return self._t_next - 1
 
-    def reindex_clock(self, j: int, T: int) -> int:
-        """Recompute the j-th re-indexation clock at time T from the history."""
-        return reindex_clock(self.lam_flags, self.taus, j, T)
-
-    def trace_rows(self):
-        """Per-step records for export (decision components plus tau snapshots)."""
-        taus: list[int] = []
-        for i in range(len(self.pvals)):
-            if self.rejects[i]:
-                taus.append(i + 1)
-            yield {
-                "t": i + 1,
-                "p": self.pvals[i],
-                "alpha": self.alphas[i],
-                "base_part": self.bases[i],
-                "sure_part": self.sures[i],
-                "epsilon_part": self.epss[i],
-                "rho": self.rhos[i],
-                "reject": self.rejects[i],
-                "R": len(taus),
-                "tau_list": tuple(taus),
-            }
-
 
 def make_procedure(name: str, config: ProcedureConfig) -> OnlineProcedure:
     """Build a procedure by its public name."""
-    if name == "saffron-capped":
-        if not config.saffron_capping:
-            config = ProcedureConfig(alpha=config.alpha, gamma=config.gamma,
-                                     lam=config.lam, w0=config.w0,
-                                     gamma_prime=config.gamma_prime,
-                                     saffron_capping=True)
-        return OnlineProcedure("alord", config, rewarded=False)
-    if name not in PROCEDURE_NAMES:
-        raise ValueError(f"unknown procedure {name!r}")
-    rewarded = name.startswith("rho-")
-    base = name[4:] if rewarded else name
-    return OnlineProcedure(base, config, rewarded=rewarded)
-
-
-def generic_reward(base: str, config: ProcedureConfig,
-                   gamma_prime: SpendingSequence | None = None,
-                   lam: float | None = None) -> OnlineProcedure:
-    """Reward any base rule satisfying the budget condition.
-
-    The rewarded critical value is the base value plus the reward
-    convolution over eligible past times plus the carry term for a
-    sub-lambda previous p-value.
-    """
-    if gamma_prime is not None or lam is not None:
-        config = ProcedureConfig(
-            alpha=config.alpha, gamma=config.gamma,
-            lam=config.lam if lam is None else lam,
-            w0=config.w0,
-            gamma_prime=config.gamma_prime if gamma_prime is None else gamma_prime,
-            saffron_capping=config.saffron_capping,
-        )
-    use_lambda = config.lam > 0.0
-    return OnlineProcedure(base, config, rewarded=True, use_lambda=use_lambda)
+    return OnlineProcedure(name, config)
 
 
 def reindex_clock(lam_flags: Sequence[bool], taus: Sequence[int], j: int, T: int) -> int:
@@ -343,7 +299,7 @@ def _audit(proc: OnlineProcedure, mfdr: bool, alphas=None, tol: float = 1e-9) ->
     lam = proc._lam
     alpha = proc.config.alpha
     budget = (1.0 - lam) * alpha
-    n = len(proc.pvals)
+    n = proc.t
     worst = 0.0
     worst_t = None
     r = 0

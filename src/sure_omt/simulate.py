@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,12 +18,14 @@ from .core import StepCdf
 from .discrete import fisher_margins, support_to_bound
 from .evaluate import (EvalReport, TrialOutcome, estimate_fwer, estimate_mfdr,
                        estimate_power)
-from .procedures import (FWER_NAMES, OnlineProcedure, ProcedureConfig,
-                         audit_fwer_budget, audit_mfdr_budget, make_procedure)
-from .spending import make_kernel, make_power_law
+from .procedures import (FWER_NAMES, ProcedureConfig, audit_fwer_budget,
+                         audit_mfdr_budget, make_procedure)
+from .spending import make_kernel
 
 PLACEMENTS = ("B", "E", "BM", "BE", "ME", "Random")
-SWEEP_AXES = ("placement", "pi_a", "N", "p3", "lambda", "h")
+# sweep axis -> the ScenarioConfig field it sets; the other axes set lambda and h
+SCENARIO_AXES = {"placement": "placement", "pi_a": "pi_a", "N": "n_subjects", "p3": "p3"}
+SWEEP_AXES = (*SCENARIO_AXES, "lambda", "h")
 
 
 @dataclass(frozen=True)
@@ -41,6 +43,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.placement not in PLACEMENTS:
             raise ValueError(f"unknown placement {self.placement!r}")
+        if self.m < 1 or self.n_trials < 1 or self.n_subjects < 0:
+            raise ValueError("need m >= 1, n_trials >= 1 and n_subjects >= 0")
         for p in (self.pi_a, self.p3, self.p_null_low, self.p_null_mid):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")
@@ -148,49 +152,6 @@ def dump_stream_csv(stream: TrialStream, path):
             writer.writerow([i + 1, *tab, int(stream.labels[i])])
 
 
-_GAMMA_CACHE: dict[float, object] = {}
-
-
-def _shared_power_law(q: float):
-    if q not in _GAMMA_CACHE:
-        _GAMMA_CACHE[q] = make_power_law(q)
-    return _GAMMA_CACHE[q]
-
-
-@dataclass(frozen=True)
-class ProcSpec:
-    """Named procedure with its tuning parameters; defaults follow the
-    standard experimental configuration (level 0.2, adaptivity 0.5,
-    power-law 1.6 spending, kernel bandwidth 100 for FWER / 10 for mFDR)."""
-
-    name: str
-    alpha: float = 0.2
-    lam: float = 0.5
-    w0: float | None = None
-    q: float = 1.6
-    h: int | None = None
-
-    def build(self, lam: float | None = None, h: int | None = None) -> OnlineProcedure:
-        lam = self.lam if lam is None else lam
-        if h is None:
-            h = self.h if self.h is not None else (100 if self.name in FWER_NAMES or
-                                                   self.name in ("rho-ob", "rho-aob") else 10)
-        investing = self.name in ("lord", "rho-lord", "alord", "rho-alord", "saffron-capped")
-        w0 = self.w0 if self.w0 is not None else (self.alpha / 2 if investing else None)
-        cfg = ProcedureConfig(
-            alpha=self.alpha,
-            gamma=_shared_power_law(self.q),
-            lam=lam,
-            w0=w0,
-            gamma_prime=make_kernel(h) if self.name.startswith("rho-") else None,
-        )
-        return make_procedure(self.name, cfg)
-
-    @property
-    def is_fwer(self) -> bool:
-        return self.name in FWER_NAMES
-
-
 @dataclass
 class TrialResults:
     outcomes: dict[str, list[TrialOutcome]]
@@ -198,61 +159,74 @@ class TrialResults:
     audit_failures: list[tuple[str, int]] = field(default_factory=list)
 
 
-def run_trials(scenario: ScenarioConfig, specs: Sequence[ProcSpec],
-               lam: float | None = None, h: int | None = None,
+def run_trials(scenario: ScenarioConfig, configs: dict[str, ProcedureConfig],
                audit: bool = False) -> TrialResults:
-    """Run each procedure over each simulated trial, in fixed trial order."""
-    outcomes: dict[str, list[TrialOutcome]] = {s.name: [] for s in specs}
+    """Run each named procedure over each simulated trial, in fixed trial order."""
+    outcomes: dict[str, list[TrialOutcome]] = {name: [] for name in configs}
     failures: list[tuple[str, int]] = []
     for i in range(scenario.n_trials):
         stream = generate_trial(scenario, i)
-        for spec in specs:
-            proc = spec.build(lam=lam, h=h)
+        for name, config in configs.items():
+            proc = make_procedure(name, config)
             step = proc.step
             for p, bound in zip(stream.pvals, stream.bounds):
                 step(p, bound)
-            outcomes[spec.name].append(TrialOutcome(proc.rejects, stream.labels))
+            outcomes[name].append(TrialOutcome(proc.rejects, stream.labels))
             if audit:
-                rep = (audit_fwer_budget(proc) if spec.is_fwer
+                rep = (audit_fwer_budget(proc) if name in FWER_NAMES
                        else audit_mfdr_budget(proc))
                 if not rep.ok:
-                    failures.append((spec.name, i))
+                    failures.append((name, i))
     return TrialResults(outcomes=outcomes, audits_ok=not failures,
                         audit_failures=failures)
 
 
-def _report_from_outcomes(report: EvalReport, outcomes, T: int, **keys):
-    for name, trials in outcomes.items():
-        report.add(name, "fwer", estimate_fwer(trials, T), T, **keys)
-        report.add(name, "mfdr", estimate_mfdr(trials, T), T, **keys)
-        report.add(name, "power", estimate_power(trials, T), T, **keys)
+class SweepPoint(NamedTuple):
+    """One grid point: the scenario, the procedures and the report keys."""
+
+    scenario: ScenarioConfig
+    configs: dict[str, ProcedureConfig]
+    keys: dict  # axis and value; none without a sweep
 
 
-def run_sweep(base_config: ScenarioConfig, axis: str, values: Sequence,
-              specs: Sequence[ProcSpec], audit: bool = False) -> EvalReport:
-    """Vary one parameter over a grid, keeping the rest fixed."""
+def sweep_points(scenario: ScenarioConfig, configs: dict[str, ProcedureConfig],
+                 axis: str | None = None, values: Sequence | None = None) -> list[SweepPoint]:
+    """The grid points of a one-axis sweep, or the single point without one.
+
+    Every point is built, and so validated, before any trial runs.  A lambda
+    point applies to every procedure; an h point replaces the kernel gamma'
+    of the procedures that have one.
+    """
+    if axis is None and values is None:
+        return [SweepPoint(scenario, configs, {})]
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
-    report = EvalReport()
-    all_ok = True
+    if not values:
+        raise ValueError("a sweep needs a nonempty list of values")
+    points = []
     for value in values:
-        scenario = base_config
-        lam = h = None
-        if axis == "placement":
-            scenario = replace(base_config, placement=value)
-        elif axis == "pi_a":
-            scenario = replace(base_config, pi_a=value)
-        elif axis == "N":
-            scenario = replace(base_config, n_subjects=value)
-        elif axis == "p3":
-            scenario = replace(base_config, p3=value)
+        point_scenario, point_configs = scenario, configs
+        if axis in SCENARIO_AXES:
+            point_scenario = replace(scenario, **{SCENARIO_AXES[axis]: value})
         elif axis == "lambda":
-            lam = value
-        elif axis == "h":
-            h = value
-        results = run_trials(scenario, specs, lam=lam, h=h, audit=audit)
-        all_ok = all_ok and results.audits_ok
-        _report_from_outcomes(report, results.outcomes, scenario.m,
-                              axis=axis, value=value)
-    report.audits_ok = all_ok
+            point_configs = {name: replace(c, lam=value) for name, c in configs.items()}
+        else:
+            kernel = make_kernel(value)
+            point_configs = {name: c if c.gamma_prime is None else replace(c, gamma_prime=kernel)
+                             for name, c in configs.items()}
+        points.append(SweepPoint(point_scenario, point_configs, {"axis": axis, "value": value}))
+    return points
+
+
+def run_sweep(points: Sequence[SweepPoint], audit: bool = False) -> EvalReport:
+    """FWER, mFDR and power of each procedure at each point, checked at the stream end."""
+    report = EvalReport()
+    for point in points:
+        results = run_trials(point.scenario, point.configs, audit=audit)
+        report.audits_ok = report.audits_ok and results.audits_ok
+        T = point.scenario.m
+        for name, trials in results.outcomes.items():
+            report.add(name, "fwer", estimate_fwer(trials, T), T, **point.keys)
+            report.add(name, "mfdr", estimate_mfdr(trials, T), T, **point.keys)
+            report.add(name, "power", estimate_power(trials, T), T, **point.keys)
     return report

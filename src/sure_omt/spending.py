@@ -105,11 +105,6 @@ class SpendingSequence:
         self._extend(t)
         return self._prefix[t]
 
-    def gamma_array(self, t_max: int) -> np.ndarray:
-        """gamma_0..gamma_t_max as an array (gamma_0 = 0), for vectorized lookups."""
-        self._extend(t_max)
-        return np.asarray(self._memo[: t_max + 1])
-
     def tail_bound(self, t: int) -> float:
         """Upper bound on sum_{s>t} gamma_s, analytic where available."""
         if self.kind == "kernel":
@@ -202,6 +197,8 @@ def parse_sequence_spec(spec: dict) -> SpendingSequence:
            | {"family": "jm"} | {"family": "kernel", "h": 100}
            | {"family": "greedy"} | {"family": "explicit", "values": [...]}
     """
+    if not isinstance(spec, dict):
+        raise ValueError(f"a spending spec must be an object, got {spec!r}")
     family = spec.get("family")
     if family == "power":
         return make_power_law(float(spec["q"]))

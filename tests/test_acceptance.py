@@ -22,14 +22,15 @@ import time
 import numpy as np
 import pytest
 
+from sure_omt.cli import parse_procedures
 from sure_omt.core import identity_bound
 from sure_omt.discrete import fisher_margins, hypergeom_pmf, support_to_bound
 from sure_omt.evaluate import (estimate_fwer, estimate_mfdr, estimate_power,
                                wealth_curves)
 from sure_omt.procedures import (ProcedureConfig, alpha_tilde_oracle,
                                  audit_fwer_budget, audit_mfdr_budget,
-                                 generic_reward, make_procedure, reindex_clock)
-from sure_omt.simulate import PLACEMENTS, ProcSpec, ScenarioConfig, run_trials
+                                 make_procedure, reindex_clock)
+from sure_omt.simulate import PLACEMENTS, ScenarioConfig, run_trials
 from sure_omt.spending import (make_explicit, make_greedy, make_kernel,
                                make_power_law)
 
@@ -110,11 +111,13 @@ def test_criterion_3_recursion_oracle_and_mass_identity():
         gp = rng.choice([make_kernel(5), make_kernel(50), make_greedy(),
                          make_explicit((0.5, 0.25, 0.125))])
         lam = rng.choice([0.0, 0.25, 0.5])
-        base = rng.choice(["ob", "aob", "lord", "alord"])
-        proc = generic_reward(base, _cfg(lam=lam, w0=0.1, gamma_prime=gp))
+        name = rng.choice(["rho-ob", "rho-aob", "rho-lord", "rho-alord"])
+        proc = make_procedure(name, _cfg(lam=lam, w0=0.1, gamma_prime=gp))
         for p, b in zip(pvals, bounds):
             proc.step(p, b)
-        want = alpha_tilde_oracle(proc.bases, pvals, bounds, gp, lam, T)
+        # the named non-adaptive rules ignore lambda
+        effective_lam = lam if name in ("rho-aob", "rho-alord") else 0.0
+        want = alpha_tilde_oracle(proc.bases, pvals, bounds, gp, effective_lam, T)
         worst = max(worst, abs(proc.alphas[-1] - want))
     ok_dual = worst <= 1e-12
 
@@ -169,11 +172,17 @@ def test_criterion_4_budget_audits():
             f"corrupted levels fail ({dt:.1f}s)")
 
 
+def _standard_configs(*names):
+    """The simulate command's standard configuration of each named rule."""
+    return parse_procedures([{"name": n} for n in names])
+
+
+@pytest.mark.slow
 def test_criterion_5_error_rate_control():
     t0 = time.perf_counter()
     sc = ScenarioConfig()  # m=500, N=25, pi_A=0.3, p3=0.4, 1000 trials
-    specs = [ProcSpec(n) for n in ("rho-ob", "rho-aob", "rho-lord", "rho-alord")]
-    res = run_trials(sc, specs, audit=True)
+    configs = _standard_configs("rho-ob", "rho-aob", "rho-lord", "rho-alord")
+    res = run_trials(sc, configs, audit=True)
     msgs = []
     ok = res.audits_ok
     for name in ("rho-ob", "rho-aob"):
@@ -190,9 +199,10 @@ def test_criterion_5_error_rate_control():
             f"({', '.join(msgs)}; {dt:.0f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_6_power_ordering():
     t0 = time.perf_counter()
-    specs = [ProcSpec(n) for n in ("aob", "rho-aob", "alord", "rho-alord")]
+    configs = _standard_configs("aob", "rho-aob", "alord", "rho-alord")
     grid = ([("placement", v) for v in PLACEMENTS] +
             [("pi_a", round(0.1 * k, 1)) for k in range(1, 11)])
     ok = True
@@ -200,7 +210,7 @@ def test_criterion_6_power_ordering():
     for axis, value in grid:
         sc = (ScenarioConfig(placement=value) if axis == "placement"
               else ScenarioConfig(pi_a=value))
-        res = run_trials(sc, specs)
+        res = run_trials(sc, configs)
         for base, rich in (("aob", "rho-aob"), ("alord", "rho-alord")):
             pb = estimate_power(res.outcomes[base], sc.m).value
             pr = estimate_power(res.outcomes[rich], sc.m).value

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from sure_omt.cli import CONFIG_ENV_VAR, main
+from sure_omt.cli import CONFIG_ENV_VAR, main, parse_procedures
 from sure_omt.simulate import ScenarioConfig, dump_stream_csv, generate_trial
 
 
@@ -88,29 +88,48 @@ def test_analyze_rejects_malformed_input(tmp_path, rows, header, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _assert_one_error_line(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    for fragment in fragments:
+        assert fragment in err
+
+
 def test_analyze_reports_offending_line(tmp_path, capsys):
     cfg = _write_config(tmp_path, ANALYZE_CFG)
     tables = _write_tables(tmp_path, ["a,1,2,3,4", "b,1,2,3,bad"])
+    trace = tmp_path / "t.csv"
     code = main(["analyze", "--config", cfg, "--input", tables,
-                 "--out-trace", str(tmp_path / "t.csv")])
+                 "--out-trace", str(trace)])
     assert code == 2
     assert "line 3" in capsys.readouterr().err
+    # the output is written atomically: a failed run leaves no partial trace
+    assert not trace.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "tables.csv"]
 
 
-def test_analyze_bad_config_combinations(tmp_path):
-    tables = _write_tables(tmp_path, ["a,1,2,3,4"])
-    bad = [
-        {**ANALYZE_CFG, "procedure": "nope"},
-        {**ANALYZE_CFG, "procedure": "rho-lord"},          # missing w0
-        {**ANALYZE_CFG, "w0": 0.1},                        # w0 on a FWER rule
-        {k: v for k, v in ANALYZE_CFG.items() if k != "gamma_prime"},
-        {**ANALYZE_CFG, "procedure": "ob"},                # gamma_prime on base rule
-        {**ANALYZE_CFG, "alpha": 2.0},
+def test_analyze_bad_config_combinations(tmp_path, capsys):
+    tables = ["a,1,2,3,4"]
+    trace = str(tmp_path / "t.csv")
+    bad = [  # (config, table rows, trace path, fragment of the message)
+        ({**ANALYZE_CFG, "procedure": "nope"}, tables, trace, ""),
+        ({**ANALYZE_CFG, "procedure": "rho-lord"}, tables, trace, ""),   # missing w0
+        ({**ANALYZE_CFG, "w0": 0.1}, tables, trace, ""),                 # w0 on a FWER rule
+        ({k: v for k, v in ANALYZE_CFG.items() if k != "gamma_prime"}, tables, trace, ""),
+        ({**ANALYZE_CFG, "procedure": "ob"}, tables, trace, ""),         # gamma_prime on base rule
+        ({**ANALYZE_CFG, "alpha": 2.0}, tables, trace, ""),
+        (ANALYZE_CFG, tables, str(tmp_path / "missing" / "t.csv"), ""),
+        ({**ANALYZE_CFG, "max_rows": "x"}, tables, trace, "max_rows"),
+        ({**ANALYZE_CFG, "alpha": "abc"}, tables, trace, ""),
+        # the exact test cannot handle groups of this size yet
+        (ANALYZE_CFG, ["r1,1,2,3,4", "r2,500,500,505,495"], trace, "line 3"),
     ]
-    for payload in bad:
+    for payload, rows, out, fragment in bad:
         cfg = _write_config(tmp_path, payload)
-        assert main(["analyze", "--config", cfg, "--input", tables,
-                     "--out-trace", str(tmp_path / "t.csv")]) == 2
+        code = main(["analyze", "--config", cfg, "--input", _write_tables(tmp_path, rows),
+                     "--out-trace", out])
+        assert code == 2, payload
+        _assert_one_error_line(capsys, fragment)
 
 
 def test_config_from_env_and_overrides(tmp_path, monkeypatch):
@@ -166,12 +185,44 @@ def test_simulate_sweep(tmp_path):
     assert {float(r["value"]) for r in rows} == {0.2, 0.6}
 
 
-def test_simulate_bad_config(tmp_path):
-    cfg = _write_config(tmp_path, {"scenario": {"placement": "nope"}})
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
-    cfg = _write_config(tmp_path, {"sweep": {"axis": "bogus", "values": [1]},
-                                   "scenario": {"m": 10, "n_trials": 1}})
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+def test_simulate_standard_defaults():
+    configs = parse_procedures([{"name": n} for n in ("ob", "rho-aob", "lord", "rho-alord")])
+    assert all(c.alpha == 0.2 and c.lam == 0.5 for c in configs.values())
+    # one default gamma, power law q=1.6, shared by every procedure
+    gamma = configs["ob"].gamma
+    assert gamma.kind == "power" and gamma.q == 1.6
+    assert all(c.gamma is gamma for c in configs.values())
+    # w0 = alpha / 2 for investing rules only
+    assert [c.w0 for c in configs.values()] == [None, None, pytest.approx(0.1), pytest.approx(0.1)]
+    # kernel bandwidth: 100 for the FWER family, 10 for investing; rewarded rules only
+    assert configs["ob"].gamma_prime is None and configs["lord"].gamma_prime is None
+    assert configs["rho-aob"].gamma_prime.h == 100
+    assert configs["rho-alord"].gamma_prime.h == 10
+
+
+def test_simulate_bad_config(tmp_path, capsys):
+    small = {"m": 10, "n_trials": 1}
+    bad = [
+        {"scenario": {"placement": "nope"}},
+        {"sweep": {"axis": "bogus", "values": [1]}, "scenario": small},
+        {"scenario": {"n_trials": 0}},
+        {"scenario": {"n_subjects": -1}},
+        {"sweep": {"axis": "pi_a"}, "scenario": small},                 # no values
+        {"procedures": ["ob"], "scenario": small},
+        {"procedures": [{"name": "ob", "alpha": 1.5}], "scenario": small},
+        {"procedures": [{"name": "rho-ob", "gamma_prime": {"family": "kernel", "h": 0}}],
+         "scenario": small},
+        {"procedures": [{"name": "ob", "w0": 0.1}], "scenario": small},  # w0 on a FWER rule
+        {"procedures": [{"name": "ob", "lamda": 0.1}], "scenario": small},  # unknown key
+        {"procedures": [{"name": "rho-ob"}], "sweep": {"axis": "h", "values": [0]},
+         "scenario": small},
+    ]
+    for payload in bad:
+        cfg = _write_config(tmp_path, payload)
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2, payload
+        _assert_one_error_line(capsys)
+        assert not out.exists()
 
 
 def test_missing_config_file(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sure_omt.core import (IDENTITY_BOUND, StepCdf, StreamRecord, identity_bound,
-                           step_cdf_eval, sure_reward)
+                           sure_reward)
 
 
 def test_step_cdf_basic_evaluation():
@@ -47,7 +47,6 @@ def test_sure_reward_values():
     assert sure_reward(0.05, f) == 0.05
     with pytest.raises(ValueError):
         sure_reward(-0.1, f)
-    assert step_cdf_eval(f, 0.25) == 0.1
 
 
 @given(st.lists(st.floats(min_value=0.001, max_value=0.999), min_size=1, max_size=6),

@@ -8,8 +8,7 @@ from sure_omt.core import identity_bound
 from sure_omt.discrete import support_to_bound
 from sure_omt.procedures import (AuditReport, OnlineProcedure, ProcedureConfig,
                                  alpha_tilde_oracle, audit_fwer_budget,
-                                 audit_mfdr_budget, generic_reward, make_procedure,
-                                 reindex_clock)
+                                 audit_mfdr_budget, make_procedure, reindex_clock)
 from sure_omt.spending import (make_explicit, make_greedy, make_kernel,
                                make_power_law)
 
@@ -77,9 +76,10 @@ def test_alord_uses_per_rejection_clocks():
         # force the intended rejection pattern by feeding p through a bound
         proc._pending = (1.0 if rej else 0.0, *proc._pending[1:])
         proc.observe(p)
-    # clocks recomputed from history match the incremental ones
-    for j in range(4):
-        assert proc.reindex_clock(j, 9) == reindex_clock(proc.lam_flags, proc.taus, j, 9)
+    assert proc.taus == [4, 8, 9]
+    # clocks recomputed from history match the incremental ones read at T=10
+    for j in range(len(proc.taus) + 1):
+        assert proc._clocks[j] == reindex_clock(proc.lam_flags, proc.taus, j, 10)
 
 
 def test_golden_clock_table():
@@ -96,14 +96,19 @@ def test_golden_clock_table():
 
 
 def test_incremental_clocks_match_recomputation(rng):
-    pvals, bounds = random_stream(rng, 120)
-    proc = make_procedure("rho-alord",
-                          _cfg(lam=0.5, w0=0.1, gamma_prime=make_kernel(10)))
-    for p, b in zip(pvals, bounds):
-        proc.step(p, b)
-    T = proc.t
-    for j in range(len(proc.taus) + 2):
-        assert proc.reindex_clock(j, T) == reindex_clock(proc.lam_flags, proc.taus, j, T)
+    checked = 0
+    for name in ("aob", "alord", "rho-alord", "saffron-capped"):
+        for trial in range(10):
+            pvals, bounds = random_stream(rng, 120)
+            proc = make_procedure(name, _cfg(lam=0.5, w0=0.1, gamma_prime=make_kernel(10)))
+            for p, b in zip(pvals, bounds):
+                proc.step(p, b)
+                # the clocks the next critical value reads, after every step
+                for j in range(len(proc.taus) + 1):
+                    want = reindex_clock(proc.lam_flags, proc.taus, j, proc.t + 1)
+                    assert proc._clocks[j] == want
+                    checked += 1
+    assert checked > 4 * 10 * 120
 
 
 # -- structural properties ----------------------------------------------------
@@ -142,18 +147,6 @@ def test_lambda_zero_reduces_adaptive_to_plain(pair, rng):
         assert a.step(p, bd).alpha == b.step(p, bd).alpha
 
 
-def test_generic_reward_matches_named_procedures(rng):
-    pvals, bounds = random_stream(rng, 100)
-    cfg = _cfg(lam=0.5, w0=0.1, gamma_prime=make_kernel(7))
-    for base in ("ob", "aob", "lord", "alord"):
-        a = make_procedure("rho-" + base, cfg)
-        # named non-adaptive variants ignore lambda; match that explicitly
-        lam = None if base in ("aob", "alord") else 0.0
-        b = generic_reward(base, cfg, lam=lam)
-        for p, bd in zip(pvals, bounds):
-            assert a.step(p, bd).alpha == b.step(p, bd).alpha
-
-
 def test_dual_recursion_oracle(rng):
     for trial in range(20):
         T = rng.randint(20, 80)
@@ -162,11 +155,13 @@ def test_dual_recursion_oracle(rng):
                          make_explicit((0.4, 0.3, 0.2))])
         lam = rng.choice([0.0, 0.3, 0.5])
         cfg = _cfg(lam=lam, w0=0.1, gamma_prime=gp)
-        base = rng.choice(["ob", "aob", "lord", "alord"])
-        proc = generic_reward(base, cfg)
+        name = rng.choice(["rho-ob", "rho-aob", "rho-lord", "rho-alord"])
+        proc = make_procedure(name, cfg)
         for p, b in zip(pvals, bounds):
             proc.step(p, b)
-        want = alpha_tilde_oracle(proc.bases, pvals, bounds, gp, lam, T)
+        # the named non-adaptive rules ignore lambda
+        effective_lam = lam if name in ("rho-aob", "rho-alord") else 0.0
+        want = alpha_tilde_oracle(proc.bases, pvals, bounds, gp, effective_lam, T)
         assert proc.alphas[-1] == pytest.approx(want, abs=1e-12)
 
 
@@ -198,10 +193,9 @@ def test_greedy_reward_equals_base_plus_last_rho(rng):
     pvals, bounds = random_stream(rng, 80)
     cfg = _cfg(gamma_prime=make_greedy())
     proc = make_procedure("rho-ob", cfg)
-    for p, b in zip(pvals, bounds):
-        proc.step(p, b)
-    for i in range(1, proc.t):
-        assert proc.alphas[i] == proc.bases[i] + proc.rhos[i - 1]
+    decisions = [proc.step(p, b) for p, b in zip(pvals, bounds)]
+    for prev, d in zip(decisions, decisions[1:]):
+        assert d.alpha == d.base_part + prev.rho
 
 
 # -- budget audits ------------------------------------------------------------
@@ -296,10 +290,10 @@ def test_run_and_trace_rows(rng):
     proc = make_procedure("rho-ob", _cfg(gamma_prime=make_kernel(3)))
     decisions = proc.run(zip(pvals, bounds))
     assert len(decisions) == 30
-    rows = list(proc.trace_rows())
-    assert [r["t"] for r in rows] == list(range(1, 31))
-    assert [r["alpha"] for r in rows] == proc.alphas
-    assert rows[-1]["R"] == proc.r_count
+    assert [d.t for d in decisions] == list(range(1, 31))
+    assert [d.alpha for d in decisions] == proc.alphas
+    assert [d.reject for d in decisions] == proc.rejects
+    assert decisions[-1].r_count == proc.r_count
 
 
 def test_throughput_30000_steps():

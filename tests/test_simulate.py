@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from sure_omt.simulate import (PLACEMENTS, ProcSpec, ScenarioConfig, dump_stream_csv,
-                               generate_trial, place_signal, run_sweep, run_trials)
+from sure_omt.cli import parse_procedures
+from sure_omt.simulate import (PLACEMENTS, ScenarioConfig, dump_stream_csv,
+                               generate_trial, place_signal, run_sweep, run_trials,
+                               sweep_points)
+
+
+def _standard_configs(*names):
+    return parse_procedures([{"name": n} for n in names])
 
 
 def test_scenario_counts_default():
@@ -25,6 +31,10 @@ def test_scenario_validation():
         ScenarioConfig(placement="nope")
     with pytest.raises(ValueError):
         ScenarioConfig(pi_a=1.5)
+    with pytest.raises(ValueError):
+        ScenarioConfig(n_trials=0)
+    with pytest.raises(ValueError):
+        ScenarioConfig(n_subjects=-1)
 
 
 def test_placement_block_conventions():
@@ -91,20 +101,9 @@ def test_dump_stream_csv(tmp_path):
     assert len(lines) == 6
 
 
-def test_proc_spec_defaults():
-    assert ProcSpec("rho-ob").build().rewarded
-    assert ProcSpec("rho-ob").is_fwer
-    assert not ProcSpec("rho-lord").is_fwer
-    # kernel bandwidth defaults: 100 for the FWER family, 10 for investing
-    assert ProcSpec("rho-aob").build().config.gamma_prime.h == 100
-    assert ProcSpec("rho-alord").build().config.gamma_prime.h == 10
-    assert ProcSpec("lord").build().config.w0 == pytest.approx(0.1)
-
-
 def test_run_trials_and_containment():
     sc = ScenarioConfig(m=60, n_subjects=15, n_trials=5)
-    specs = [ProcSpec("aob"), ProcSpec("rho-aob")]
-    res = run_trials(sc, specs, audit=True)
+    res = run_trials(sc, _standard_configs("aob", "rho-aob"), audit=True)
     assert res.audits_ok
     assert len(res.outcomes["aob"]) == 5
     for base, rich in zip(res.outcomes["aob"], res.outcomes["rho-aob"]):
@@ -114,16 +113,24 @@ def test_run_trials_and_containment():
 
 def test_run_sweep_reports_each_value():
     sc = ScenarioConfig(m=40, n_subjects=10, n_trials=3)
-    specs = [ProcSpec("rho-ob")]
-    rep = run_sweep(sc, "pi_a", [0.1, 0.5], specs)
+    configs = _standard_configs("rho-ob")
+    rep = run_sweep(sweep_points(sc, configs, "pi_a", [0.1, 0.5]))
     assert rep.value("rho-ob", "power", value=0.1) >= 0.0
     assert len(rep.rows) == 6  # 2 grid points x 3 metrics
     with pytest.raises(ValueError):
-        run_sweep(sc, "bogus", [1], specs)
+        sweep_points(sc, configs, "bogus", [1])
+    with pytest.raises(ValueError):
+        sweep_points(sc, configs, "pi_a", [])
+    # an h point replaces only the gamma' of the rewarded rules
+    [point] = sweep_points(sc, _standard_configs("ob", "rho-ob"), "h", [5])
+    assert point.configs["ob"].gamma_prime is None
+    assert point.configs["rho-ob"].gamma_prime.h == 5
 
 
 def test_run_sweep_lambda_axis_changes_results():
     sc = ScenarioConfig(m=60, n_subjects=15, n_trials=4, seed=2)
-    specs = [ProcSpec("rho-alord")]
-    rep = run_sweep(sc, "lambda", [0.0, 0.8], specs)
+    points = sweep_points(sc, _standard_configs("rho-alord"), "lambda", [0.0, 0.8])
+    assert [p.configs["rho-alord"].lam for p in points] == [0.0, 0.8]
+    rep = run_sweep(points)
     assert len(rep.rows) == 6
+    assert rep.value("rho-alord", "power", value=0.0) != rep.value("rho-alord", "power", value=0.8)
