@@ -71,9 +71,9 @@ def _load_config(path: str | None, overrides: list[str]) -> dict:
         config = {}
     else:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
             raise InputError(f"cannot read config {path}: {exc}")
         if not isinstance(config, dict):
             raise InputError(f"config {path} must be a JSON object")
@@ -155,14 +155,18 @@ def cmd_analyze(args) -> int:
         raise InputError(f"max_rows must be a nonnegative integer, got {max_rows!r}")
     [(name, proc_config)] = parse_procedures([config], "procedure", ANALYZE_DEFAULTS).items()
     proc = make_procedure(name, proc_config)
-    with open(args.input, newline="") as fh, open_atomic(args.out_trace, newline="") as out:
-        writer = csv.writer(out)
-        writer.writerow(["t", "id", "p", "alpha", "rho", "epsilon", "reject"])
-        for row_id, result in _test_rows(fh, max_rows):
-            proc.emit_alpha()
-            dec = proc.observe(result.p_value, result.null_bound)
-            writer.writerow([dec.t, row_id, _fmt(dec.p), _fmt(dec.alpha),
-                             _fmt(dec.rho), _fmt(dec.eps_part), int(dec.reject)])
+    try:
+        with (open(args.input, newline="", encoding="utf-8") as fh,
+              open_atomic(args.out_trace, newline="") as out):
+            writer = csv.writer(out)
+            writer.writerow(["t", "id", "p", "alpha", "rho", "epsilon", "reject"])
+            for row_id, result in _test_rows(fh, max_rows):
+                proc.emit_alpha()
+                dec = proc.observe(result.p_value, result.null_bound)
+                writer.writerow([dec.t, row_id, _fmt(dec.p), _fmt(dec.alpha),
+                                 _fmt(dec.rho), _fmt(dec.eps_part), int(dec.reject)])
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{args.input} is not UTF-8 text ({exc.reason})") from None
     audit = audit_fwer_budget(proc) if name in FWER_NAMES else audit_mfdr_budget(proc)
     summary = {
         "rows": proc.t,
@@ -206,17 +210,21 @@ def _loglog(y: float) -> str:
 
 def cmd_plotdata(args) -> int:
     transform = args.transform
-    with open(args.trace, newline="") as fh, open_atomic(args.out, newline="") as out:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"t", "p", "alpha"} <= set(reader.fieldnames):
-            raise InputError("trace file must have t, p and alpha columns")
-        writer = csv.writer(out)
-        writer.writerow(["t", "series", "value"])
-        for row in reader:
-            for series in ("p", "alpha"):
-                y = float(row[series])
-                value = _fmt(y) if transform == "raw" else _loglog(y)
-                writer.writerow([row["t"], series, value])
+    try:
+        with (open(args.trace, newline="", encoding="utf-8") as fh,
+              open_atomic(args.out, newline="") as out):
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or not {"t", "p", "alpha"} <= set(reader.fieldnames):
+                raise InputError("trace file must have t, p and alpha columns")
+            writer = csv.writer(out)
+            writer.writerow(["t", "series", "value"])
+            for row in reader:
+                for series in ("p", "alpha"):
+                    y = float(row[series])
+                    value = _fmt(y) if transform == "raw" else _loglog(y)
+                    writer.writerow([row["t"], series, value])
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{args.trace} is not UTF-8 text ({exc.reason})") from None
     return 0
 
 

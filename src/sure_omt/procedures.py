@@ -13,6 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .core import Decision, IDENTITY_BOUND, StepCdf
 from .spending import SpendingSequence
 
@@ -98,10 +100,22 @@ class OnlineProcedure:
         self.cdfs: list[StepCdf] = []
         self.taus: list[int] = []
         self.r_count = 0
-        self._clocks: list[int] = [1]         # current re-indexation clock values
-        self._ledger: list[tuple[int, float]] = []   # eligible positive rewards
+        # re-indexation clocks: clock j reads 1 + E - starts[j], where E counts
+        # the eligible steps so far and starts[j] is E at the j-th rejection
+        self._n_eligible = 0
+        self._starts: list[int] = [0]
+        # eligible positive rewards: the last _window steps for a gamma' that
+        # is 0 beyond them (kernel, explicit), else numpy arrays grown by doubling
+        gp = self._gp
+        if gp is None or gp.kind not in ("kernel", "explicit"):
+            self._window = None
+        else:
+            self._window = gp.h if gp.kind == "kernel" else len(gp.values)
         self._win_t: deque[int] = deque()
         self._win_rho: deque[float] = deque()
+        self._n_ledger = 0
+        self._ledger_t = self._ledger_rho = None  # made on the first reward
+        self._gp_table = ()                   # gamma'_k at index k, k < len
         self._t_next = 1
         self._pending: tuple[float, float, float, float] | None = None
 
@@ -114,7 +128,7 @@ class OnlineProcedure:
         if self.base == "ob":
             return self._alpha * memo[T]
         if self.base == "aob":
-            return self._alpha * (1.0 - self._lam) * memo[self._clocks[0]]
+            return self._alpha * (1.0 - self._lam) * memo[1 + self._n_eligible]
         alpha, w0 = self._alpha, self._w0
         taus = self.taus
         if self.base == "lord":
@@ -124,43 +138,49 @@ class OnlineProcedure:
                 s += memo[T - tau]
             return w0 * memo[T] + (alpha - w0) * b1 + alpha * s
         # alord
-        clocks = self._clocks
-        b1 = memo[clocks[1]] if len(clocks) > 1 else 0.0
+        c0 = 1 + self._n_eligible
+        starts = self._starts
+        b1 = memo[c0 - starts[1]] if len(starts) > 1 else 0.0
         s = 0.0
-        for c in clocks[2:]:
-            s += memo[c]
-        val = (1.0 - self._lam) * (w0 * memo[clocks[0]] + (alpha - w0) * b1 + alpha * s)
+        for start in starts[2:]:
+            s += memo[c0 - start]
+        val = (1.0 - self._lam) * (w0 * memo[c0] + (alpha - w0) * b1 + alpha * s)
         if self._capped:
             val = min(self._lam, val)
         return val
+
+    def _clock(self, j: int) -> int:
+        """Value of re-indexation clock j (0 <= j <= rejections) at the next step."""
+        return 1 + self._n_eligible - self._starts[j]
 
     # -- reward convolution -------------------------------------------------
 
     def _sure_part(self, T: int) -> float:
         gp = self._gp
-        if gp.kind == "kernel":
-            h = gp.h
+        if self._window is not None:
             wt, wr = self._win_t, self._win_rho
-            cutoff = T - h
+            cutoff = T - self._window
             while wt and wt[0] < cutoff:
                 wt.popleft()
                 wr.popleft()
-            return sum(wr) / h if wr else 0.0
-        if gp.kind == "explicit":
+            if gp.kind == "kernel":
+                return sum(wr) / gp.h if wr else 0.0
             vals = gp.values
-            lo = T - len(vals)
-            ledger = self._ledger
-            i = len(ledger)
-            while i > 0 and ledger[i - 1][0] >= lo:
-                i -= 1
             s = 0.0
-            for t, rho in ledger[i:]:
+            for t, rho in zip(wt, wr):
                 s += vals[T - t - 1] * rho
             return s
-        s = 0.0
-        for t, rho in self._ledger:
-            s += gp.gamma(T - t) * rho
-        return s
+        n = self._n_ledger
+        if not n:
+            return 0.0
+        table = self._gp_table
+        if len(table) <= T:
+            # grow geometrically: one rebuild per doubling of T
+            gp._extend(2 * T)
+            table = self._gp_table = np.array(gp._memo[:2 * T + 1])
+        # cumsum adds left to right, as the scalar sum over the ledger would
+        terms = table[T - self._ledger_t[:n]] * self._ledger_rho[:n]
+        return float(np.cumsum(terms)[-1])
 
     # -- step API ------------------------------------------------------------
 
@@ -202,23 +222,33 @@ class OnlineProcedure:
         self.rejects.append(reject)
         self.cdfs.append(bound)
         if self.rewarded and eligible and rho > 0.0:
-            if self._gp.kind == "kernel":
+            if self._window is not None:
                 self._win_t.append(t)
                 self._win_rho.append(rho)
             else:
-                self._ledger.append((t, rho))
+                self._append_ledger(t, rho)
         if eligible:
-            clocks = self._clocks
-            for j in range(len(clocks)):
-                clocks[j] += 1
+            self._n_eligible += 1
         if reject:
             self.taus.append(t)
-            self._clocks.append(1)
+            self._starts.append(self._n_eligible)
             self.r_count += 1
         self._t_next = t + 1
         return Decision(t=t, p=p, alpha=alpha, reject=reject, rho=rho,
                         base_part=base, sure_part=sure, eps_part=eps,
                         r_count=self.r_count)
+
+    def _append_ledger(self, t: int, rho: float) -> None:
+        n = self._n_ledger
+        if n == 0:
+            self._ledger_t = np.empty(64, dtype=np.int64)
+            self._ledger_rho = np.empty(64)
+        elif n == len(self._ledger_t):
+            self._ledger_t = np.concatenate((self._ledger_t, np.empty(n, dtype=np.int64)))
+            self._ledger_rho = np.concatenate((self._ledger_rho, np.empty(n)))
+        self._ledger_t[n] = t
+        self._ledger_rho[n] = rho
+        self._n_ledger = n + 1
 
     def step(self, p: float, bound: StepCdf | None = None) -> Decision:
         self.emit_alpha()

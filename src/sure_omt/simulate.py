@@ -43,6 +43,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.placement not in PLACEMENTS:
             raise ValueError(f"unknown placement {self.placement!r}")
+        for name in ("m", "n_trials", "n_subjects", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.m < 1 or self.n_trials < 1 or self.n_subjects < 0:
             raise ValueError("need m >= 1, n_trials >= 1 and n_subjects >= 0")
         for p in (self.pi_a, self.p3, self.p_null_low, self.p_null_mid):
@@ -129,6 +133,7 @@ def generate_trial(config: ScenarioConfig, trial_index: int) -> TrialStream:
     tables = []
     pvals = []
     bounds = []
+    bound_of_margin: dict[int, StepCdf] = {}  # at most 2n + 1 margins c1 occur
     for i in range(m):
         a = int(succ_a[i])
         c = int(succ_b[i])
@@ -136,11 +141,14 @@ def generate_trial(config: ScenarioConfig, trial_index: int) -> TrialStream:
         c1 = a + c
         if n == 0 or c1 == 0 or c1 == 2 * n:
             pvals.append(1.0)
-            bounds.append(support_to_bound((1.0,)))
-            continue
-        pv, lo, support = fisher_margins(n, n, c1)
-        pvals.append(pv[a - lo])
-        bounds.append(support_to_bound(support))
+            support = (1.0,)
+        else:
+            pv, lo, support = fisher_margins(n, n, c1)
+            pvals.append(pv[a - lo])
+        bound = bound_of_margin.get(c1)
+        if bound is None:
+            bound = bound_of_margin[c1] = support_to_bound(support)
+        bounds.append(bound)
     return TrialStream(tables=tables, labels=labels, pvals=pvals, bounds=bounds)
 
 

@@ -108,6 +108,23 @@ def test_analyze_reports_offending_line(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "tables.csv"]
 
 
+def test_analyze_rejects_non_utf8_input(tmp_path, capsys):
+    cfg = _write_config(tmp_path, ANALYZE_CFG)
+    tables = tmp_path / "tables.csv"
+    tables.write_bytes(b"id,a,b,c,d\na,1,2,3,4\n\xff\xfe,1,2,3,4\n")
+    trace = tmp_path / "t.csv"
+    code = main(["analyze", "--config", cfg, "--input", str(tables),
+                 "--out-trace", str(trace)])
+    assert code == 2
+    _assert_one_error_line(capsys, "UTF-8")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "tables.csv"]
+    # a config file that is not UTF-8 is a config error as well
+    (tmp_path / "cfg.json").write_bytes(b'{"procedure": "\xff"}')
+    assert main(["analyze", "--config", cfg, "--input", str(tables),
+                 "--out-trace", str(trace)]) == 2
+    _assert_one_error_line(capsys, "cannot read config")
+
+
 def test_analyze_bad_config_combinations(tmp_path, capsys):
     tables = ["a,1,2,3,4"]
     trace = str(tmp_path / "t.csv")
@@ -216,6 +233,10 @@ def test_simulate_bad_config(tmp_path, capsys):
         {"procedures": [{"name": "ob", "lamda": 0.1}], "scenario": small},  # unknown key
         {"procedures": [{"name": "rho-ob"}], "sweep": {"axis": "h", "values": [0]},
          "scenario": small},
+        {"scenario": {"m": 10.0, "n_trials": 1}},                      # integer fields
+        {"scenario": {"m": 10, "n_trials": 2.0}},
+        {"scenario": {**small, "seed": 1.5}},
+        {"sweep": {"axis": "N", "values": [10.0]}, "scenario": small},
     ]
     for payload in bad:
         cfg = _write_config(tmp_path, payload)
@@ -256,6 +277,8 @@ def test_plotdata_raw_and_loglog(tmp_path):
 def test_plotdata_rejects_bad_trace(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("x,y\n1,2\n")
+    assert main(["plotdata", "--trace", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
+    bad.write_bytes(b"t,p,alpha\n1,\xff,0.1\n")
     assert main(["plotdata", "--trace", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
     assert main(["plotdata", "--trace", str(tmp_path / "none.csv"),
                  "--out", str(tmp_path / "o.csv")]) == 2

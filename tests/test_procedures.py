@@ -1,7 +1,9 @@
 import itertools
 import random
 import time
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from sure_omt.core import identity_bound
@@ -9,8 +11,8 @@ from sure_omt.discrete import support_to_bound
 from sure_omt.procedures import (AuditReport, OnlineProcedure, ProcedureConfig,
                                  alpha_tilde_oracle, audit_fwer_budget,
                                  audit_mfdr_budget, make_procedure, reindex_clock)
-from sure_omt.spending import (make_explicit, make_greedy, make_kernel,
-                               make_power_law)
+from sure_omt.spending import (make_explicit, make_greedy, make_jm_family, make_kernel,
+                               make_log_family, make_power_law)
 
 from conftest import random_stream
 
@@ -79,7 +81,7 @@ def test_alord_uses_per_rejection_clocks():
     assert proc.taus == [4, 8, 9]
     # clocks recomputed from history match the incremental ones read at T=10
     for j in range(len(proc.taus) + 1):
-        assert proc._clocks[j] == reindex_clock(proc.lam_flags, proc.taus, j, 10)
+        assert proc._clock(j) == reindex_clock(proc.lam_flags, proc.taus, j, 10)
 
 
 def test_golden_clock_table():
@@ -106,7 +108,7 @@ def test_incremental_clocks_match_recomputation(rng):
                 # the clocks the next critical value reads, after every step
                 for j in range(len(proc.taus) + 1):
                     want = reindex_clock(proc.lam_flags, proc.taus, j, proc.t + 1)
-                    assert proc._clocks[j] == want
+                    assert proc._clock(j) == want
                     checked += 1
     assert checked > 4 * 10 * 120
 
@@ -196,6 +198,79 @@ def test_greedy_reward_equals_base_plus_last_rho(rng):
     decisions = [proc.step(p, b) for p, b in zip(pvals, bounds)]
     for prev, d in zip(decisions, decisions[1:]):
         assert d.alpha == d.base_part + prev.rho
+
+
+def _signal_stream(rng, T):
+    """A random stream with a tiny p-value at about 4% of the steps."""
+    pvals, bounds = random_stream(rng, T)
+    strong = support_to_bound((1e-5, 0.5, 1.0))
+    for i in range(T):
+        if rng.random() < 0.04:
+            pvals[i], bounds[i] = 1e-5, strong
+    return pvals, bounds
+
+
+def _scalar_sure_parts(decisions, gp, lam):
+    """sum_{t<T, p_t >= lam} gamma'(T - t) * rho_t for each T, added term by term
+    in ledger order: the loop runs over the ledger and is vectorized over T."""
+    table = np.array([gp.gamma(k) for k in range(len(decisions) + 1)])
+    sums = np.zeros(len(decisions) + 1)    # sums[T], T = 1..len
+    for d in decisions:
+        if d.p >= lam and d.rho > 0.0:
+            sums[d.t + 1:] += table[1:len(decisions) + 1 - d.t] * d.rho
+    return sums[1:].tolist()
+
+
+def _scalar_lord_base(g, alpha, w0, taus, T):
+    b1 = g.gamma(T - taus[0]) if taus else 0.0
+    s = 0.0
+    for tau in taus[1:]:
+        s += g.gamma(T - tau)
+    return w0 * g.gamma(T) + (alpha - w0) * b1 + alpha * s
+
+
+def _scalar_alord_base(g, alpha, w0, lam, flags, taus, T):
+    clocks = [reindex_clock(flags, taus, j, T) for j in range(len(taus) + 1)]
+    b1 = g.gamma(clocks[1]) if taus else 0.0
+    s = 0.0
+    for c in clocks[2:]:
+        s += g.gamma(c)
+    return (1.0 - lam) * (w0 * g.gamma(clocks[0]) + (alpha - w0) * b1 + alpha * s)
+
+
+@pytest.mark.parametrize("family", ["power", "log", "jm"])
+def test_long_stream_reward_sums_are_exact(family, rng):
+    """sure_part and the investing base sums equal their scalar left-to-right sums
+    bit for bit, whether gamma' is shared cold or already extended by another run."""
+    make_gp = {"power": lambda: make_power_law(1.6), "log": lambda: make_log_family(1.5),
+               "jm": make_jm_family}[family]
+    T = 3000
+    pvals, bounds = _signal_stream(rng, T)
+    warm = make_gp()
+    make_procedure("rho-ob", _cfg(gamma_prime=warm)).run(zip(pvals, bounds))
+    oracle_gp = make_gp()
+    g = make_power_law(1.6)
+    for name in ("rho-ob", "rho-aob", "rho-lord", "rho-alord"):
+        cold = make_gp()
+        cfg = _cfg(gamma=g, lam=0.5, w0=0.1, gamma_prime=cold)
+        decisions = make_procedure(name, cfg).run(zip(pvals, bounds))
+        lam = 0.5 if name in ("rho-aob", "rho-alord") else 0.0
+        want = _scalar_sure_parts(decisions, oracle_gp, lam)
+        assert [d.sure_part for d in decisions] == want, name
+        assert sum(1 for d in decisions if d.sure_part > 0.0) > T // 2
+        flags = [d.p >= lam for d in decisions]
+        taus = []
+        for d in decisions:
+            if name == "rho-lord":
+                assert d.base_part == _scalar_lord_base(g, 0.2, 0.1, taus, d.t), d.t
+            elif name == "rho-alord" and d.t % 100 == 0:  # reindex_clock is O(T)
+                assert d.base_part == _scalar_alord_base(g, 0.2, 0.1, lam, flags, taus, d.t)
+            if d.reject:
+                taus.append(d.t)
+        if name in ("rho-lord", "rho-alord"):
+            assert len(taus) > 50
+        rerun = make_procedure(name, replace(cfg, gamma_prime=warm)).run(zip(pvals, bounds))
+        assert rerun == decisions, name
 
 
 # -- budget audits ------------------------------------------------------------

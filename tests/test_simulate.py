@@ -35,6 +35,11 @@ def test_scenario_validation():
         ScenarioConfig(n_trials=0)
     with pytest.raises(ValueError):
         ScenarioConfig(n_subjects=-1)
+    # integer fields take integers only, as JSON configs give them
+    for field in ("m", "n_trials", "n_subjects", "seed"):
+        for value in (50.0, True, "5"):
+            with pytest.raises(ValueError, match=field):
+                ScenarioConfig(**{field: value})
 
 
 def test_placement_block_conventions():
