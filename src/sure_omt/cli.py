@@ -219,8 +219,12 @@ def cmd_plotdata(args) -> int:
             writer = csv.writer(out)
             writer.writerow(["t", "series", "value"])
             for row in reader:
-                for series in ("p", "alpha"):
-                    y = float(row[series])
+                try:
+                    ys = [float(row["p"]), float(row["alpha"])]  # a short row has None
+                except (TypeError, ValueError):
+                    raise InputError(f"line {reader.line_num}: p and alpha must be numbers, "
+                                     f"got {row['p']!r} and {row['alpha']!r}") from None
+                for series, y in zip(("p", "alpha"), ys):
                     value = _fmt(y) if transform == "raw" else _loglog(y)
                     writer.writerow([row["t"], series, value])
     except UnicodeDecodeError as exc:

@@ -9,6 +9,7 @@ tolerance of 1e-7 for probability ties.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -54,16 +55,19 @@ def hypergeom_pmf(k: int, margins: tuple[int, int, int]) -> float:
     return math.exp(_log_comb(r1, k) + _log_comb(r2, c1 - k) - _log_comb(r1 + r2, c1))
 
 
-@lru_cache(maxsize=None)
-def fisher_margins(r1: int, r2: int, c1: int) -> tuple[tuple[float, ...], int, tuple[float, ...]]:
-    """p-values and support for all feasible first cells given the margins.
+@lru_cache(maxsize=4096)
+def fisher_margins(r1: int, r2: int, c1: int) -> tuple[tuple[float, ...], int, StepCdf]:
+    """p-values and null bound for all feasible first cells given the margins.
 
-    Returns (pvals, lo, support), cached per margin: entry pvals[k - lo] is
-    the two-sided p-value when the first cell equals k.
+    Returns (pvals, lo, bound), cached per margin: entry pvals[k - lo] is
+    the two-sided p-value when the first cell equals k, and bound jumps at
+    the achievable p-values.  Margins with one feasible table (an empty row
+    or column) give p = 1 with support (1.0,).
 
     The pmf is computed in log space with a single exponentiation pass, and
     tail sums are accumulated in ascending pmf order so that tie handling is
-    deterministic.
+    deterministic.  Tail pmfs that underflow give p = 0.0, which is raised to
+    the smallest positive p-value of the margin: the bound keeps F(u) <= u.
     """
     lo, hi = max(0, c1 - r2), min(r1, c1)
     base = _log_comb(r1 + r2, c1)
@@ -79,17 +83,13 @@ def fisher_margins(r1: int, r2: int, c1: int) -> tuple[tuple[float, ...], int, t
     n = len(pmf)
     pvals = [0.0] * n
     for i in range(n):
-        cut = pmf[i] * (1.0 + TIE_REL_TOL)
-        # last index with sorted_pmf[j] <= cut
-        j = n - 1
-        while sorted_pmf[j] > cut:
-            j -= 1
-        p = cum[j]
-        pvals[i] = 1.0 if j == n - 1 else min(p, 1.0)
-    support = sorted(set(pvals))
-    if support[-1] != 1.0:
-        support.append(1.0)
-    return tuple(pvals), lo, tuple(support)
+        # last index j with sorted_pmf[j] <= pmf[i], up to the tie tolerance
+        j = bisect.bisect_right(sorted_pmf, pmf[i] * (1.0 + TIE_REL_TOL)) - 1
+        pvals[i] = 1.0 if j == n - 1 else min(cum[j], 1.0)
+    if 0.0 in pvals:
+        floor = min(p for p in pvals if p > 0.0)
+        pvals = [p or floor for p in pvals]
+    return tuple(pvals), lo, support_to_bound(pvals)
 
 
 def support_to_bound(support) -> StepCdf:
@@ -106,11 +106,5 @@ def support_to_bound(support) -> StepCdf:
 
 def fisher_two_sided(table: ContingencyTable2x2) -> ExactTestResult:
     """Two-sided Fisher exact test with the achievable p-value support."""
-    r1, r2 = table.a + table.b, table.c + table.d
-    c1 = table.a + table.c
-    if r1 + r2 == 0 or c1 == 0 or c1 == r1 + r2 or r1 == 0 or r2 == 0:
-        # degenerate margins: a single feasible table, no evidence either way
-        return ExactTestResult(1.0, (1.0,), support_to_bound((1.0,)))
-    pvals, lo, support = fisher_margins(r1, r2, c1)
-    return ExactTestResult(pvals[table.a - lo], support, support_to_bound(support))
-
+    pvals, lo, bound = fisher_margins(table.a + table.b, table.c + table.d, table.a + table.c)
+    return ExactTestResult(pvals[table.a - lo], bound.support, bound)

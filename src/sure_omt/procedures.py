@@ -5,6 +5,11 @@ LORD, adaptive LORD) and their rewarded counterparts, which add back the
 unspent fraction of past critical values through a reward spending
 sequence.  The step API is emit_alpha() -> observe(p, bound): the critical
 value for time T is fixed before the p-value at T is seen.
+
+Two base formulas serve the four rules: online Bonferroni and LORD are the
+adaptive rules with lambda = 0, whose re-indexation clocks are plain time.
+A procedure keeps four history lists (eligibility flags, alphas, reject
+flags, null bounds); without a reward, the alphas are the base values.
 """
 
 from __future__ import annotations
@@ -83,9 +88,9 @@ class OnlineProcedure:
             raise ValueError(f"{name} requires an initial wealth w0")
         if rule.rewarded and config.gamma_prime is None:
             raise ValueError("rewarded procedures require gamma_prime")
-        self.base = rule.base
         self.config = config
         self.rewarded = rule.rewarded
+        self._investing = rule.investing
         self._lam = config.lam if rule.base in ("aob", "alord") else 0.0  # adaptive rules
         self._alpha = config.alpha
         self._w0 = config.w0
@@ -95,10 +100,8 @@ class OnlineProcedure:
         # history, appended once per step
         self.lam_flags: list[bool] = []       # p_t >= lambda
         self.alphas: list[float] = []
-        self.bases: list[float] = []
         self.rejects: list[bool] = []
         self.cdfs: list[StepCdf] = []
-        self.taus: list[int] = []
         self.r_count = 0
         # re-indexation clocks: clock j reads 1 + E - starts[j], where E counts
         # the eligible steps so far and starts[j] is E at the j-th rejection
@@ -117,28 +120,21 @@ class OnlineProcedure:
         self._ledger_t = self._ledger_rho = None  # made on the first reward
         self._gp_table = ()                   # gamma'_k at index k, k < len
         self._t_next = 1
+        self._eps = 0.0                       # carry: alpha - base after p < lambda
         self._pending: tuple[float, float, float, float] | None = None
 
     # -- base rules ---------------------------------------------------------
 
-    def _base_alpha(self, T: int) -> float:
-        g = self._g
-        g._extend(T)
-        memo = g._memo
-        if self.base == "ob":
-            return self._alpha * memo[T]
-        if self.base == "aob":
-            return self._alpha * (1.0 - self._lam) * memo[1 + self._n_eligible]
-        alpha, w0 = self._alpha, self._w0
-        taus = self.taus
-        if self.base == "lord":
-            b1 = memo[T - taus[0]] if taus else 0.0
-            s = 0.0
-            for tau in taus[1:]:
-                s += memo[T - tau]
-            return w0 * memo[T] + (alpha - w0) * b1 + alpha * s
-        # alord
+    def _base_alpha(self) -> float:
+        # OB and LORD are AOB and ALORD with lambda = 0: every step is eligible,
+        # so clock 0 is T and clock j is T minus the j-th rejection time
         c0 = 1 + self._n_eligible
+        g = self._g
+        g._extend(c0)
+        memo = g._memo
+        if not self._investing:
+            return self._alpha * (1.0 - self._lam) * memo[c0]
+        alpha, w0 = self._alpha, self._w0
         starts = self._starts
         b1 = memo[c0 - starts[1]] if len(starts) > 1 else 0.0
         s = 0.0
@@ -164,7 +160,11 @@ class OnlineProcedure:
                 wt.popleft()
                 wr.popleft()
             if gp.kind == "kernel":
-                return sum(wr) / gp.h if wr else 0.0
+                # left to right: builtin sum() is compensated from Python 3.12
+                s = 0.0
+                for rho in wr:
+                    s += rho
+                return s / gp.h
             vals = gp.values
             s = 0.0
             for t, rho in zip(wt, wr):
@@ -188,14 +188,10 @@ class OnlineProcedure:
         """Critical value for the next time index; must precede observe()."""
         if self._pending is not None:
             raise RuntimeError("observe() must be called before the next emit_alpha()")
-        T = self._t_next
-        base = self._base_alpha(T)
+        base = self._base_alpha()
         if self.rewarded:
-            sure = self._sure_part(T)
-            if T > 1 and not self.lam_flags[-1]:
-                eps = self.alphas[-1] - self.bases[-1]
-            else:
-                eps = 0.0
+            sure = self._sure_part(self._t_next)
+            eps = self._eps
             alpha = base + sure + eps
         else:
             sure = eps = 0.0
@@ -218,7 +214,6 @@ class OnlineProcedure:
         eligible = p >= self._lam
         self.lam_flags.append(eligible)
         self.alphas.append(alpha)
-        self.bases.append(base)
         self.rejects.append(reject)
         self.cdfs.append(bound)
         if self.rewarded and eligible and rho > 0.0:
@@ -229,8 +224,8 @@ class OnlineProcedure:
                 self._append_ledger(t, rho)
         if eligible:
             self._n_eligible += 1
+        self._eps = 0.0 if eligible else alpha - base
         if reject:
-            self.taus.append(t)
             self._starts.append(self._n_eligible)
             self.r_count += 1
         self._t_next = t + 1
@@ -333,11 +328,11 @@ def _audit(proc: OnlineProcedure, mfdr: bool, alphas=None, tol: float = 1e-9) ->
     worst = 0.0
     worst_t = None
     r = 0
+    # without a reward the alphas are the base values, which are spent in full
+    vals = proc.alphas if alphas is None else list(alphas)
     if proc.rewarded or alphas is not None:
-        vals = list(proc.alphas) if alphas is None else list(alphas)
         spent = [proc.cdfs[i](vals[i]) for i in range(n)]
     else:
-        vals = proc.bases
         spent = vals
     cum = 0.0
     for i in range(n):

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import StepCdf
-from .discrete import fisher_margins, support_to_bound
+from .discrete import fisher_margins
 from .evaluate import (EvalReport, TrialOutcome, estimate_fwer, estimate_mfdr,
                        estimate_power)
 from .procedures import (FWER_NAMES, ProcedureConfig, audit_fwer_budget,
@@ -133,21 +133,12 @@ def generate_trial(config: ScenarioConfig, trial_index: int) -> TrialStream:
     tables = []
     pvals = []
     bounds = []
-    bound_of_margin: dict[int, StepCdf] = {}  # at most 2n + 1 margins c1 occur
     for i in range(m):
         a = int(succ_a[i])
         c = int(succ_b[i])
         tables.append((a, n - a, c, n - c))
-        c1 = a + c
-        if n == 0 or c1 == 0 or c1 == 2 * n:
-            pvals.append(1.0)
-            support = (1.0,)
-        else:
-            pv, lo, support = fisher_margins(n, n, c1)
-            pvals.append(pv[a - lo])
-        bound = bound_of_margin.get(c1)
-        if bound is None:
-            bound = bound_of_margin[c1] = support_to_bound(support)
+        pv, lo, bound = fisher_margins(n, n, a + c)  # at most 2n + 1 margins occur
+        pvals.append(pv[a - lo])
         bounds.append(bound)
     return TrialStream(tables=tables, labels=labels, pvals=pvals, bounds=bounds)
 

@@ -113,11 +113,11 @@ def test_criterion_3_recursion_oracle_and_mass_identity():
         lam = rng.choice([0.0, 0.25, 0.5])
         name = rng.choice(["rho-ob", "rho-aob", "rho-lord", "rho-alord"])
         proc = make_procedure(name, _cfg(lam=lam, w0=0.1, gamma_prime=gp))
-        for p, b in zip(pvals, bounds):
-            proc.step(p, b)
+        decisions = proc.run(zip(pvals, bounds))
+        bases = [d.base_part for d in decisions]
         # the named non-adaptive rules ignore lambda
         effective_lam = lam if name in ("rho-aob", "rho-alord") else 0.0
-        want = alpha_tilde_oracle(proc.bases, pvals, bounds, gp, effective_lam, T)
+        want = alpha_tilde_oracle(bases, pvals, bounds, gp, effective_lam, T)
         worst = max(worst, abs(proc.alphas[-1] - want))
     ok_dual = worst <= 1e-12
 
@@ -129,7 +129,8 @@ def test_criterion_3_recursion_oracle_and_mass_identity():
                                                 gamma_prime=make_kernel(10)))
         for p, b in zip(pvals, bounds):
             proc.step(p, b)
-        flags, taus = proc.lam_flags, proc.taus
+        flags = proc.lam_flags
+        taus = [t for t, rejected in enumerate(proc.rejects, 1) if rejected]
         T = proc.t
         for j in range(len(taus) + 1):
             lhs = 0.0
@@ -231,7 +232,7 @@ def test_criterion_7_fisher_oracle_and_null_validity():
     for r1 in range(1, 13):
         for r2 in range(1, 13):
             for c1 in range(1, r1 + r2):
-                pvals, lo, support = fisher_margins(r1, r2, c1)
+                pvals, lo, _ = fisher_margins(r1, r2, c1)
                 den = math.comb(r1 + r2, c1)
                 pmf = {k: Fraction(math.comb(r1, k) * math.comb(r2, c1 - k), den)
                        for k in range(lo, lo + len(pvals))}
@@ -247,11 +248,10 @@ def test_criterion_7_fisher_oracle_and_null_validity():
         r1 = int(rng.integers(2, 30))
         r2 = int(rng.integers(2, 30))
         c1 = int(rng.integers(1, r1 + r2))
-        pvals, lo, support = fisher_margins(r1, r2, c1)
-        bound = support_to_bound(support)
+        pvals, lo, bound = fisher_margins(r1, r2, c1)
         draws = rng.hypergeometric(r1, r2, c1, size=n_draws)
         sampled = np.asarray(pvals)[draws - lo]
-        for u in support:
+        for u in bound.support:
             emp = float(np.mean(sampled <= u * (1 + 1e-12)))
             se = math.sqrt(max(emp * (1 - emp), 1e-9) / n_draws)
             ok_valid = ok_valid and emp <= bound(u) + 3 * se

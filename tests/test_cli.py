@@ -125,6 +125,24 @@ def test_analyze_rejects_non_utf8_input(tmp_path, capsys):
     _assert_one_error_line(capsys, "cannot read config")
 
 
+def test_analyze_large_groups(tmp_path, capsys):
+    """Groups of 600-800 subjects underflow tail pmfs; analyze still runs."""
+    from scipy.stats import fisher_exact
+
+    cfg = _write_config(tmp_path, ANALYZE_CFG)
+    rows = [(300, 300, 305, 295), (500, 500, 505, 495), (3, 1, 0, 4)]
+    tables = _write_tables(tmp_path, [f"r{i},{a},{b},{c},{d}"
+                                      for i, (a, b, c, d) in enumerate(rows)])
+    trace = tmp_path / "t.csv"
+    assert main(["analyze", "--config", cfg, "--input", tables,
+                 "--out-trace", str(trace)]) == 0
+    assert json.loads(capsys.readouterr().out)["audit_ok"]
+    out = list(csv.DictReader(trace.open()))
+    for (a, b, c, d), r in zip(rows, out):
+        want = fisher_exact([[a, b], [c, d]], alternative="two-sided").pvalue
+        assert float(r["p"]) == pytest.approx(want, rel=1e-9)
+
+
 def test_analyze_bad_config_combinations(tmp_path, capsys):
     tables = ["a,1,2,3,4"]
     trace = str(tmp_path / "t.csv")
@@ -138,8 +156,6 @@ def test_analyze_bad_config_combinations(tmp_path, capsys):
         (ANALYZE_CFG, tables, str(tmp_path / "missing" / "t.csv"), ""),
         ({**ANALYZE_CFG, "max_rows": "x"}, tables, trace, "max_rows"),
         ({**ANALYZE_CFG, "alpha": "abc"}, tables, trace, ""),
-        # the exact test cannot handle groups of this size yet
-        (ANALYZE_CFG, ["r1,1,2,3,4", "r2,500,500,505,495"], trace, "line 3"),
     ]
     for payload, rows, out, fragment in bad:
         cfg = _write_config(tmp_path, payload)
@@ -274,14 +290,24 @@ def test_plotdata_raw_and_loglog(tmp_path):
     assert by[("2", "p")] == ""
 
 
-def test_plotdata_rejects_bad_trace(tmp_path):
+def test_plotdata_rejects_bad_trace(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
+    out = tmp_path / "o.csv"
     bad.write_text("x,y\n1,2\n")
-    assert main(["plotdata", "--trace", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
+    assert main(["plotdata", "--trace", str(bad), "--out", str(out)]) == 2
     bad.write_bytes(b"t,p,alpha\n1,\xff,0.1\n")
-    assert main(["plotdata", "--trace", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
+    assert main(["plotdata", "--trace", str(bad), "--out", str(out)]) == 2
     assert main(["plotdata", "--trace", str(tmp_path / "none.csv"),
-                 "--out", str(tmp_path / "o.csv")]) == 2
+                 "--out", str(out)]) == 2
+    capsys.readouterr()
+    # a cell that is not a number, and a row without an alpha cell
+    for text in ("t,p,alpha\n1,0.5,0.1\n2,abc,0.1\n", "t,p,alpha\n1,0.5,0.1\n2,0.5\n"):
+        bad.write_text(text)
+        for transform in ("raw", "loglog"):
+            assert main(["plotdata", "--trace", str(bad), "--transform", transform,
+                         "--out", str(out)]) == 2
+            _assert_one_error_line(capsys, "line 3")
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
 
 
 def test_analyze_of_simulated_stream(tmp_path):

@@ -36,10 +36,13 @@ def test_fisher_hand_examples():
 
 
 def test_fisher_degenerate_margins():
+    # an empty row or column leaves one feasible table
     for tab in [(0, 0, 0, 0), (2, 0, 3, 0), (0, 2, 0, 3), (0, 0, 1, 2), (3, 1, 0, 0)]:
         r = fisher_two_sided(ContingencyTable2x2(*tab))
         assert r.p_value == 1.0
         assert r.support == (1.0,)
+        a, b, c, d = tab
+        assert fisher_margins(a + b, c + d, a + c)[0] == (1.0,)
 
 
 def test_negative_cells_rejected():
@@ -66,7 +69,7 @@ def test_fisher_matches_rational_oracle_small_margins():
             if r1 == 0 or r2 == 0:
                 continue
             for c1 in range(1, r1 + r2):
-                pvals, lo, support = fisher_margins(r1, r2, c1)
+                pvals, lo, _ = fisher_margins(r1, r2, c1)
                 oracle, olo = _rational_two_sided(r1, r2, c1)
                 assert lo == olo
                 for k, want in oracle.items():
@@ -75,15 +78,16 @@ def test_fisher_matches_rational_oracle_small_margins():
 
 def test_tie_tolerance_only_captures_exact_ties():
     # margins (3, 3, 3): k=1 and k=2 have identical pmf; both tails merge
-    pvals, lo, support = fisher_margins(3, 3, 3)
+    pvals, lo, _ = fisher_margins(3, 3, 3)
     assert pvals[1 - lo] == pvals[2 - lo] == 1.0
     assert pvals[0 - lo] == pytest.approx(0.1, rel=1e-12)
 
 
 def test_support_is_achievable_p_values():
-    pvals, lo, support = fisher_margins(8, 7, 5)
+    pvals, lo, bound = fisher_margins(8, 7, 5)
+    support = bound.support
     assert set(support) >= set(pvals)
-    assert support == tuple(sorted(support))
+    assert support == tuple(sorted(set(pvals) | {1.0}))
     assert support[-1] == 1.0
 
 
@@ -102,11 +106,10 @@ def test_null_bound_validity_monte_carlo():
     n_draws = 20_000
     configs = [(10, 10, 6), (25, 25, 10), (12, 8, 9), (25, 25, 40), (15, 5, 3)]
     for r1, r2, c1 in configs:
-        pvals, lo, support = fisher_margins(r1, r2, c1)
-        bound = support_to_bound(support)
+        pvals, lo, bound = fisher_margins(r1, r2, c1)
         draws = rng.hypergeometric(r1, r2, c1, size=n_draws)
         sampled = np.array([pvals[k - lo] for k in draws])
-        for u in support:
+        for u in bound.support:
             emp = float(np.mean(sampled <= u * (1 + 1e-12)))
             se = math.sqrt(max(emp * (1 - emp), 1e-9) / n_draws)
             assert emp <= bound(u) + 3 * se, (r1, r2, c1, u)
@@ -115,9 +118,9 @@ def test_null_bound_validity_monte_carlo():
 def test_exactness_at_support_points():
     """The test is exact: P(p <= s) equals s for every achievable level s."""
     for r1, r2, c1 in [(6, 6, 4), (9, 5, 7), (12, 12, 12)]:
-        pvals, lo, support = fisher_margins(r1, r2, c1)
+        pvals, lo, bound = fisher_margins(r1, r2, c1)
         pmf = [hypergeom_pmf(k, (r1, r2, c1)) for k in range(lo, lo + len(pvals))]
-        for s in support:
+        for s in bound.support:
             mass = sum(w for w, p in zip(pmf, pvals) if p <= s * (1 + TIE_REL_TOL))
             assert mass == pytest.approx(s, rel=1e-9)
 
@@ -129,9 +132,33 @@ def test_margins_cache_consistency_with_table_api():
         tab = ContingencyTable2x2(a, b, c, d)
         r = fisher_two_sided(tab)
         r1, r2, c1 = a + b, c + d, a + c
+        pvals, lo, bound = fisher_margins(r1, r2, c1)
+        assert r.p_value == pvals[a - lo]
+        assert r.support == bound.support
+        assert r.null_bound is bound
         if r1 == 0 or r2 == 0 or c1 == 0 or c1 == r1 + r2:
             assert r.p_value == 1.0
-            continue
-        pvals, lo, support = fisher_margins(r1, r2, c1)
-        assert r.p_value == pvals[a - lo]
-        assert r.support == support
+            assert bound.support == (1.0,)
+
+
+@pytest.mark.parametrize("table", [(300, 300, 305, 295), (500, 500, 505, 495),
+                                   (450, 350, 470, 330)])
+def test_underflowed_tails_keep_a_valid_bound(table):
+    """Large margins underflow some tail pmfs to 0.0; the test must still work,
+    agree with scipy, and give a bound with F(u) <= u on its support."""
+    from scipy.stats import fisher_exact
+
+    a, b, c, d = table
+    r = fisher_two_sided(ContingencyTable2x2(a, b, c, d))
+    want = fisher_exact([[a, b], [c, d]], alternative="two-sided").pvalue
+    assert r.p_value == pytest.approx(want, rel=1e-9)
+    support = r.null_bound.support
+    assert support[0] > 0.0
+    for u in support:
+        assert r.null_bound(u) <= u
+    pvals, lo, bound = fisher_margins(a + b, c + d, a + c)
+    assert bound is r.null_bound
+    assert 0.0 not in pvals
+    # the raised tail p-values sit at the smallest positive one
+    assert min(pvals) == support[0]
+    assert pvals[0] == support[0]

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from dataclasses import replace
@@ -23,6 +24,11 @@ def _cfg(**kw):
     kw.setdefault("alpha", 0.2)
     kw.setdefault("gamma", make_power_law(1.6))
     return ProcedureConfig(**kw)
+
+
+def _taus(proc):
+    """Rejection times, read from the reject flags."""
+    return [t for t, rejected in enumerate(proc.rejects, 1) if rejected]
 
 
 # -- hand-traced values -------------------------------------------------------
@@ -58,7 +64,7 @@ def test_lord_hand_trace():
     alphas = [proc.step(p).alpha for p in (0.9, 0.01, 0.01, 0.9)]
     # rejections at t=2 and t=3 re-inject wealth
     assert alphas == [0.05, 0.025, 0.0625, 0.13125]
-    assert proc.taus == [2, 3]
+    assert _taus(proc) == [2, 3]
 
 
 def test_aob_clock_freezes_on_small_p():
@@ -78,10 +84,11 @@ def test_alord_uses_per_rejection_clocks():
         # force the intended rejection pattern by feeding p through a bound
         proc._pending = (1.0 if rej else 0.0, *proc._pending[1:])
         proc.observe(p)
-    assert proc.taus == [4, 8, 9]
+    taus = _taus(proc)
+    assert taus == [4, 8, 9]
     # clocks recomputed from history match the incremental ones read at T=10
-    for j in range(len(proc.taus) + 1):
-        assert proc._clock(j) == reindex_clock(proc.lam_flags, proc.taus, j, 10)
+    for j in range(len(taus) + 1):
+        assert proc._clock(j) == reindex_clock(proc.lam_flags, taus, j, 10)
 
 
 def test_golden_clock_table():
@@ -103,11 +110,14 @@ def test_incremental_clocks_match_recomputation(rng):
         for trial in range(10):
             pvals, bounds = random_stream(rng, 120)
             proc = make_procedure(name, _cfg(lam=0.5, w0=0.1, gamma_prime=make_kernel(10)))
+            taus = []
             for p, b in zip(pvals, bounds):
-                proc.step(p, b)
+                d = proc.step(p, b)
+                if d.reject:
+                    taus.append(d.t)
                 # the clocks the next critical value reads, after every step
-                for j in range(len(proc.taus) + 1):
-                    want = reindex_clock(proc.lam_flags, proc.taus, j, proc.t + 1)
+                for j in range(len(taus) + 1):
+                    want = reindex_clock(proc.lam_flags, taus, j, proc.t + 1)
                     assert proc._clock(j) == want
                     checked += 1
     assert checked > 4 * 10 * 120
@@ -159,11 +169,10 @@ def test_dual_recursion_oracle(rng):
         cfg = _cfg(lam=lam, w0=0.1, gamma_prime=gp)
         name = rng.choice(["rho-ob", "rho-aob", "rho-lord", "rho-alord"])
         proc = make_procedure(name, cfg)
-        for p, b in zip(pvals, bounds):
-            proc.step(p, b)
+        bases = [d.base_part for d in proc.run(zip(pvals, bounds))]
         # the named non-adaptive rules ignore lambda
         effective_lam = lam if name in ("rho-aob", "rho-alord") else 0.0
-        want = alpha_tilde_oracle(proc.bases, pvals, bounds, gp, effective_lam, T)
+        want = alpha_tilde_oracle(bases, pvals, bounds, gp, effective_lam, T)
         assert proc.alphas[-1] == pytest.approx(want, abs=1e-12)
 
 
@@ -177,7 +186,7 @@ def test_reindexation_mass_identity(rng):
         for p, b in zip(pvals, bounds):
             proc.step(p, b)
         T = proc.t
-        flags, taus = proc.lam_flags, proc.taus
+        flags, taus = proc.lam_flags, _taus(proc)
         for j in range(len(taus) + 1):
             lhs = 0.0
             for t in range(1, T + 1):
@@ -240,7 +249,7 @@ def _scalar_alord_base(g, alpha, w0, lam, flags, taus, T):
 
 @pytest.mark.parametrize("family", ["power", "log", "jm"])
 def test_long_stream_reward_sums_are_exact(family, rng):
-    """sure_part and the investing base sums equal their scalar left-to-right sums
+    """sure_part and base_part equal their scalar formulas (left-to-right sums)
     bit for bit, whether gamma' is shared cold or already extended by another run."""
     make_gp = {"power": lambda: make_power_law(1.6), "log": lambda: make_log_family(1.5),
                "jm": make_jm_family}[family]
@@ -260,17 +269,47 @@ def test_long_stream_reward_sums_are_exact(family, rng):
         assert sum(1 for d in decisions if d.sure_part > 0.0) > T // 2
         flags = [d.p >= lam for d in decisions]
         taus = []
+        n_eligible = 0
         for d in decisions:
-            if name == "rho-lord":
+            if name == "rho-ob":
+                assert d.base_part == 0.2 * g.gamma(d.t), d.t
+            elif name == "rho-aob":
+                assert d.base_part == 0.2 * (1.0 - lam) * g.gamma(1 + n_eligible), d.t
+            elif name == "rho-lord":
                 assert d.base_part == _scalar_lord_base(g, 0.2, 0.1, taus, d.t), d.t
             elif name == "rho-alord" and d.t % 100 == 0:  # reindex_clock is O(T)
                 assert d.base_part == _scalar_alord_base(g, 0.2, 0.1, lam, flags, taus, d.t)
             if d.reject:
                 taus.append(d.t)
+            n_eligible += flags[d.t - 1]
+        if name == "rho-aob":
+            assert 0 < n_eligible < T
         if name in ("rho-lord", "rho-alord"):
             assert len(taus) > 50
         rerun = make_procedure(name, replace(cfg, gamma_prime=warm)).run(zip(pvals, bounds))
         assert rerun == decisions, name
+
+
+@pytest.mark.parametrize("name", ["rho-ob", "rho-aob", "rho-lord", "rho-alord"])
+def test_kernel_sure_part_is_a_left_to_right_sum(name, rng):
+    """The kernel reward part is its window summed left to right, then divided
+    by h, on every Python version (builtin sum() is compensated from 3.12)."""
+    h = 100
+    pvals, bounds = _signal_stream(rng, 1500)
+    proc = make_procedure(name, _cfg(lam=0.5, w0=0.1, gamma_prime=make_kernel(h)))
+    decisions = proc.run(zip(pvals, bounds))
+    lam = 0.5 if name in ("rho-aob", "rho-alord") else 0.0
+    differs = 0
+    for d in decisions:
+        # rewards of the eligible steps t with T - h <= t < T
+        window = [e.rho for e in decisions[max(0, d.t - 1 - h):d.t - 1]
+                  if e.p >= lam and e.rho > 0.0]
+        s = 0.0
+        for rho in window:
+            s += rho
+        assert d.sure_part == s / h, d.t
+        differs += s != math.fsum(window)
+    assert differs > 0
 
 
 # -- budget audits ------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sure_omt.cli import parse_procedures
+from sure_omt.discrete import ContingencyTable2x2, fisher_two_sided
 from sure_omt.simulate import (PLACEMENTS, ScenarioConfig, dump_stream_csv,
                                generate_trial, place_signal, run_sweep, run_trials,
                                sweep_points)
@@ -92,8 +93,20 @@ def test_generate_trial_structure():
     for (a, b, c, d), p in zip(tr.tables, tr.pvals):
         assert a + b == 10 and c + d == 10
         assert 0.0 < p <= 1.0
-    for p, bound in zip(tr.pvals, tr.bounds):
+    for tab, p, bound in zip(tr.tables, tr.pvals, tr.bounds):
         assert p in bound.support  # p-values live on the announced support
+        r = fisher_two_sided(ContingencyTable2x2(*tab))
+        assert (r.p_value, r.null_bound) == (p, bound)
+
+
+def test_generate_trial_degenerate_margins():
+    """Without subjects, or without successes, each table is the only one its
+    margins allow: p = 1 with support (1.0,)."""
+    for sc in (ScenarioConfig(m=30, n_subjects=0),
+               ScenarioConfig(m=30, n_subjects=8, p3=0.0, p_null_low=0.0, p_null_mid=0.0)):
+        tr = generate_trial(sc, 0)
+        assert tr.pvals == [1.0] * 30
+        assert all(bound.support == (1.0,) for bound in tr.bounds)
 
 
 def test_dump_stream_csv(tmp_path):
