@@ -194,9 +194,7 @@ def cmd_simulate(args) -> int:
     except (TypeError, ValueError) as exc:
         raise InputError(f"scenario or sweep: {exc}") from None
     report = run_sweep(points, audit=True)
-    report.to_csv(args.out)
-    if args.out_json:
-        report.to_json(args.out_json)
+    report.write(args.out, args.out_json)
     print(json.dumps({"rows": len(report.rows), "audits_ok": report.audits_ok}))
     return 0 if report.audits_ok else 1
 

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
 import os
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -121,6 +122,8 @@ def wealth_curves(gamma: SpendingSequence, alpha: float, cdfs: Sequence[StepCdf]
 def open_atomic(path, newline: str | None = None):
     """Write ``path`` through a temporary file beside it, which replaces
     ``path`` only when the block finishes and is removed otherwise."""
+    if os.path.isdir(path):  # fail before writing, not at the replace
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline=newline) as fh:
@@ -154,9 +157,12 @@ class EvalReport:
             raise KeyError(f"expected one row for {procedure}/{metric}/{keys}, got {len(rows)}")
         return rows[0]["estimate"]
 
-    def to_csv(self, path):
+    def write(self, csv_path, json_path=None):
+        """Write the report as CSV and, given ``json_path``, as JSON too: both
+        files are replaced, or neither if either cannot be written."""
         fields = sorted({k for r in self.rows for k in r})
-        with open_atomic(path, newline="") as fh:
+        with ExitStack() as stack:
+            fh = stack.enter_context(open_atomic(csv_path, newline=""))
             writer = csv.DictWriter(fh, fieldnames=fields)
             writer.writeheader()
             for r in self.rows:
@@ -165,6 +171,11 @@ class EvalReport:
                     if isinstance(v, float):
                         out[k] = format(v, ".17g")
                 writer.writerow(out)
+            if json_path:
+                json.dump(self.rows, stack.enter_context(open_atomic(json_path)), indent=2)
+
+    def to_csv(self, path):
+        self.write(path)
 
     def to_json(self, path):
         with open_atomic(path) as fh:

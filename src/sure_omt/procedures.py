@@ -10,12 +10,20 @@ Two base formulas serve the four rules: online Bonferroni and LORD are the
 adaptive rules with lambda = 0, whose re-indexation clocks are plain time.
 A procedure keeps four history lists (eligibility flags, alphas, reject
 flags, null bounds); without a reward, the alphas are the base values.
+
+``run_batch`` runs one procedure over K streams in lockstep, as numpy arrays,
+for the simulator; ``OnlineProcedure`` stays the streaming API and its
+reference.  The batch keeps the scalar machine's order of every floating-point
+operation, so its alphas and reject flags are the scalar ones bit for bit: sums
+run left to right (``cumsum``, and a running row to which each rejection adds
+its term in rejection order).  Both share one array budget audit.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -55,6 +63,16 @@ def parse_name(name: str) -> Rule:
         raise ValueError(f"unknown procedure {name!r}") from None
 
 
+def _checked_rule(name: str, config: ProcedureConfig) -> Rule:
+    """The rule of ``name``, once ``config`` has what the rule needs."""
+    rule = parse_name(name)
+    if rule.investing and config.w0 is None:
+        raise ValueError(f"{name} requires an initial wealth w0")
+    if rule.rewarded and config.gamma_prime is None:
+        raise ValueError("rewarded procedures require gamma_prime")
+    return rule
+
+
 @dataclass
 class ProcedureConfig:
     """Parameters shared by all procedures; w0 applies to investing rules only."""
@@ -83,11 +101,7 @@ class OnlineProcedure:
     """
 
     def __init__(self, name: str, config: ProcedureConfig):
-        rule = parse_name(name)
-        if rule.investing and config.w0 is None:
-            raise ValueError(f"{name} requires an initial wealth w0")
-        if rule.rewarded and config.gamma_prime is None:
-            raise ValueError("rewarded procedures require gamma_prime")
+        rule = _checked_rule(name, config)
         self.config = config
         self.rewarded = rule.rewarded
         self._investing = rule.investing
@@ -176,8 +190,7 @@ class OnlineProcedure:
         table = self._gp_table
         if len(table) <= T:
             # grow geometrically: one rebuild per doubling of T
-            gp._extend(2 * T)
-            table = self._gp_table = np.array(gp._memo[:2 * T + 1])
+            table = self._gp_table = _gamma_table(gp, 2 * T)
         # cumsum adds left to right, as the scalar sum over the ledger would
         terms = table[T - self._ledger_t[:n]] * self._ledger_rho[:n]
         return float(np.cumsum(terms)[-1])
@@ -312,6 +325,223 @@ def alpha_tilde_oracle(base_values: Sequence[float], p_values: Sequence[float],
     return tilde[T - 1]
 
 
+# -- lockstep batch: K streams of one procedure at once ------------------------
+
+class NullBounds:
+    """The null bounds of K streams of m steps, evaluated as arrays.
+
+    ``table`` holds the distinct bounds and ``ids`` (K x m) each step's index
+    into it.  F is looked up through the sorted support points of all bounds:
+    each support point of bound b gets the key b * width + its rank, and each
+    bound a key b * width that reads F = 0.  The last key <= b * width plus
+    the number of points <= u is then the largest support point of b that is
+    <= u, as ``StepCdf.__call__`` finds it.
+    """
+
+    def __init__(self, table: Sequence[StepCdf], ids):
+        self.table = tuple(table)
+        self.ids = np.asarray(ids, dtype=np.intp)
+        n = len(self.table)
+        lens = np.fromiter((len(b.support) for b in self.table), np.intp, n)
+        flat = np.fromiter(chain.from_iterable(b.support for b in self.table), float,
+                           int(lens.sum()))
+        points = np.sort(flat)  # np.unique would import numpy.ma
+        self._points = points[np.concatenate(([True], points[1:] != points[:-1]))]
+        width = len(self._points) + 1
+        owner = np.repeat(np.arange(n), lens)
+        keys = np.concatenate((np.arange(n) * width,
+                               owner * width + np.searchsorted(self._points, flat) + 1))
+        order = np.argsort(keys, kind="stable")
+        self._keys = keys[order]
+        # F at the last key <= q, which is at searchsorted(keys, q, "right") - 1
+        self._vals_before = np.concatenate(([0.0], np.concatenate((np.zeros(n), flat))[order]))
+        self._start = self.ids * width
+        identity = np.fromiter((b.exact_identity for b in self.table), bool, n)
+        self._identity = identity[self.ids] if identity.any() else None
+
+    def cdf(self, u, steps=slice(None)) -> np.ndarray:
+        """F(u) at column ``steps`` of every stream, for u >= 0; u > 1 reads as 1."""
+        q = self._start[:, steps] + self._points.searchsorted(u, "right")
+        out = self._vals_before[self._keys.searchsorted(q, "right")]
+        if self._identity is not None:
+            out = np.where(self._identity[:, steps], np.minimum(u, 1.0), out)
+        return out
+
+
+def _gamma_table(seq: SpendingSequence, n: int) -> np.ndarray:
+    """gamma_k at index k, for 0 <= k <= n."""
+    seq._extend(n)
+    return np.array(seq._memo[:n + 1])
+
+
+class _InvestingBase:
+    """LORD/ALORD base values of K streams at every step, rebuilt after each
+    rejection.
+
+    ``_base_alpha`` adds w0 times gamma at clock 0 and alpha - w0 times gamma
+    at clock 1 (set by the first rejection), then alpha times the sum of gamma
+    at the later clocks.  Each row keeps the first two added (``_head``) and
+    the sum, to which a rejection adds its gamma in rejection order, as the
+    scalar loop does; so the values are bit for bit the scalar ones.
+    """
+
+    def __init__(self, config: ProcedureConfig, lam: float, capped: bool,
+                 gamma: np.ndarray, clock0: np.ndarray, n_eligible: np.ndarray):
+        self._config, self._lam, self._capped = config, lam, capped
+        self._gamma, self._clock0, self._n_eligible = gamma, clock0, n_eligible
+        self._head = config.w0 * gamma[clock0]
+        self._s = np.zeros(clock0.shape)
+        self._first = np.ones(len(clock0), dtype=bool)
+
+    def values(self, rows=slice(None), cols=slice(None)) -> np.ndarray:
+        val = (1.0 - self._lam) * (self._head[rows, cols]
+                                   + self._config.alpha * self._s[rows, cols])
+        return np.minimum(self._lam, val) if self._capped else val
+
+    def reject(self, ks: np.ndarray, taus, lo: int) -> None:
+        """Streams ``ks`` reject at step ``taus`` (0-based; one step or one per
+        stream, lo = the earliest + 1): rebuild their values after it."""
+        # clock j after the j-th rejection: 1 + E before the step - E at the rejection
+        clock = self._clock0[ks, lo:] - self._n_eligible[ks, taus][:, None]
+        if isinstance(taus, np.ndarray):  # at different steps: gamma_0 = 0 up to each
+            clock = np.where(np.arange(lo, clock.shape[1] + lo) > taus[:, None], clock, 0)
+        term = self._gamma[clock]
+        first = self._first[ks]
+        if first.any():
+            c = self._config
+            self._head[ks[first], lo:] += (c.alpha - c.w0) * term[first]
+            self._first[ks] = False
+            ks, term = ks[~first], term[~first]
+        self._s[ks, lo:] += term
+
+
+def _reward_part(gp: SpendingSequence, rewards: np.ndarray, i: int,
+                 gp_table: np.ndarray | None) -> np.ndarray:
+    """Reward part of step i (0-based) of each stream, from the time-major
+    rewards of steps 0..i-1 (0.0 where none was collected), added left to right."""
+    if gp.kind == "kernel":
+        terms = rewards[max(0, i - gp.h):i]
+    elif gp.kind == "explicit":
+        lo = max(0, i - len(gp.values))
+        terms = np.array(gp.values[:i - lo][::-1])[:, None] * rewards[lo:i]
+    else:
+        terms = gp_table[i:0:-1, None] * rewards[:i]
+    if not len(terms):
+        return np.zeros(rewards.shape[1])
+    total = terms.cumsum(axis=0)[-1]
+    return total / gp.h if gp.kind == "kernel" else total
+
+
+@dataclass
+class BatchRun:
+    """One procedure run over K streams in lockstep.
+
+    Row k of ``alphas``, ``rejects`` and ``lam_flags`` equals the history
+    ``OnlineProcedure`` records on stream k, bit for bit.
+    """
+
+    config: ProcedureConfig
+    rewarded: bool
+    lam: float
+    alphas: np.ndarray
+    rejects: np.ndarray
+    lam_flags: np.ndarray
+    bounds: NullBounds
+
+    def audit(self, mfdr: bool, alphas=None, tol: float = 1e-9) -> list[AuditReport]:
+        """The FWER (or, with ``mfdr``, mFDR) budget audit of every stream."""
+        vals = self.alphas if alphas is None else np.asarray(alphas, dtype=float)
+        if np.any(vals < 0.0):
+            raise ValueError("alphas must be nonnegative")
+        spent = self.bounds.cdf(vals) if self.rewarded or alphas is not None else vals
+        return _budget_audit(vals, spent, self.lam_flags, self.rejects,
+                             (1.0 - self.lam) * self.config.alpha, mfdr, tol)
+
+
+def run_batch(name: str, config: ProcedureConfig, pvals, bounds: NullBounds) -> BatchRun:
+    """Run procedure ``name`` over K streams: ``pvals`` is K x m, step (k, t)
+    has null bound ``bounds.table[bounds.ids[k, t]]``.
+
+    Rules without a reward have no step loop: OB/AOB read gamma at clock 0,
+    and LORD/ALORD find each stream's next rejection on its base row, then
+    rebuild the row after it.  Rewarded rules step through time, vectorized
+    over the streams.
+    """
+    rule = _checked_rule(name, config)
+    p = np.asarray(pvals, dtype=float)
+    if p.ndim != 2 or bounds.ids.shape != p.shape:
+        raise ValueError("pvals and bounds.ids must both be K x m")
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError("p must lie in [0, 1]")
+    lam = config.lam if rule.base in ("aob", "alord") else 0.0
+    eligible = p >= lam
+    n_eligible = np.cumsum(eligible, axis=1)  # E through each step
+    clock0 = np.ones(p.shape, dtype=np.intp)
+    clock0[:, 1:] += n_eligible[:, :-1]
+    gamma = _gamma_table(config.gamma, p.shape[1])
+    if rule.investing:
+        base = _InvestingBase(config, lam, rule.capped, gamma, clock0, n_eligible)
+    else:
+        base = (config.alpha * (1.0 - lam)) * gamma[clock0]
+    if rule.rewarded:
+        alphas, rejects = _step_rewarded(config, p, eligible, bounds, base)
+    elif not rule.investing:
+        alphas, rejects = base, p <= base
+    else:
+        rejects = _find_rejections(p, base)
+        alphas = base.values()
+    return BatchRun(config, rule.rewarded, lam, alphas, rejects, eligible, bounds)
+
+
+def _find_rejections(p: np.ndarray, base: _InvestingBase) -> np.ndarray:
+    """Reject flags of an investing rule without a reward: one pass per
+    rejection index, over the streams that still reject."""
+    rejects = np.zeros(p.shape, dtype=bool)
+    active = np.arange(len(p))
+    last = np.full(len(p), -1)
+    while active.size:
+        lo = int(last[active].min()) + 1
+        hits = ((p[active, lo:] <= base.values(active, slice(lo, None)))
+                & (np.arange(lo, p.shape[1]) > last[active, None]))
+        found = hits.any(axis=1)
+        active = active[found]
+        if not active.size:
+            break
+        taus = hits[found].argmax(axis=1) + lo
+        rejects[active, taus] = True
+        last[active] = taus
+        base.reject(active, taus, int(taus.min()) + 1)
+    return rejects
+
+
+def _step_rewarded(config: ProcedureConfig, p: np.ndarray, eligible: np.ndarray,
+                   bounds: NullBounds, bases: np.ndarray | _InvestingBase):
+    """Alphas and reject flags of a rewarded rule, one step of all streams at a
+    time; investing ``bases`` are rebuilt after each rejection."""
+    investing = bases if isinstance(bases, _InvestingBase) else None
+    K, m = p.shape
+    gp = config.gamma_prime
+    gp_table = _gamma_table(gp, m) if gp.kind not in ("kernel", "explicit") else None
+    alphas = np.empty((m, K))
+    rejects = np.empty((m, K), dtype=bool)
+    rewards = np.zeros((m, K))  # time-major: row i holds step i's collected rewards
+    eps = np.zeros(K)
+    for i in range(m):
+        base = bases[:, i] if investing is None else investing.values(cols=i)
+        alpha = alphas[i]
+        np.add(base + _reward_part(gp, rewards, i, gp_table), eps, out=alpha)
+        reject = np.less_equal(p[:, i], alpha, out=rejects[i])
+        # rho >= 0, so rho times the eligibility flag is the collected reward
+        rho = alpha - bounds.cdf(alpha, i)
+        np.multiply(rho, eligible[:, i], out=rewards[i])
+        eps = np.where(eligible[:, i], 0.0, alpha - base)
+        if investing is not None and reject.any():
+            investing.reject(reject.nonzero()[0], i, i + 1)
+    return np.ascontiguousarray(alphas.T), np.ascontiguousarray(rejects.T)
+
+
+# -- budget audits ---------------------------------------------------------------
+
 @dataclass(frozen=True)
 class AuditReport:
     ok: bool
@@ -320,31 +550,42 @@ class AuditReport:
     n_checked: int
 
 
+def _budget_audit(vals, spent, flags, rejects, budget: float, mfdr: bool,
+                  tol: float) -> list[AuditReport]:
+    """Budget audit of K realized histories (K x n arrays), one per row.
+
+    At step t the level plus the spent levels of the eligible steps before t
+    must stay within the budget (times the rejections so far, for mFDR);
+    the spent levels are summed left to right with ``cumsum``.
+    """
+    vals = np.asarray(vals, dtype=float)
+    K, n = vals.shape
+    if n == 0:
+        return [AuditReport(True, 0.0, None, 0)] * K
+    cum = np.zeros((K, n))
+    cum[:, 1:] = np.cumsum(np.where(flags, spent, 0.0), axis=1)[:, :-1]
+    rhs = budget * np.maximum(1, np.cumsum(rejects, axis=1)) if mfdr else budget
+    excess = (vals + cum) - rhs
+    worst_i = excess.argmax(axis=1)  # the first step of the largest excess
+    reports = []
+    for i, worst in zip(worst_i.tolist(), excess[np.arange(K), worst_i].tolist()):
+        if not worst > 0.0:
+            worst, i = 0.0, None
+        reports.append(AuditReport(ok=worst <= tol, worst_excess=worst,
+                                   worst_t=None if i is None else i + 1, n_checked=n))
+    return reports
+
+
 def _audit(proc: OnlineProcedure, mfdr: bool, alphas=None, tol: float = 1e-9) -> AuditReport:
-    lam = proc._lam
-    alpha = proc.config.alpha
-    budget = (1.0 - lam) * alpha
-    n = proc.t
-    worst = 0.0
-    worst_t = None
-    r = 0
     # without a reward the alphas are the base values, which are spent in full
     vals = proc.alphas if alphas is None else list(alphas)
     if proc.rewarded or alphas is not None:
-        spent = [proc.cdfs[i](vals[i]) for i in range(n)]
+        spent = list(map(StepCdf.__call__, proc.cdfs, vals))
     else:
         spent = vals
-    cum = 0.0
-    for i in range(n):
-        if mfdr and proc.rejects[i]:
-            r += 1
-        rhs = budget * max(1, r) if mfdr else budget
-        excess = vals[i] + cum - rhs
-        if excess > worst:
-            worst, worst_t = excess, i + 1
-        if proc.lam_flags[i]:
-            cum += spent[i]
-    return AuditReport(ok=worst <= tol, worst_excess=worst, worst_t=worst_t, n_checked=n)
+    [report] = _budget_audit([vals], [spent], [proc.lam_flags], [proc.rejects],
+                             (1.0 - proc._lam) * proc.config.alpha, mfdr, tol)
+    return report
 
 
 def audit_fwer_budget(proc: OnlineProcedure, alphas=None, tol: float = 1e-9) -> AuditReport:

@@ -4,12 +4,17 @@ Each stream position is a two-group comparison of N binary responses,
 summarized as a 2x2 table and tested with the two-sided Fisher exact test.
 Null positions use equal success probabilities (a low and a mid level);
 alternative positions give one group an elevated probability.
+
+The sweep runs every trial of the points that share their procedures as one
+batch per procedure (``procedures.run_batch``); each trial keeps its own
+seeded draws, so the results do not depend on how trials are batched.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -18,8 +23,7 @@ from .core import StepCdf
 from .discrete import fisher_margins
 from .evaluate import (EvalReport, TrialOutcome, estimate_fwer, estimate_mfdr,
                        estimate_power)
-from .procedures import (FWER_NAMES, ProcedureConfig, audit_fwer_budget,
-                         audit_mfdr_budget, make_procedure)
+from .procedures import FWER_NAMES, NullBounds, ProcedureConfig, run_batch
 from .spending import make_kernel
 
 PLACEMENTS = ("B", "E", "BM", "BE", "ME", "Random")
@@ -104,43 +108,72 @@ def place_signal(m: int, m3: int, scheme: str, rng: np.random.Generator | None =
     elif scheme == "Random":
         if rng is None:
             raise ValueError("Random placement needs an rng")
-        idx = sorted(int(i) + 1 for i in rng.choice(m, size=m3, replace=False))
+        idx = (np.sort(rng.choice(m, size=m3, replace=False)) + 1).tolist()
     else:
         raise ValueError(f"unknown placement {scheme!r}")
     return tuple(idx)
 
 
-def generate_trial(config: ScenarioConfig, trial_index: int) -> TrialStream:
-    """One simulated stream; deterministic given (seed, trial_index)."""
+def _draw(config: ScenarioConfig, trial_index: int):
+    """The seeded draws of one trial: labels and both groups' success counts."""
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, trial_index)))
     m, n = config.m, config.n_subjects
     h1 = place_signal(m, config.m3, config.placement, rng)
     labels = np.zeros(m, dtype=bool)
-    for i in h1:
-        labels[i - 1] = True
+    labels[np.array(h1, dtype=np.intp) - 1] = True
     # null positions in stream order: the first m1 use the low level
-    probs = np.empty(m)
-    null_seen = 0
-    for i in range(m):
-        if labels[i]:
-            probs[i] = config.p_null_mid
-        else:
-            probs[i] = config.p_null_low if null_seen < config.m1 else config.p_null_mid
-            null_seen += 1
+    low = ~labels & (np.cumsum(~labels) <= config.m1)
+    probs = np.where(low, config.p_null_low, config.p_null_mid)
     probs_a = np.where(labels, config.p3, probs)
     succ_a = rng.binomial(n, probs_a)
     succ_b = rng.binomial(n, probs)
-    tables = []
-    pvals = []
-    bounds = []
-    for i in range(m):
-        a = int(succ_a[i])
-        c = int(succ_b[i])
-        tables.append((a, n - a, c, n - c))
-        pv, lo, bound = fisher_margins(n, n, a + c)  # at most 2n + 1 margins occur
-        pvals.append(pv[a - lo])
-        bounds.append(bound)
-    return TrialStream(tables=tables, labels=labels, pvals=pvals, bounds=bounds)
+    return labels, succ_a, succ_b
+
+
+class _Margins:
+    """Exact tests of N-vs-N tables, one ``fisher_margins`` lookup per distinct
+    margin (n, c1); each margin gets an index into ``bounds``."""
+
+    def __init__(self):
+        self.bounds: list[StepCdf] = []
+        self._index: dict[tuple[int, int], int] = {}
+        self._pvals: list[tuple[float, ...]] = []
+        self._offset: list[int] = [0]  # start of each margin's p-values in the flat array
+        self._lo: list[int] = []
+
+    def ids(self, n: int, succ_a: np.ndarray, succ_b: np.ndarray) -> np.ndarray:
+        """The margin index of each table (a, n - a, c, n - c)."""
+        c1 = succ_a + succ_b
+        ids = np.zeros(2 * n + 1, dtype=np.intp)  # by c1: at most 2n + 1 margins occur
+        ids[c1] = 1  # marks the margins that occur, then holds their index
+        for c in ids.nonzero()[0].tolist():
+            i = self._index.get((n, c))
+            if i is None:
+                pv, lo, bound = fisher_margins(n, n, c)
+                i = self._index[n, c] = len(self.bounds)
+                self.bounds.append(bound)
+                self._pvals.append(pv)
+                self._offset.append(self._offset[-1] + len(pv))
+                self._lo.append(lo)
+            ids[c] = i
+        return ids[c1]
+
+    def pvals(self, ids: np.ndarray, succ_a: np.ndarray) -> np.ndarray:
+        """The p-value of each table, given its margin index and first cell."""
+        flat = np.fromiter(chain.from_iterable(self._pvals), float, self._offset[-1])
+        return flat[np.array(self._offset[:-1])[ids] + succ_a - np.array(self._lo)[ids]]
+
+
+def generate_trial(config: ScenarioConfig, trial_index: int) -> TrialStream:
+    """One simulated stream; deterministic given (seed, trial_index)."""
+    labels, succ_a, succ_b = _draw(config, trial_index)
+    n = config.n_subjects
+    margins = _Margins()
+    ids = margins.ids(n, succ_a, succ_b)
+    a, c = succ_a.tolist(), succ_b.tolist()
+    return TrialStream(tables=[(x, n - x, y, n - y) for x, y in zip(a, c)], labels=labels,
+                       pvals=margins.pvals(ids, succ_a).tolist(),
+                       bounds=[margins.bounds[i] for i in ids.tolist()])
 
 
 def dump_stream_csv(stream: TrialStream, path):
@@ -158,26 +191,47 @@ class TrialResults:
     audit_failures: list[tuple[str, int]] = field(default_factory=list)
 
 
+def _run_stacked(scenarios: Sequence[ScenarioConfig], configs: dict[str, ProcedureConfig],
+                 audit: bool) -> list[TrialResults]:
+    """Every trial of every scenario (all of one stream length) in one batch per procedure."""
+    margins = _Margins()
+    labels, first_cells, ids = [], [], []
+    for scenario in scenarios:
+        for i in range(scenario.n_trials):
+            trial_labels, succ_a, succ_b = _draw(scenario, i)
+            labels.append(trial_labels)
+            first_cells.append(succ_a)
+            ids.append(margins.ids(scenario.n_subjects, succ_a, succ_b))
+    pvals = margins.pvals(np.array(ids), np.array(first_cells))
+    bounds = NullBounds(margins.bounds, ids)
+    rejects = {}
+    failed = np.zeros((len(ids), len(configs)), dtype=bool)
+    for j, (name, config) in enumerate(configs.items()):
+        run = run_batch(name, config, pvals, bounds)
+        rejects[name] = run.rejects
+        if audit:
+            failed[:, j] = [not rep.ok for rep in run.audit(mfdr=name not in FWER_NAMES)]
+    names = list(configs)
+    results = []
+    start = 0
+    for scenario in scenarios:
+        rows = slice(start, start + scenario.n_trials)
+        outcomes = {name: [TrialOutcome(r, lab) for r, lab in zip(rej[rows], labels[rows])]
+                    for name, rej in rejects.items()}
+        # trial by trial, in procedure order
+        trial, proc = np.nonzero(failed[rows])
+        failures = [(names[j], i) for i, j in zip(trial.tolist(), proc.tolist())]
+        results.append(TrialResults(outcomes=outcomes, audits_ok=not failures,
+                                    audit_failures=failures))
+        start = rows.stop
+    return results
+
+
 def run_trials(scenario: ScenarioConfig, configs: dict[str, ProcedureConfig],
                audit: bool = False) -> TrialResults:
     """Run each named procedure over each simulated trial, in fixed trial order."""
-    outcomes: dict[str, list[TrialOutcome]] = {name: [] for name in configs}
-    failures: list[tuple[str, int]] = []
-    for i in range(scenario.n_trials):
-        stream = generate_trial(scenario, i)
-        for name, config in configs.items():
-            proc = make_procedure(name, config)
-            step = proc.step
-            for p, bound in zip(stream.pvals, stream.bounds):
-                step(p, bound)
-            outcomes[name].append(TrialOutcome(proc.rejects, stream.labels))
-            if audit:
-                rep = (audit_fwer_budget(proc) if name in FWER_NAMES
-                       else audit_mfdr_budget(proc))
-                if not rep.ok:
-                    failures.append((name, i))
-    return TrialResults(outcomes=outcomes, audits_ok=not failures,
-                        audit_failures=failures)
+    [results] = _run_stacked([scenario], configs, audit)
+    return results
 
 
 class SweepPoint(NamedTuple):
@@ -218,14 +272,26 @@ def sweep_points(scenario: ScenarioConfig, configs: dict[str, ProcedureConfig],
 
 
 def run_sweep(points: Sequence[SweepPoint], audit: bool = False) -> EvalReport:
-    """FWER, mFDR and power of each procedure at each point, checked at the stream end."""
+    """FWER, mFDR and power of each procedure at each point, checked at the stream end.
+
+    Consecutive points that share their procedure configs (the points of a
+    scenario axis) and stream length run as one batch.
+    """
     report = EvalReport()
+    groups: list[list[SweepPoint]] = []
     for point in points:
-        results = run_trials(point.scenario, point.configs, audit=audit)
-        report.audits_ok = report.audits_ok and results.audits_ok
-        T = point.scenario.m
-        for name, trials in results.outcomes.items():
-            report.add(name, "fwer", estimate_fwer(trials, T), T, **point.keys)
-            report.add(name, "mfdr", estimate_mfdr(trials, T), T, **point.keys)
-            report.add(name, "power", estimate_power(trials, T), T, **point.keys)
+        if (groups and point.configs is groups[-1][0].configs
+                and point.scenario.m == groups[-1][0].scenario.m):
+            groups[-1].append(point)
+        else:
+            groups.append([point])
+    for group in groups:
+        stacked = _run_stacked([point.scenario for point in group], group[0].configs, audit)
+        for point, results in zip(group, stacked):
+            report.audits_ok = report.audits_ok and results.audits_ok
+            T = point.scenario.m
+            for name, trials in results.outcomes.items():
+                report.add(name, "fwer", estimate_fwer(trials, T), T, **point.keys)
+                report.add(name, "mfdr", estimate_mfdr(trials, T), T, **point.keys)
+                report.add(name, "power", estimate_power(trials, T), T, **point.keys)
     return report

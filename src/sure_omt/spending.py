@@ -9,6 +9,7 @@ over a window of length h).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,6 +146,8 @@ def make_jm_family() -> SpendingSequence:
 
 def make_kernel(h: int) -> SpendingSequence:
     """Rectangular kernel: gamma_t = 1/h for 1 <= t <= h, else 0."""
+    if isinstance(h, bool) or not isinstance(h, numbers.Integral):
+        raise ValueError(f"kernel bandwidth must be an integer, got {h!r}")
     if h < 1:
         raise ValueError("kernel bandwidth must be >= 1")
     return SpendingSequence(kind="kernel", h=int(h))
@@ -207,7 +210,7 @@ def parse_sequence_spec(spec: dict) -> SpendingSequence:
     if family == "jm":
         return make_jm_family()
     if family == "kernel":
-        return make_kernel(int(spec["h"]))
+        return make_kernel(spec["h"])
     if family == "greedy":
         return make_greedy()
     if family == "explicit":

@@ -218,6 +218,42 @@ def test_simulate_sweep(tmp_path):
     assert {float(r["value"]) for r in rows} == {0.2, 0.6}
 
 
+def test_simulate_rejects_fractional_kernel_bandwidth(tmp_path, capsys):
+    small = {"m": 10, "n_trials": 1}
+    for payload in (
+        {"procedures": [{"name": "rho-ob"}], "sweep": {"axis": "h", "values": [2.5]}},
+        {"procedures": [{"name": "rho-ob", "gamma_prime": {"family": "kernel", "h": 2.7}}]},
+        {"procedures": [{"name": "rho-ob", "gamma_prime": {"family": "kernel", "h": True}}]},
+    ):
+        cfg = _write_config(tmp_path, {"scenario": small, **payload})
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2, payload
+        _assert_one_error_line(capsys, "integer")
+        assert not out.exists()
+
+
+def test_simulate_outputs_are_all_or_nothing(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"scenario": {"m": 10, "n_trials": 1},
+                                   "procedures": [{"name": "ob"}]})
+    out, out_json = tmp_path / "r.csv", tmp_path / "r.json"
+    out.write_text("old report\n")
+    out_json.write_text("old json\n")
+    # a JSON path that cannot be opened leaves the CSV report as it was
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--out-json", str(tmp_path / "missing" / "x.json")]) == 2
+    _assert_one_error_line(capsys)
+    assert out.read_text() == "old report\n"
+    # a CSV path that is a directory leaves the JSON report as it was
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path),
+                 "--out-json", str(out_json)]) == 2
+    _assert_one_error_line(capsys)
+    assert out_json.read_text() == "old json\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "r.csv", "r.json"]
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--out-json", str(out_json)]) == 0
+    assert out.read_text().startswith("checkpoint,") and json.loads(out_json.read_text())
+
+
 def test_simulate_standard_defaults():
     configs = parse_procedures([{"name": n} for n in ("ob", "rho-aob", "lord", "rho-alord")])
     assert all(c.alpha == 0.2 and c.lam == 0.5 for c in configs.values())

@@ -72,6 +72,10 @@ def test_random_placement_uses_rng():
     idx = place_signal(100, 10, "Random", rng)
     assert len(set(idx)) == 10
     assert idx == tuple(sorted(idx))
+    # the same draw, as ints, as the per-position sort gives it
+    draw = np.random.default_rng(0).choice(100, size=10, replace=False)
+    assert idx == tuple(sorted(int(i) + 1 for i in draw))
+    assert all(type(i) is int for i in idx)
 
 
 def test_generate_trial_is_deterministic():

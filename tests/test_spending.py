@@ -105,6 +105,17 @@ def test_invalid_parameters_rejected():
         make_kernel(0)
 
 
+def test_kernel_bandwidth_must_be_an_integer():
+    # a fractional or bool bandwidth used to be truncated: 2.5 -> 2, True -> 1
+    for h in (2.5, 2.0, True, "10", None):
+        with pytest.raises(ValueError, match="integer"):
+            make_kernel(h)
+    for h in (2.7, True):
+        with pytest.raises(ValueError, match="integer"):
+            parse_sequence_spec({"family": "kernel", "h": h})
+    assert make_kernel(3).h == 3
+
+
 def test_parse_sequence_spec():
     g = parse_sequence_spec({"family": "power", "q": 1.6})
     assert g.kind == "power" and g.q == 1.6
