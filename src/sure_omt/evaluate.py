@@ -158,8 +158,12 @@ class EvalReport:
         return rows[0]["estimate"]
 
     def write(self, csv_path, json_path=None):
-        """Write the report as CSV and, given ``json_path``, as JSON too: both
-        files are replaced, or neither if either cannot be written."""
+        """Write the report as CSV and, given ``json_path``, as JSON too.
+
+        Both are written to temporary files first, so neither file is replaced
+        if either cannot be opened or written.  The two renames that follow
+        are separate steps: the JSON file is renamed first.
+        """
         fields = sorted({k for r in self.rows for k in r})
         with ExitStack() as stack:
             fh = stack.enter_context(open_atomic(csv_path, newline=""))
@@ -175,8 +179,5 @@ class EvalReport:
                 json.dump(self.rows, stack.enter_context(open_atomic(json_path)), indent=2)
 
     def to_csv(self, path):
+        """The CSV alone (kept for ``bench/worker.py``; ``write`` does this)."""
         self.write(path)
-
-    def to_json(self, path):
-        with open_atomic(path) as fh:
-            json.dump(self.rows, fh, indent=2)

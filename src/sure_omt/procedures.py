@@ -382,7 +382,8 @@ class _InvestingBase:
     at clock 1 (set by the first rejection), then alpha times the sum of gamma
     at the later clocks.  Each row keeps the first two added (``_head``) and
     the sum, to which a rejection adds its gamma in rejection order, as the
-    scalar loop does; so the values are bit for bit the scalar ones.
+    scalar loop does; so the values of a step, read once the rejections
+    before it are in, are bit for bit the scalar ones.
     """
 
     def __init__(self, config: ProcedureConfig, lam: float, capped: bool,
@@ -393,26 +394,23 @@ class _InvestingBase:
         self._s = np.zeros(clock0.shape)
         self._first = np.ones(len(clock0), dtype=bool)
 
-    def values(self, rows=slice(None), cols=slice(None)) -> np.ndarray:
-        val = (1.0 - self._lam) * (self._head[rows, cols]
-                                   + self._config.alpha * self._s[rows, cols])
+    def values(self, i: int) -> np.ndarray:
+        """The base values of step i (0-based)."""
+        val = (1.0 - self._lam) * (self._head[:, i] + self._config.alpha * self._s[:, i])
         return np.minimum(self._lam, val) if self._capped else val
 
-    def reject(self, ks: np.ndarray, taus, lo: int) -> None:
-        """Streams ``ks`` reject at step ``taus`` (0-based; one step or one per
-        stream, lo = the earliest + 1): rebuild their values after it."""
+    def reject(self, ks: np.ndarray, i: int) -> None:
+        """Streams ``ks`` reject at step i (0-based): rebuild their values after it."""
+        cols = slice(i + 1, None)
         # clock j after the j-th rejection: 1 + E before the step - E at the rejection
-        clock = self._clock0[ks, lo:] - self._n_eligible[ks, taus][:, None]
-        if isinstance(taus, np.ndarray):  # at different steps: gamma_0 = 0 up to each
-            clock = np.where(np.arange(lo, clock.shape[1] + lo) > taus[:, None], clock, 0)
-        term = self._gamma[clock]
+        term = self._gamma[self._clock0[ks, cols] - self._n_eligible[ks, i][:, None]]
         first = self._first[ks]
         if first.any():
             c = self._config
-            self._head[ks[first], lo:] += (c.alpha - c.w0) * term[first]
+            self._head[ks[first], cols] += (c.alpha - c.w0) * term[first]
             self._first[ks] = False
             ks, term = ks[~first], term[~first]
-        self._s[ks, lo:] += term
+        self._s[ks, cols] += term
 
 
 def _reward_part(gp: SpendingSequence, rewards: np.ndarray, i: int,
@@ -462,10 +460,9 @@ def run_batch(name: str, config: ProcedureConfig, pvals, bounds: NullBounds) -> 
     """Run procedure ``name`` over K streams: ``pvals`` is K x m, step (k, t)
     has null bound ``bounds.table[bounds.ids[k, t]]``.
 
-    Rules without a reward have no step loop: OB/AOB read gamma at clock 0,
-    and LORD/ALORD find each stream's next rejection on its base row, then
-    rebuild the row after it.  Rewarded rules step through time, vectorized
-    over the streams.
+    OB/AOB have no step loop: they read gamma at clock 0.  The other rules
+    step through time, vectorized over the streams; LORD/ALORD rebuild a
+    stream's base values after each of its rejections.
     """
     rule = _checked_rule(name, config)
     p = np.asarray(pvals, dtype=float)
@@ -483,60 +480,43 @@ def run_batch(name: str, config: ProcedureConfig, pvals, bounds: NullBounds) -> 
         base = _InvestingBase(config, lam, rule.capped, gamma, clock0, n_eligible)
     else:
         base = (config.alpha * (1.0 - lam)) * gamma[clock0]
-    if rule.rewarded:
-        alphas, rejects = _step_rewarded(config, p, eligible, bounds, base)
-    elif not rule.investing:
-        alphas, rejects = base, p <= base
+    if rule.investing or rule.rewarded:
+        alphas, rejects = _step(config, p, eligible, bounds, base, rule.rewarded)
     else:
-        rejects = _find_rejections(p, base)
-        alphas = base.values()
+        alphas, rejects = base, p <= base
     return BatchRun(config, rule.rewarded, lam, alphas, rejects, eligible, bounds)
 
 
-def _find_rejections(p: np.ndarray, base: _InvestingBase) -> np.ndarray:
-    """Reject flags of an investing rule without a reward: one pass per
-    rejection index, over the streams that still reject."""
-    rejects = np.zeros(p.shape, dtype=bool)
-    active = np.arange(len(p))
-    last = np.full(len(p), -1)
-    while active.size:
-        lo = int(last[active].min()) + 1
-        hits = ((p[active, lo:] <= base.values(active, slice(lo, None)))
-                & (np.arange(lo, p.shape[1]) > last[active, None]))
-        found = hits.any(axis=1)
-        active = active[found]
-        if not active.size:
-            break
-        taus = hits[found].argmax(axis=1) + lo
-        rejects[active, taus] = True
-        last[active] = taus
-        base.reject(active, taus, int(taus.min()) + 1)
-    return rejects
-
-
-def _step_rewarded(config: ProcedureConfig, p: np.ndarray, eligible: np.ndarray,
-                   bounds: NullBounds, bases: np.ndarray | _InvestingBase):
-    """Alphas and reject flags of a rewarded rule, one step of all streams at a
-    time; investing ``bases`` are rebuilt after each rejection."""
+def _step(config: ProcedureConfig, p: np.ndarray, eligible: np.ndarray, bounds: NullBounds,
+          bases: np.ndarray | _InvestingBase, rewarded: bool):
+    """Alphas and reject flags, one step of all streams at a time: a rewarded
+    rule adds its reward part and carry to the base, and investing ``bases``
+    are rebuilt after each rejection."""
     investing = bases if isinstance(bases, _InvestingBase) else None
     K, m = p.shape
     gp = config.gamma_prime
-    gp_table = _gamma_table(gp, m) if gp.kind not in ("kernel", "explicit") else None
+    gp_table = _gamma_table(gp, m) if rewarded and gp.kind not in ("kernel", "explicit") else None
     alphas = np.empty((m, K))
     rejects = np.empty((m, K), dtype=bool)
-    rewards = np.zeros((m, K))  # time-major: row i holds step i's collected rewards
+    rewards = np.zeros((m, K)) if rewarded else None  # time-major: step i's collected rewards
     eps = np.zeros(K)
     for i in range(m):
-        base = bases[:, i] if investing is None else investing.values(cols=i)
+        base = bases[:, i] if investing is None else investing.values(i)
         alpha = alphas[i]
-        np.add(base + _reward_part(gp, rewards, i, gp_table), eps, out=alpha)
+        if rewarded:
+            np.add(base + _reward_part(gp, rewards, i, gp_table), eps, out=alpha)
+        else:
+            alpha[:] = base
         reject = np.less_equal(p[:, i], alpha, out=rejects[i])
-        # rho >= 0, so rho times the eligibility flag is the collected reward
-        rho = alpha - bounds.cdf(alpha, i)
-        np.multiply(rho, eligible[:, i], out=rewards[i])
-        eps = np.where(eligible[:, i], 0.0, alpha - base)
-        if investing is not None and reject.any():
-            investing.reject(reject.nonzero()[0], i, i + 1)
+        if rewarded:
+            # rho >= 0, so rho times the eligibility flag is the collected reward
+            rho = alpha - bounds.cdf(alpha, i)
+            np.multiply(rho, eligible[:, i], out=rewards[i])
+            eps = np.where(eligible[:, i], 0.0, alpha - base)
+        if investing is not None:
+            ks = reject.nonzero()[0]
+            if len(ks):
+                investing.reject(ks, i)
     return np.ascontiguousarray(alphas.T), np.ascontiguousarray(rejects.T)
 
 

@@ -145,8 +145,10 @@ def make_jm_family() -> SpendingSequence:
 
 
 def make_kernel(h: int) -> SpendingSequence:
-    """Rectangular kernel: gamma_t = 1/h for 1 <= t <= h, else 0."""
-    if isinstance(h, bool) or not isinstance(h, numbers.Integral):
+    """Rectangular kernel: gamma_t = 1/h for 1 <= t <= h, else 0; a whole
+    float such as 10.0 reads as its integer."""
+    whole = isinstance(h, numbers.Integral) or (isinstance(h, float) and h.is_integer())
+    if isinstance(h, bool) or not whole:
         raise ValueError(f"kernel bandwidth must be an integer, got {h!r}")
     if h < 1:
         raise ValueError("kernel bandwidth must be >= 1")

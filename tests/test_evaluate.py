@@ -108,13 +108,14 @@ def test_report_round_trip(tmp_path):
         rep.value("nope", "fwer")
 
     csv_path = tmp_path / "r.csv"
-    rep.to_csv(csv_path)
+    json_path = tmp_path / "r.json"
+    rep.write(csv_path, json_path)
     lines = csv_path.read_text().strip().splitlines()
     assert len(lines) == 3
     assert "0.10000000000000001" in lines[1]  # 17 significant digits
+    rep.to_csv(tmp_path / "alone.csv")
+    assert (tmp_path / "alone.csv").read_bytes() == csv_path.read_bytes()
 
-    json_path = tmp_path / "r.json"
-    rep.to_json(json_path)
     data = json.loads(json_path.read_text())
     assert data[0]["procedure"] == "rho-ob"
     assert rep.audits_ok

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from sure_omt.spending import (SUM_SLACK, make_explicit, make_greedy, make_jm_family,
@@ -107,13 +108,17 @@ def test_invalid_parameters_rejected():
 
 def test_kernel_bandwidth_must_be_an_integer():
     # a fractional or bool bandwidth used to be truncated: 2.5 -> 2, True -> 1
-    for h in (2.5, 2.0, True, "10", None):
+    for h in (2.5, True, "10", None, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="integer"):
             make_kernel(h)
     for h in (2.7, True):
         with pytest.raises(ValueError, match="integer"):
             parse_sequence_spec({"family": "kernel", "h": h})
     assert make_kernel(3).h == 3
+    # a whole float is its integer, as in a JSON spec or sweep value 10.0
+    for h in (2.0, np.float64(2.0)):
+        assert type(make_kernel(h).h) is int and make_kernel(h).h == 2
+    assert parse_sequence_spec({"family": "kernel", "h": 10.0}).h == 10
 
 
 def test_parse_sequence_spec():
