@@ -1,6 +1,6 @@
 """Online multiple testing with super-uniformity rewards for discrete tests."""
 
-from .core import Decision, StepCdf, StreamRecord, identity_bound, sure_reward
+from .core import IDENTITY_BOUND, Decision, StepCdf
 from .discrete import ContingencyTable2x2, ExactTestResult, fisher_two_sided, support_to_bound
 from .procedures import OnlineProcedure, ProcedureConfig, make_procedure
 from .spending import (
@@ -15,10 +15,8 @@ from .spending import (
 
 __all__ = [
     "Decision",
+    "IDENTITY_BOUND",
     "StepCdf",
-    "StreamRecord",
-    "identity_bound",
-    "sure_reward",
     "ContingencyTable2x2",
     "ExactTestResult",
     "fisher_two_sided",

@@ -1,4 +1,4 @@
-"""Shared domain types: step CDF null bounds, stream records, per-step decisions.
+"""Shared domain types: step CDF null bounds and per-step decisions.
 
 All types here are immutable after construction and safe to share across
 threads.
@@ -7,7 +7,7 @@ threads.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -51,34 +51,6 @@ class StepCdf:
 
 
 IDENTITY_BOUND = StepCdf(support=(1.0,), exact_identity=True)
-
-
-def identity_bound() -> StepCdf:
-    """The uniform null bound F(u) = min(u, 1)."""
-    return IDENTITY_BOUND
-
-
-def sure_reward(alpha: float, cdf: StepCdf) -> float:
-    """Unspent fraction of the critical value: alpha - F(alpha), always >= 0."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    return alpha - cdf(alpha)
-
-
-@dataclass(frozen=True)
-class StreamRecord:
-    """One stream element: a time index, a p-value and its null bound."""
-
-    t: int
-    p: float
-    null_bound: StepCdf = field(default=IDENTITY_BOUND)
-    label: bool | None = None  # True = alternative, for evaluation only
-
-    def __post_init__(self):
-        if self.t < 1:
-            raise ValueError("t must be >= 1")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {self.p}")
 
 
 @dataclass(frozen=True)

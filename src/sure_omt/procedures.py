@@ -16,7 +16,8 @@ for the simulator; ``OnlineProcedure`` stays the streaming API and its
 reference.  The batch keeps the scalar machine's order of every floating-point
 operation, so its alphas and reject flags are the scalar ones bit for bit: sums
 run left to right (``cumsum``, and a running row to which each rejection adds
-its term in rejection order).  Both share one array budget audit.
+its term in rejection order).  Both compute the power/log/jm reward part with
+``_reward_part`` over time-major rewards, and share one array budget audit.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ class Rule(NamedTuple):
     def investing(self) -> bool:
         """Alpha-investing rules need w0 and control mFDR; the others control FWER."""
         return self.base in ("lord", "alord")
+
+    def lam(self, config: ProcedureConfig) -> float:
+        """The lambda the rule runs with: the config's for the adaptive bases, else 0."""
+        return config.lam if self.base in ("aob", "alord") else 0.0
 
 
 RULES = {
@@ -105,7 +110,7 @@ class OnlineProcedure:
         self.config = config
         self.rewarded = rule.rewarded
         self._investing = rule.investing
-        self._lam = config.lam if rule.base in ("aob", "alord") else 0.0  # adaptive rules
+        self._lam = rule.lam(config)
         self._alpha = config.alpha
         self._w0 = config.w0
         self._g = config.gamma
@@ -122,7 +127,8 @@ class OnlineProcedure:
         self._n_eligible = 0
         self._starts: list[int] = [0]
         # eligible positive rewards: the last _window steps for a gamma' that
-        # is 0 beyond them (kernel, explicit), else numpy arrays grown by doubling
+        # is 0 beyond them (kernel, explicit), else run_batch's time-major
+        # rewards (0.0 where none was collected) and gamma' table, grown by doubling
         gp = self._gp
         if gp is None or gp.kind not in ("kernel", "explicit"):
             self._window = None
@@ -130,9 +136,8 @@ class OnlineProcedure:
             self._window = gp.h if gp.kind == "kernel" else len(gp.values)
         self._win_t: deque[int] = deque()
         self._win_rho: deque[float] = deque()
-        self._n_ledger = 0
-        self._ledger_t = self._ledger_rho = None  # made on the first reward
-        self._gp_table = ()                   # gamma'_k at index k, k < len
+        self._rewards = np.zeros((0, 1))
+        self._gp_table = None
         self._t_next = 1
         self._eps = 0.0                       # carry: alpha - base after p < lambda
         self._pending: tuple[float, float, float, float] | None = None
@@ -167,33 +172,29 @@ class OnlineProcedure:
 
     def _sure_part(self, T: int) -> float:
         gp = self._gp
-        if self._window is not None:
-            wt, wr = self._win_t, self._win_rho
-            cutoff = T - self._window
-            while wt and wt[0] < cutoff:
-                wt.popleft()
-                wr.popleft()
-            if gp.kind == "kernel":
-                # left to right: builtin sum() is compensated from Python 3.12
-                s = 0.0
-                for rho in wr:
-                    s += rho
-                return s / gp.h
-            vals = gp.values
+        if self._window is None:
+            n = len(self._rewards)
+            if n < T:
+                # grow geometrically: one rebuild per doubling of T
+                self._rewards = np.concatenate((self._rewards, np.zeros((2 * T - n, 1))))
+                self._gp_table = _gamma_table(gp, 2 * T)
+            return float(_reward_part(gp, self._rewards, T - 1, self._gp_table)[0])
+        wt, wr = self._win_t, self._win_rho
+        cutoff = T - self._window
+        while wt and wt[0] < cutoff:
+            wt.popleft()
+            wr.popleft()
+        if gp.kind == "kernel":
+            # left to right: builtin sum() is compensated from Python 3.12
             s = 0.0
-            for t, rho in zip(wt, wr):
-                s += vals[T - t - 1] * rho
-            return s
-        n = self._n_ledger
-        if not n:
-            return 0.0
-        table = self._gp_table
-        if len(table) <= T:
-            # grow geometrically: one rebuild per doubling of T
-            table = self._gp_table = _gamma_table(gp, 2 * T)
-        # cumsum adds left to right, as the scalar sum over the ledger would
-        terms = table[T - self._ledger_t[:n]] * self._ledger_rho[:n]
-        return float(np.cumsum(terms)[-1])
+            for rho in wr:
+                s += rho
+            return s / gp.h
+        vals = gp.values
+        s = 0.0
+        for t, rho in zip(wt, wr):
+            s += vals[T - t - 1] * rho
+        return s
 
     # -- step API ------------------------------------------------------------
 
@@ -234,7 +235,7 @@ class OnlineProcedure:
                 self._win_t.append(t)
                 self._win_rho.append(rho)
             else:
-                self._append_ledger(t, rho)
+                self._rewards[t - 1, 0] = rho
         if eligible:
             self._n_eligible += 1
         self._eps = 0.0 if eligible else alpha - base
@@ -246,32 +247,13 @@ class OnlineProcedure:
                         base_part=base, sure_part=sure, eps_part=eps,
                         r_count=self.r_count)
 
-    def _append_ledger(self, t: int, rho: float) -> None:
-        n = self._n_ledger
-        if n == 0:
-            self._ledger_t = np.empty(64, dtype=np.int64)
-            self._ledger_rho = np.empty(64)
-        elif n == len(self._ledger_t):
-            self._ledger_t = np.concatenate((self._ledger_t, np.empty(n, dtype=np.int64)))
-            self._ledger_rho = np.concatenate((self._ledger_rho, np.empty(n)))
-        self._ledger_t[n] = t
-        self._ledger_rho[n] = rho
-        self._n_ledger = n + 1
-
     def step(self, p: float, bound: StepCdf | None = None) -> Decision:
         self.emit_alpha()
         return self.observe(p, bound)
 
     def run(self, stream) -> list[Decision]:
-        """Run over (p, bound) pairs or StreamRecord objects, in order."""
-        out = []
-        for item in stream:
-            if hasattr(item, "null_bound"):
-                out.append(self.step(item.p, item.null_bound))
-            else:
-                p, bound = item
-                out.append(self.step(p, bound))
-        return out
+        """Run over (p, bound) pairs, in order."""
+        return [self.step(p, bound) for p, bound in stream]
 
     @property
     def t(self) -> int:
@@ -470,7 +452,7 @@ def run_batch(name: str, config: ProcedureConfig, pvals, bounds: NullBounds) -> 
         raise ValueError("pvals and bounds.ids must both be K x m")
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("p must lie in [0, 1]")
-    lam = config.lam if rule.base in ("aob", "alord") else 0.0
+    lam = rule.lam(config)
     eligible = p >= lam
     n_eligible = np.cumsum(eligible, axis=1)  # E through each step
     clock0 = np.ones(p.shape, dtype=np.intp)
@@ -536,7 +518,8 @@ def _budget_audit(vals, spent, flags, rejects, budget: float, mfdr: bool,
 
     At step t the level plus the spent levels of the eligible steps before t
     must stay within the budget (times the rejections so far, for mFDR);
-    the spent levels are summed left to right with ``cumsum``.
+    the spent levels are summed left to right with ``cumsum``.  A row with a
+    non-finite excess fails at its first such step, with excess inf.
     """
     vals = np.asarray(vals, dtype=float)
     K, n = vals.shape
@@ -546,6 +529,8 @@ def _budget_audit(vals, spent, flags, rejects, budget: float, mfdr: bool,
     cum[:, 1:] = np.cumsum(np.where(flags, spent, 0.0), axis=1)[:, :-1]
     rhs = budget * np.maximum(1, np.cumsum(rejects, axis=1)) if mfdr else budget
     excess = (vals + cum) - rhs
+    # NaN would hide from argmax's comparisons, so non-finite reads as inf
+    excess[~np.isfinite(excess)] = np.inf
     worst_i = excess.argmax(axis=1)  # the first step of the largest excess
     reports = []
     for i, worst in zip(worst_i.tolist(), excess[np.arange(K), worst_i].tolist()):

@@ -12,7 +12,6 @@ seeded draws, so the results do not depend on how trials are batched.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import NamedTuple, Sequence
@@ -174,14 +173,6 @@ def generate_trial(config: ScenarioConfig, trial_index: int) -> TrialStream:
     return TrialStream(tables=[(x, n - x, y, n - y) for x, y in zip(a, c)], labels=labels,
                        pvals=margins.pvals(ids, succ_a).tolist(),
                        bounds=[margins.bounds[i] for i in ids.tolist()])
-
-
-def dump_stream_csv(stream: TrialStream, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "a", "b", "c", "d", "label"])
-        for i, tab in enumerate(stream.tables):
-            writer.writerow([i + 1, *tab, int(stream.labels[i])])
 
 
 @dataclass

@@ -161,10 +161,12 @@ def make_greedy() -> SpendingSequence:
 
 
 def make_explicit(values) -> SpendingSequence:
-    """Explicit finite sequence; gamma_t = 0 beyond the given values."""
+    """Explicit finite sequence of total mass <= 1; gamma_t = 0 beyond the given values."""
     vals = tuple(float(v) for v in values)
-    if any(v < 0 for v in vals):
-        raise ValueError("spending values must be nonnegative")
+    if not all(0.0 <= v < math.inf for v in vals):
+        raise ValueError("spending values must be finite and nonnegative")
+    if sum(vals) > 1.0 + SUM_SLACK:
+        raise ValueError(f"spending values must sum to at most 1, got {sum(vals)!r}")
     return SpendingSequence(kind="explicit", values=vals)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from sure_omt.cli import parse_procedures
-from sure_omt.core import identity_bound
+from sure_omt.core import IDENTITY_BOUND
 from sure_omt.discrete import fisher_margins, hypergeom_pmf, support_to_bound
 from sure_omt.evaluate import (estimate_fwer, estimate_mfdr, estimate_power,
                                wealth_curves)
@@ -88,7 +88,8 @@ def test_criterion_2_reductions():
             plain = make_procedure(base, cfg)
             rich = make_procedure(rich_name, cfg)
             for p in pvals:
-                ok = ok and rich.step(p).alpha == plain.step(p).alpha
+                rich_alpha = rich.step(p, IDENTITY_BOUND).alpha
+                ok = ok and rich_alpha == plain.step(p, IDENTITY_BOUND).alpha
         # lambda = 0: the adaptive rewarded rules reduce to the plain ones
         cfg0 = _cfg(lam=0.0, w0=0.1, gamma_prime=make_kernel(10))
         for a_name, b_name in (("rho-aob", "rho-ob"), ("rho-alord", "rho-lord")):

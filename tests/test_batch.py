@@ -1,6 +1,7 @@
 """The lockstep batch engine against the scalar machine, and the simulator
 built on it against the per-trial loop it replaced."""
 
+import math
 import random
 
 import numpy as np
@@ -11,13 +12,13 @@ from sure_omt.core import IDENTITY_BOUND
 from sure_omt.discrete import fisher_margins, support_to_bound
 from sure_omt.evaluate import (EvalReport, TrialOutcome, estimate_fwer, estimate_mfdr,
                                estimate_power)
-from sure_omt.procedures import (FWER_NAMES, RULES, NullBounds, ProcedureConfig,
+from sure_omt.procedures import (FWER_NAMES, RULES, AuditReport, NullBounds, ProcedureConfig,
                                  audit_fwer_budget, audit_mfdr_budget, make_procedure,
                                  run_batch)
 from sure_omt.simulate import (ScenarioConfig, TrialResults, TrialStream, generate_trial,
                                place_signal, run_sweep, run_trials, sweep_points)
-from sure_omt.spending import (make_explicit, make_greedy, make_jm_family, make_kernel,
-                               make_log_family, make_power_law)
+from sure_omt.spending import (SpendingSequence, make_explicit, make_greedy, make_jm_family,
+                               make_kernel, make_log_family, make_power_law)
 
 from conftest import random_stream
 
@@ -187,6 +188,25 @@ def test_batch_rejects_bad_input():
         run_batch("rho-ob", _cfg(), [[0.1, 0.2, 0.3]], bounds)  # no gamma'
 
 
+@pytest.mark.parametrize("levels,worst_t", [
+    ([0.1, math.nan, 0.5], 2), ([0.1, math.inf, 0.5], 2), ([0.1, 0.1, math.nan], 3),
+])
+@pytest.mark.parametrize("bound", [IDENTITY_BOUND, support_to_bound((0.05, 1.0))])
+def test_audits_fail_on_a_non_finite_level(levels, worst_t, bound):
+    """A non-finite level fails every audit at its first step, with excess inf.
+    A NaN used to pass: argmax landed on it and NaN > 0 is false, although step
+    3 of [0.1, nan, 0.5] overspends the budget of 0.2 by 0.3."""
+    config = _cfg(lam=0.0)
+    proc = make_procedure("ob", config)
+    for _ in levels:
+        proc.step(0.5, bound)
+    run = run_batch("ob", config, [[0.5] * len(levels)], _bounds_of([[bound] * len(levels)]))
+    want = AuditReport(ok=False, worst_excess=math.inf, worst_t=worst_t, n_checked=3)
+    assert audit_fwer_budget(proc, alphas=levels) == want
+    assert audit_mfdr_budget(proc, alphas=levels) == want
+    assert run.audit(False, alphas=[levels]) == run.audit(True, alphas=[levels]) == [want]
+
+
 def test_null_bounds_match_step_cdf(rng):
     """F from the batch table equals StepCdf.__call__, above 1 and at jump points too."""
     table = [support_to_bound(sorted({round(rng.uniform(0.001, 0.99), 4)
@@ -295,7 +315,8 @@ def test_run_sweep_matches_per_trial_loop(axis, values, tmp_path):
 
 
 def test_run_trials_reports_audit_failures_in_trial_order():
-    overspent = make_explicit([0.5] * 10)  # mass 5: the budget audits must fail
+    # mass 5, which make_explicit rejects: the budget audits must fail
+    overspent = SpendingSequence(kind="explicit", values=(0.5,) * 10)
     configs = {name: ProcedureConfig(alpha=c.alpha, gamma=overspent, lam=c.lam, w0=c.w0,
                                      gamma_prime=c.gamma_prime)
                for name, c in ALL_STANDARD.items()}

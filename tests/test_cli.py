@@ -5,7 +5,7 @@ import math
 import pytest
 
 from sure_omt.cli import CONFIG_ENV_VAR, main, parse_procedures
-from sure_omt.simulate import ScenarioConfig, dump_stream_csv, generate_trial
+from sure_omt.simulate import ScenarioConfig, generate_trial
 
 
 def _write_config(tmp_path, payload, name="cfg.json"):
@@ -269,6 +269,26 @@ def test_simulate_standard_defaults():
     assert configs["rho-alord"].gamma_prime.h == 10
 
 
+@pytest.mark.parametrize("values", [[0.9, 0.9, 0.9], [2.0], [math.nan]])
+def test_explicit_gamma_out_of_range_is_a_config_error(tmp_path, capsys, values):
+    """An explicit gamma with mass above 1 or a non-finite value exits 2, in both
+    commands, before any output is written."""
+    gamma = {"family": "explicit", "values": values}
+    cfg = _write_config(tmp_path, {**ANALYZE_CFG, "gamma": gamma})
+    tables = _write_tables(tmp_path, ["a,3,0,0,3", "b,1,1,1,1", "c,5,0,0,5"])
+    trace, summary = tmp_path / "trace.csv", tmp_path / "summary.json"
+    assert main(["analyze", "--config", cfg, "--input", tables, "--out-trace", str(trace),
+                 "--out-summary", str(summary)]) == 2
+    _assert_one_error_line(capsys, "spending values")
+    cfg = _write_config(tmp_path, {"scenario": {"m": 10, "n_trials": 1},
+                                   "procedures": [{"name": "ob", "gamma": gamma}]})
+    out, out_json = tmp_path / "r.csv", tmp_path / "r.json"
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--out-json", str(out_json)]) == 2
+    _assert_one_error_line(capsys, "spending values")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "tables.csv"]
+
+
 def test_simulate_bad_config(tmp_path, capsys):
     small = {"m": 10, "n_trials": 1}
     bad = [
@@ -347,14 +367,10 @@ def test_plotdata_rejects_bad_trace(tmp_path, capsys):
 
 
 def test_analyze_of_simulated_stream(tmp_path):
-    """The simulator's CSV dump feeds straight into the analyze command."""
+    """The simulator's tables, written as analyze's input, give its p-values."""
     stream = generate_trial(ScenarioConfig(m=25, n_subjects=12, pi_a=0.4), 0)
-    src = tmp_path / "stream.csv"
-    dump_stream_csv(stream, src)
-    # adapt columns: t -> id, drop label
-    rows = list(csv.DictReader(src.open()))
     tables = _write_tables(
-        tmp_path, [f"{r['t']},{r['a']},{r['b']},{r['c']},{r['d']}" for r in rows])
+        tmp_path, [",".join(map(str, (t, *tab))) for t, tab in enumerate(stream.tables, 1)])
     cfg = _write_config(tmp_path, ANALYZE_CFG)
     trace = tmp_path / "trace.csv"
     assert main(["analyze", "--config", cfg, "--input", tables,

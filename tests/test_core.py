@@ -3,8 +3,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from sure_omt.core import (IDENTITY_BOUND, StepCdf, StreamRecord, identity_bound,
-                           sure_reward)
+from sure_omt.core import IDENTITY_BOUND, StepCdf
+from sure_omt.procedures import ProcedureConfig, make_procedure
+from sure_omt.spending import make_greedy
 
 
 def test_step_cdf_basic_evaluation():
@@ -33,20 +34,21 @@ def test_step_cdf_validation():
 
 
 def test_identity_bound_is_exact():
-    f = identity_bound()
-    assert f is IDENTITY_BOUND
+    f = IDENTITY_BOUND
     assert f(0.37) == 0.37
     assert f(2.5) == 1.0
-    assert sure_reward(0.37, f) == 0.0
+    assert 0.37 - f(0.37) == 0.0
 
 
 def test_sure_reward_values():
     f = StepCdf(support=(0.1, 0.4, 1.0))
-    assert sure_reward(0.25, f) == 0.25 - 0.1
-    assert sure_reward(0.1, f) == 0.0   # at a jump the bound is tight
-    assert sure_reward(0.05, f) == 0.05
-    with pytest.raises(ValueError):
-        sure_reward(-0.1, f)
+    assert 0.25 - f(0.25) == 0.25 - 0.1
+    assert 0.1 - f(0.1) == 0.0   # at a jump the bound is tight
+    assert 0.05 - f(0.05) == 0.05
+    # observe() records the reward of the level it tested: alpha_1 = 0.2 here
+    dec = make_procedure("ob", ProcedureConfig(alpha=0.2, gamma=make_greedy())).step(0.5, f)
+    assert dec.alpha == 0.2
+    assert dec.rho == 0.2 - 0.1
 
 
 @given(st.lists(st.floats(min_value=0.001, max_value=0.999), min_size=1, max_size=6),
@@ -57,7 +59,7 @@ def test_step_cdf_below_identity(points, u):
     v = f(u)
     assert 0.0 <= v <= u          # super-uniform: F(u) <= u
     assert v <= f(min(1.0, u + 0.01))  # monotone
-    assert sure_reward(u, f) >= 0.0
+    assert u - v >= 0.0
 
 
 @given(st.floats(min_value=0.0, max_value=1.0))
@@ -66,15 +68,6 @@ def test_step_cdf_tight_at_jumps(u):
     for s in f.support:
         assert f(s) == s
     assert f(u) in (0.0,) + f.support
-
-
-def test_stream_record_validation():
-    r = StreamRecord(t=3, p=0.5)
-    assert r.null_bound is IDENTITY_BOUND
-    with pytest.raises(ValueError):
-        StreamRecord(t=0, p=0.5)
-    with pytest.raises(ValueError):
-        StreamRecord(t=1, p=1.5)
 
 
 def test_step_cdf_hashable_and_frozen():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sure_omt.core import identity_bound
+from sure_omt.core import IDENTITY_BOUND
 from sure_omt.discrete import support_to_bound
 from sure_omt.evaluate import (Estimate, EvalReport, TrialOutcome, estimate_fwer,
                                estimate_mfdr, estimate_power, wealth_curves)
@@ -72,7 +72,7 @@ def test_estimators_require_trials():
 
 def test_wealth_curves_identity_bound_coincide():
     g = make_power_law(1.6)
-    cdfs = [identity_bound()] * 50
+    cdfs = [IDENTITY_BOUND] * 50
     nom, eff = wealth_curves(g, 0.2, cdfs, 50)
     assert np.allclose(nom, eff)
     assert nom[0] == pytest.approx(0.2 * (1 - g.gamma(1)))

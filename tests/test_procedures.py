@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sure_omt.core import identity_bound
+from sure_omt.core import IDENTITY_BOUND
 from sure_omt.discrete import support_to_bound
 from sure_omt.procedures import (AuditReport, OnlineProcedure, ProcedureConfig,
                                  alpha_tilde_oracle, audit_fwer_budget,
@@ -146,7 +146,7 @@ def test_identity_bound_reduces_to_base(base, rng):
     plain = make_procedure(base, cfg)
     rich = make_procedure("rho-" + base, cfg)
     for p in pvals:
-        assert rich.step(p).alpha == plain.step(p).alpha
+        assert rich.step(p, IDENTITY_BOUND).alpha == plain.step(p, IDENTITY_BOUND).alpha
 
 
 @pytest.mark.parametrize("pair", [("rho-aob", "rho-ob"), ("rho-alord", "rho-lord")])

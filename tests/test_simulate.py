@@ -3,9 +3,8 @@ import pytest
 
 from sure_omt.cli import parse_procedures
 from sure_omt.discrete import ContingencyTable2x2, fisher_two_sided
-from sure_omt.simulate import (PLACEMENTS, ScenarioConfig, dump_stream_csv,
-                               generate_trial, place_signal, run_sweep, run_trials,
-                               sweep_points)
+from sure_omt.simulate import (PLACEMENTS, ScenarioConfig, generate_trial, place_signal,
+                               run_sweep, run_trials, sweep_points)
 
 
 def _standard_configs(*names):
@@ -111,16 +110,6 @@ def test_generate_trial_degenerate_margins():
         tr = generate_trial(sc, 0)
         assert tr.pvals == [1.0] * 30
         assert all(bound.support == (1.0,) for bound in tr.bounds)
-
-
-def test_dump_stream_csv(tmp_path):
-    sc = ScenarioConfig(m=5, n_subjects=4)
-    tr = generate_trial(sc, 0)
-    path = tmp_path / "s.csv"
-    dump_stream_csv(tr, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,a,b,c,d,label"
-    assert len(lines) == 6
 
 
 def test_run_trials_and_containment():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sure_omt.spending import (SUM_SLACK, make_explicit, make_greedy, make_jm_family,
-                               make_kernel, make_log_family, make_power_law,
+from sure_omt.spending import (SUM_SLACK, SpendingSequence, make_explicit, make_greedy,
+                               make_jm_family, make_kernel, make_log_family, make_power_law,
                                parse_sequence_spec, validate_sequence)
 
 # Normalizing constants frozen from an independent high-precision computation
@@ -66,6 +66,16 @@ def test_explicit_sequence():
     assert g.prefix(2) == 0.8
     with pytest.raises(ValueError):
         make_explicit([0.5, -0.1])
+    assert make_explicit([0.5, 0.5 + SUM_SLACK / 2]).prefix(2) > 1.0  # within the slack
+
+
+@pytest.mark.parametrize("values", [[math.nan], [0.2, math.inf], [0.9, 0.9, 0.9], [2.0],
+                                    [0.5, 0.5, 2 * SUM_SLACK]])
+def test_explicit_sequence_rejects_non_finite_and_mass_above_one(values):
+    with pytest.raises(ValueError):
+        make_explicit(values)
+    with pytest.raises(ValueError):
+        parse_sequence_spec({"family": "explicit", "values": values})
 
 
 def test_prefix_matches_direct_sum():
@@ -93,7 +103,7 @@ def test_total_mass_at_most_one(factory):
 
 
 def test_mass_detects_violation():
-    v = validate_sequence(make_explicit([0.9, 0.3]), horizon=10)
+    v = validate_sequence(SpendingSequence(kind="explicit", values=(0.9, 0.3)), horizon=10)
     assert not v.ok
 
 
