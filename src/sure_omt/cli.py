@@ -172,10 +172,11 @@ def cmd_analyze(args) -> int:
         "rows": proc.t,
         "discoveries": proc.r_count,
         "audit_ok": audit.ok,
-        "audit_worst_excess": audit.worst_excess,
+        # strict JSON has no Infinity: a non-finite excess is written as null
+        "audit_worst_excess": audit.worst_excess if math.isfinite(audit.worst_excess) else None,
         "audit_worst_t": audit.worst_t,
     }
-    text = json.dumps(summary, indent=2)
+    text = json.dumps(summary, indent=2, allow_nan=False)
     if args.out_summary:
         with open_atomic(args.out_summary) as fh:
             fh.write(text + "\n")

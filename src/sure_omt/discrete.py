@@ -9,10 +9,12 @@ tolerance of 1e-7 for probability ties.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
+
+import numpy as np
 
 from .core import StepCdf
 
@@ -40,19 +42,57 @@ class ExactTestResult:
     null_bound: StepCdf
 
 
-def _log_comb(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+# math.lgamma(i) at index i (index 0, a pole, holds inf), grown on demand by
+# doubling up to _LGAMMA_CAP entries; each growth binds a new array, so a
+# reader holding the old one still sees a correct prefix
+_LGAMMA = np.array([math.inf])
+_LGAMMA_CAP = 1 << 20
+
+
+def _lgamma_range(top: int):
+    """A function (a, b) -> math.lgamma over range(a, b), for any b <= top.
+
+    It slices the shared table, grown to cover ``top``; past the table's cap
+    (a group of a million subjects and more) it computes each value on the
+    spot instead, so memory stays bounded.  The values are the same either
+    way.
+    """
+    global _LGAMMA
+    table = _LGAMMA
+    if top > len(table):
+        if top > _LGAMMA_CAP:
+            return lambda a, b: np.fromiter(map(math.lgamma, range(a, b)), float, b - a)
+        size = min(max(2 * len(table), top), _LGAMMA_CAP)
+        table = _LGAMMA = np.concatenate([table, [math.lgamma(i) for i in range(len(table), size)]])
+    return lambda a, b: table[a:b]
+
+
+def _log_pmf(r1: int, r2: int, c1: int, lo: int, hi: int) -> np.ndarray:
+    """log P(first cell = k | margins) for k = lo..hi, with the terms grouped as
+    log C(r1, k) + log C(r2, c1 - k) - log C(r1 + r2, c1), each log C(n, k)
+    being (lgamma(n + 1) - lgamma(k + 1)) - lgamma(n - k + 1)."""
+    lg, seg = math.lgamma, _lgamma_range(max(r1, r2) + 2)
+    base = (lg(r1 + r2 + 1) - lg(c1 + 1)) - lg(r1 + r2 - c1 + 1)
+    # lgamma at k + 1, r1 - k + 1, c1 - k + 1 and r2 - c1 + k + 1 for k = lo..hi
+    comb1 = (lg(r1 + 1) - seg(lo + 1, hi + 2)) - seg(r1 - hi + 1, r1 - lo + 2)[::-1]
+    comb2 = ((lg(r2 + 1) - seg(c1 - hi + 1, c1 - lo + 2)[::-1])
+             - seg(r2 - c1 + lo + 1, r2 - c1 + hi + 2))
+    return (comb1 + comb2) - base
+
+
+def _check_margins(r1: int, r2: int, c1: int) -> None:
+    if min(r1, r2, c1) < 0 or c1 > r1 + r2:
+        raise ValueError(f"inconsistent margins {(r1, r2, c1)}")
 
 
 def hypergeom_pmf(k: int, margins: tuple[int, int, int]) -> float:
     """P(first cell = k) conditionally on the margins (row1, row2, col1)."""
     r1, r2, c1 = margins
-    if min(r1, r2, c1) < 0 or c1 > r1 + r2:
-        raise ValueError(f"inconsistent margins {margins}")
+    _check_margins(r1, r2, c1)
     lo, hi = max(0, c1 - r2), min(r1, c1)
     if not lo <= k <= hi:
         raise ValueError(f"cell value {k} outside feasible range [{lo}, {hi}]")
-    return math.exp(_log_comb(r1, k) + _log_comb(r2, c1 - k) - _log_comb(r1 + r2, c1))
+    return math.exp(_log_pmf(r1, r2, c1, k, k)[0])
 
 
 @lru_cache(maxsize=4096)
@@ -65,31 +105,40 @@ def fisher_margins(r1: int, r2: int, c1: int) -> tuple[tuple[float, ...], int, S
     or column) give p = 1 with support (1.0,).
 
     The pmf is computed in log space with a single exponentiation pass, and
-    tail sums are accumulated in ascending pmf order so that tie handling is
-    deterministic.  Tail pmfs that underflow give p = 0.0, which is raised to
-    the smallest positive p-value of the margin: the bound keeps F(u) <= u.
+    tail sums are accumulated in ascending pmf order (a stable sort, then a
+    sequential cumsum) so that tie handling is deterministic.  Tail pmfs
+    that underflow give p = 0.0, which is raised to the smallest positive
+    p-value of the margin: the bound keeps F(u) <= u.
     """
+    _check_margins(r1, r2, c1)
     lo, hi = max(0, c1 - r2), min(r1, c1)
-    base = _log_comb(r1 + r2, c1)
-    logs = [_log_comb(r1, k) + _log_comb(r2, c1 - k) - base for k in range(lo, hi + 1)]
-    pmf = [math.exp(v) for v in logs]
-    order = sorted(range(len(pmf)), key=lambda i: pmf[i])
-    cum = []
-    acc = 0.0
-    for i in order:
-        acc += pmf[i]
-        cum.append(acc)
-    sorted_pmf = [pmf[i] for i in order]
-    n = len(pmf)
-    pvals = [0.0] * n
-    for i in range(n):
-        # last index j with sorted_pmf[j] <= pmf[i], up to the tie tolerance
-        j = bisect.bisect_right(sorted_pmf, pmf[i] * (1.0 + TIE_REL_TOL)) - 1
-        pvals[i] = 1.0 if j == n - 1 else min(cum[j], 1.0)
-    if 0.0 in pvals:
-        floor = min(p for p in pvals if p > 0.0)
-        pvals = [p or floor for p in pvals]
-    return tuple(pvals), lo, support_to_bound(pvals)
+    if lo == hi:
+        return (1.0,), lo, StepCdf(support=(1.0,))
+    n = hi - lo + 1
+    # math.exp, not np.exp: the two differ in the last bit on some inputs
+    pmf = np.fromiter(map(math.exp, _log_pmf(r1, r2, c1, lo, hi).tolist()), float, n)
+    order = pmf.argsort(kind="stable")
+    sorted_pmf = pmf[order]
+    # tail[j]: the mass of the j + 1 least likely tables, capped at 1; the
+    # tail of all of them is 1
+    tail = sorted_pmf.cumsum()
+    np.minimum(tail, 1.0, out=tail)
+    tail[-1] = 1.0
+    # p of the table at sorted position i: the tail up to the last j with
+    # sorted_pmf[j] <= sorted_pmf[i], up to the tie tolerance; nondecreasing
+    sorted_p = tail[sorted_pmf.searchsorted(sorted_pmf * (1.0 + TIE_REL_TOL), side="right") - 1]
+    if sorted_p[0] == 0.0:
+        sorted_p[sorted_p == 0.0] = sorted_p[sorted_p > 0.0][0]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_p[1:], sorted_p[:-1], out=first[1:])
+    support = tuple(sorted_p[first].tolist())
+    # the p-values reuse the support's float objects: one object per value,
+    # which keeps the cache's memory at one float per distinct p-value
+    # (n >= 2 here, so itemgetter returns a tuple)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = first.cumsum() - 1
+    return itemgetter(*rank.tolist())(support), lo, StepCdf(support=support)
 
 
 def support_to_bound(support) -> StepCdf:

@@ -127,15 +127,16 @@ class SpendingSequence:
 
 def make_power_law(q: float) -> SpendingSequence:
     """gamma_t proportional to t^-q, q > 1, normalized to total mass 1."""
-    if q <= 1:
-        raise ValueError("power-law spending requires q > 1 (the series diverges otherwise)")
+    if not 1 < q < math.inf:  # NaN fails too
+        raise ValueError("power-law spending requires a finite q > 1 (the series diverges "
+                         "for q <= 1)")
     return SpendingSequence(kind="power", q=q, norm=_power_norm(q))
 
 
 def make_log_family(q: float) -> SpendingSequence:
     """gamma_t proportional to 1 / ((t+1) log^q(t+1)), q > 1."""
-    if q <= 1:
-        raise ValueError("log-family spending requires q > 1")
+    if not 1 < q < math.inf:  # NaN fails too
+        raise ValueError("log-family spending requires a finite q > 1")
     return SpendingSequence(kind="log", q=q, norm=_log_norm(q))
 
 

@@ -1,10 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from sure_omt import cli
 from sure_omt.cli import CONFIG_ENV_VAR, main, parse_procedures
+from sure_omt.procedures import AuditReport
 from sure_omt.simulate import ScenarioConfig, generate_trial
 
 
@@ -287,6 +293,64 @@ def test_explicit_gamma_out_of_range_is_a_config_error(tmp_path, capsys, values)
                  "--out-json", str(out_json)]) == 2
     _assert_one_error_line(capsys, "spending values")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "tables.csv"]
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("family", ["power", "log"])
+@pytest.mark.parametrize("q", ["NaN", "Infinity"])
+def test_non_finite_q_is_a_config_error(tmp_path, capsys, family, q):
+    """A NaN or infinite q exits 2 with one error line and writes nothing; a NaN q
+    used to run, write a trace of alpha = nan and exit 1 on the audit."""
+    tables = _write_tables(tmp_path, ["a,3,0,0,3", "b,1,1,1,1", "c,5,0,0,5"])
+    trace = tmp_path / "trace.csv"
+    assert main(["analyze", "--input", tables, "--out-trace", str(trace),
+                 "--set", "procedure=ob",
+                 "--set", f'gamma={{"family":"{family}","q":{q}}}']) == 2
+    _assert_one_error_line(capsys, "finite q > 1")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tables.csv"]
+
+
+def test_analyze_summary_is_strict_json(tmp_path, capsys, monkeypatch):
+    """A non-finite audit excess is written as null, not as Infinity."""
+    monkeypatch.setattr(cli, "audit_fwer_budget",
+                        lambda proc: AuditReport(ok=False, worst_excess=math.inf, worst_t=2,
+                                                 n_checked=proc.t))
+    cfg = _write_config(tmp_path, ANALYZE_CFG)
+    tables = _write_tables(tmp_path, ["a,3,0,0,3", "b,1,1,1,1", "c,5,0,0,5"])
+    out_summary = tmp_path / "summary.json"
+    assert main(["analyze", "--config", cfg, "--input", tables,
+                 "--out-trace", str(tmp_path / "trace.csv"),
+                 "--out-summary", str(out_summary)]) == 1
+    for text in (capsys.readouterr().out, out_summary.read_text()):
+        summary = _strict_json(text)
+        assert summary["audit_ok"] is False
+        assert summary["audit_worst_excess"] is None
+        assert summary["audit_worst_t"] == 2
+
+
+def test_analyze_does_not_import_numpy_ma(tmp_path):
+    """numpy.ma costs each process about 20 ms and 2 MB to import; the exact test
+    must not pull it in (np.unique would)."""
+    cfg = _write_config(tmp_path, ANALYZE_CFG)
+    tables = _write_tables(tmp_path, ["a,3,0,0,3", "b,10,30,25,15", "c,150,250,180,220"])
+    script = ("import sys\n"
+              "from sure_omt.cli import main\n"
+              f"code = main(['analyze', '--config', {cfg!r}, '--input', {tables!r},"
+              f" '--out-trace', {str(tmp_path / 'trace.csv')!r}])\n"
+              "assert code == 0, code\n"
+              "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_simulate_bad_config(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from sure_omt import discrete
 from sure_omt.discrete import (ContingencyTable2x2, TIE_REL_TOL, fisher_margins,
                                fisher_two_sided, hypergeom_pmf, support_to_bound)
 
@@ -162,3 +164,99 @@ def test_underflowed_tails_keep_a_valid_bound(table):
     # the raised tail p-values sit at the smallest positive one
     assert min(pvals) == support[0]
     assert pvals[0] == support[0]
+
+
+def _log_comb(n, k):
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+def _fisher_margins_reference(r1, r2, c1):
+    """The exact test as plain Python lists: (pvals, lo, support).
+
+    Every floating-point operation of ``fisher_margins`` in the same order,
+    so the two must agree bit for bit.
+    """
+    lo, hi = max(0, c1 - r2), min(r1, c1)
+    base = _log_comb(r1 + r2, c1)
+    logs = [_log_comb(r1, k) + _log_comb(r2, c1 - k) - base for k in range(lo, hi + 1)]
+    pmf = [math.exp(v) for v in logs]
+    order = sorted(range(len(pmf)), key=lambda i: pmf[i])
+    cum = []
+    acc = 0.0
+    for i in order:
+        acc += pmf[i]
+        cum.append(acc)
+    sorted_pmf = [pmf[i] for i in order]
+    n = len(pmf)
+    pvals = [0.0] * n
+    for i in range(n):
+        # last index j with sorted_pmf[j] <= pmf[i], up to the tie tolerance
+        j = bisect.bisect_right(sorted_pmf, pmf[i] * (1.0 + TIE_REL_TOL)) - 1
+        pvals[i] = 1.0 if j == n - 1 else min(cum[j], 1.0)
+    if 0.0 in pvals:
+        floor = min(p for p in pvals if p > 0.0)
+        pvals = [p or floor for p in pvals]
+    support = sorted(set(pvals))
+    if support[-1] != 1.0:
+        support.append(1.0)
+    return tuple(pvals), lo, tuple(support)
+
+
+def _assert_identical(margins):
+    for r1, r2, c1 in margins:
+        pvals, lo, bound = fisher_margins.__wrapped__(r1, r2, c1)
+        assert (pvals, lo, bound.support) == _fisher_margins_reference(r1, r2, c1), (r1, r2, c1)
+
+
+def test_fisher_margins_is_bit_identical_to_the_list_reference_small():
+    _assert_identical((r1, r2, c1) for r1 in range(41) for r2 in range(41)
+                      for c1 in range(r1 + r2 + 1))
+
+
+def test_fisher_margins_is_bit_identical_to_the_list_reference_large():
+    rng = random.Random(2024)
+    margins = []
+    for _ in range(2000):
+        r1, r2 = rng.randint(0, 400), rng.randint(0, 400)
+        margins.append((r1, r2, rng.randint(0, r1 + r2)))
+    for a, b, c, d in [(300, 300, 305, 295), (500, 500, 505, 495), (450, 350, 470, 330)]:
+        margins.append((a + b, c + d, a + c))
+    margins += [(n, n, n) for n in (1000, 10_000)]
+    _assert_identical(margins)
+
+
+def test_fisher_margins_matches_scipy_on_random_tables():
+    from scipy.stats import fisher_exact
+
+    rng = random.Random(77)
+    for _ in range(20):
+        r1, r2 = rng.randint(1, 500), rng.randint(1, 500)
+        c1 = rng.randint(0, r1 + r2)
+        pvals, lo, _ = fisher_margins(r1, r2, c1)
+        k = rng.randint(lo, min(r1, c1))
+        want = fisher_exact([[k, r1 - k], [c1 - k, r2 - c1 + k]], alternative="two-sided").pvalue
+        assert pvals[k - lo] == pytest.approx(want, rel=1e-9), (r1, r2, c1, k)
+
+
+def test_lgamma_table_holds_math_lgamma_and_stops_at_its_cap(monkeypatch):
+    monkeypatch.setattr(discrete, "_LGAMMA", np.array([math.inf]))
+    monkeypatch.setattr(discrete, "_LGAMMA_CAP", 64)
+    _assert_identical([(10, 12, 9)])  # lgamma up to index max(r1, r2) + 1
+    assert len(discrete._LGAMMA) == 14
+    _assert_identical([(30, 5, 5)])
+    assert len(discrete._LGAMMA) == 32
+    _assert_identical([(40, 5, 5)])  # doubling, stopped at the cap
+    table = discrete._LGAMMA
+    assert len(table) == 64
+    assert table[1:].tolist() == [math.lgamma(i) for i in range(1, 64)]
+    # a group past the cap reads each lgamma value directly, with the same result
+    _assert_identical([(63, 63, 63), (100, 100, 100), (70, 3, 2), (2, 90, 50)])
+    assert discrete._LGAMMA is table
+    assert hypergeom_pmf(50, (100, 100, 100)) == math.exp(
+        _log_comb(100, 50) + _log_comb(100, 50) - _log_comb(200, 100))
+
+
+def test_inconsistent_margins_rejected():
+    for margins in [(3, 3, 7), (-1, 3, 1), (3, -1, 1), (3, 3, -1)]:
+        with pytest.raises(ValueError):
+            fisher_margins(*margins)

@@ -112,6 +112,11 @@ def test_invalid_parameters_rejected():
         make_power_law(1.0)
     with pytest.raises(ValueError):
         make_log_family(0.9)
+    # NaN <= 1 is false, so a NaN q used to pass and make every gamma_t NaN
+    for q in (math.nan, math.inf):
+        for factory in (make_power_law, make_log_family):
+            with pytest.raises(ValueError, match="finite q > 1"):
+                factory(q)
     with pytest.raises(ValueError):
         make_kernel(0)
 
