@@ -35,6 +35,7 @@ ANALYZE_DEFAULTS = {"alpha": 0.2, "lambda": 0.0}
 # investing rules and a kernel gamma' of bandwidth 100 (FWER) or 10 (mFDR)
 STANDARD_DEFAULTS = {"alpha": 0.2, "lambda": 0.5, "w0_share": 0.5,
                      "kernel_h": {"fwer": 100, "mfdr": 10}}
+SIMULATE_KEYS = ("scenario", "procedures", "sweep")
 
 
 class InputError(Exception):
@@ -186,6 +187,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args.config, args.set or [])
+    unknown = sorted(set(config) - set(SIMULATE_KEYS))
+    if unknown:
+        raise InputError(f"unknown key(s) {', '.join(unknown)}; simulate takes "
+                         f"{', '.join(SIMULATE_KEYS)}")
     configs = parse_procedures(config.get("procedures", [{"name": "rho-ob"}, {"name": "rho-lord"}]))
     sweep = config.get("sweep")
     try:

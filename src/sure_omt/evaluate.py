@@ -19,7 +19,8 @@ from .spending import SpendingSequence
 
 @dataclass
 class TrialOutcome:
-    """Per-trial reject flags and ground-truth labels (True = alternative)."""
+    """Reject flags and ground-truth labels (True = alternative) of one trial,
+    or of a block with one row per trial."""
 
     rejects: np.ndarray
     labels: np.ndarray
@@ -28,16 +29,7 @@ class TrialOutcome:
         self.rejects = np.asarray(self.rejects, dtype=bool)
         self.labels = np.asarray(self.labels, dtype=bool)
         if self.rejects.shape != self.labels.shape:
-            raise ValueError("rejects and labels must have equal length")
-
-    def false_discoveries(self, T: int) -> int:
-        return int(np.sum(self.rejects[:T] & ~self.labels[:T]))
-
-    def discoveries(self, T: int) -> int:
-        return int(np.sum(self.rejects[:T]))
-
-    def true_discoveries(self, T: int) -> int:
-        return int(np.sum(self.rejects[:T] & self.labels[:T]))
+            raise ValueError("rejects and labels must have equal shapes")
 
 
 @dataclass(frozen=True)
@@ -47,12 +39,20 @@ class Estimate:
     n_trials: int
 
 
+def _stack(trials: Sequence[TrialOutcome]) -> tuple[np.ndarray, np.ndarray]:
+    """The reject flags and labels of trials and blocks of one stream length,
+    one row per trial."""
+    rejects = np.vstack([tr.rejects for tr in trials] or [np.empty((0, 0), bool)])
+    if not len(rejects):
+        raise ValueError("need at least one trial")
+    return rejects, np.vstack([tr.labels for tr in trials])
+
+
 def estimate_fwer(trials: Sequence[TrialOutcome], T: int) -> Estimate:
     """Fraction of trials with at least one false rejection by time T."""
-    if not trials:
-        raise ValueError("need at least one trial")
-    n = len(trials)
-    hits = sum(1 for tr in trials if tr.false_discoveries(T) >= 1)
+    rejects, labels = _stack(trials)
+    n = len(rejects)
+    hits = int(np.count_nonzero((rejects[:, :T] & ~labels[:, :T]).any(axis=1)))
     p = hits / n
     return Estimate(p, math.sqrt(p * (1.0 - p) / n), n)
 
@@ -63,11 +63,10 @@ def estimate_mfdr(trials: Sequence[TrialOutcome], T: int) -> Estimate:
     The standard error is a delta-method approximation for the ratio of
     means.
     """
-    if not trials:
-        raise ValueError("need at least one trial")
-    n = len(trials)
-    x = np.array([tr.false_discoveries(T) for tr in trials], dtype=float)
-    y = np.array([max(1, tr.discoveries(T)) for tr in trials], dtype=float)
+    rejects, labels = _stack(trials)
+    n = len(rejects)
+    x = (rejects[:, :T] & ~labels[:, :T]).sum(axis=1).astype(float)
+    y = np.maximum(1, rejects[:, :T].sum(axis=1)).astype(float)
     xbar, ybar = x.mean(), y.mean()
     ratio = xbar / ybar
     if n > 1:
@@ -83,14 +82,9 @@ def estimate_mfdr(trials: Sequence[TrialOutcome], T: int) -> Estimate:
 
 def estimate_power(trials: Sequence[TrialOutcome], T: int) -> Estimate:
     """Mean proportion of alternatives detected by time T."""
-    if not trials:
-        raise ValueError("need at least one trial")
-    props = []
-    for tr in trials:
-        m1 = int(np.sum(tr.labels))
-        props.append(tr.true_discoveries(T) / max(1, m1))
-    arr = np.asarray(props)
-    n = len(arr)
+    rejects, labels = _stack(trials)
+    n = len(rejects)
+    arr = (rejects[:, :T] & labels[:, :T]).sum(axis=1) / np.maximum(1, labels.sum(axis=1))
     se = float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
     return Estimate(float(arr.mean()), se, n)
 

@@ -428,14 +428,14 @@ class BatchRun:
     lam_flags: np.ndarray
     bounds: NullBounds
 
-    def audit(self, mfdr: bool, alphas=None, tol: float = 1e-9) -> list[AuditReport]:
+    def audit(self, mfdr: bool, alphas=None) -> list[AuditReport]:
         """The FWER (or, with ``mfdr``, mFDR) budget audit of every stream."""
         vals = self.alphas if alphas is None else np.asarray(alphas, dtype=float)
         if np.any(vals < 0.0):
             raise ValueError("alphas must be nonnegative")
         spent = self.bounds.cdf(vals) if self.rewarded or alphas is not None else vals
         return _budget_audit(vals, spent, self.lam_flags, self.rejects,
-                             (1.0 - self.lam) * self.config.alpha, mfdr, tol)
+                             (1.0 - self.lam) * self.config.alpha, mfdr)
 
 
 def run_batch(name: str, config: ProcedureConfig, pvals, bounds: NullBounds) -> BatchRun:
@@ -504,6 +504,8 @@ def _step(config: ProcedureConfig, p: np.ndarray, eligible: np.ndarray, bounds: 
 
 # -- budget audits ---------------------------------------------------------------
 
+AUDIT_TOL = 1e-9  # the excess over the budget an audit forgives (float rounding)
+
 @dataclass(frozen=True)
 class AuditReport:
     ok: bool
@@ -512,8 +514,7 @@ class AuditReport:
     n_checked: int
 
 
-def _budget_audit(vals, spent, flags, rejects, budget: float, mfdr: bool,
-                  tol: float) -> list[AuditReport]:
+def _budget_audit(vals, spent, flags, rejects, budget: float, mfdr: bool) -> list[AuditReport]:
     """Budget audit of K realized histories (K x n arrays), one per row.
 
     At step t the level plus the spent levels of the eligible steps before t
@@ -536,12 +537,12 @@ def _budget_audit(vals, spent, flags, rejects, budget: float, mfdr: bool,
     for i, worst in zip(worst_i.tolist(), excess[np.arange(K), worst_i].tolist()):
         if not worst > 0.0:
             worst, i = 0.0, None
-        reports.append(AuditReport(ok=worst <= tol, worst_excess=worst,
+        reports.append(AuditReport(ok=worst <= AUDIT_TOL, worst_excess=worst,
                                    worst_t=None if i is None else i + 1, n_checked=n))
     return reports
 
 
-def _audit(proc: OnlineProcedure, mfdr: bool, alphas=None, tol: float = 1e-9) -> AuditReport:
+def _audit(proc: OnlineProcedure, mfdr: bool, alphas=None) -> AuditReport:
     # without a reward the alphas are the base values, which are spent in full
     vals = proc.alphas if alphas is None else list(alphas)
     if proc.rewarded or alphas is not None:
@@ -549,11 +550,11 @@ def _audit(proc: OnlineProcedure, mfdr: bool, alphas=None, tol: float = 1e-9) ->
     else:
         spent = vals
     [report] = _budget_audit([vals], [spent], [proc.lam_flags], [proc.rejects],
-                             (1.0 - proc._lam) * proc.config.alpha, mfdr, tol)
+                             (1.0 - proc._lam) * proc.config.alpha, mfdr)
     return report
 
 
-def audit_fwer_budget(proc: OnlineProcedure, alphas=None, tol: float = 1e-9) -> AuditReport:
+def audit_fwer_budget(proc: OnlineProcedure, alphas=None) -> AuditReport:
     """Check the family-wise error budget along the realized history.
 
     For base procedures this is the condition on the base values; for
@@ -561,9 +562,9 @@ def audit_fwer_budget(proc: OnlineProcedure, alphas=None, tol: float = 1e-9) -> 
     truly spent level F_t(alpha_t).  ``alphas`` substitutes a corrupted
     sequence for negative-control testing.
     """
-    return _audit(proc, mfdr=False, alphas=alphas, tol=tol)
+    return _audit(proc, mfdr=False, alphas=alphas)
 
 
-def audit_mfdr_budget(proc: OnlineProcedure, alphas=None, tol: float = 1e-9) -> AuditReport:
+def audit_mfdr_budget(proc: OnlineProcedure, alphas=None) -> AuditReport:
     """Same as the FWER audit but against the rejection-scaled budget."""
-    return _audit(proc, mfdr=True, alphas=alphas, tol=tol)
+    return _audit(proc, mfdr=True, alphas=alphas)

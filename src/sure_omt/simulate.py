@@ -13,7 +13,6 @@ seeded draws, so the results do not depend on how trials are batched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -50,8 +49,8 @@ class ScenarioConfig:
             value = getattr(self, name)
             if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.m < 1 or self.n_trials < 1 or self.n_subjects < 0:
-            raise ValueError("need m >= 1, n_trials >= 1 and n_subjects >= 0")
+        if self.m < 1 or self.n_trials < 1 or self.n_subjects < 0 or self.seed < 0:
+            raise ValueError("need m >= 1, n_trials >= 1, n_subjects >= 0 and seed >= 0")
         for p in (self.pi_a, self.p3, self.p_null_low, self.p_null_mid):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")
@@ -129,55 +128,44 @@ def _draw(config: ScenarioConfig, trial_index: int):
     return labels, succ_a, succ_b
 
 
-class _Margins:
-    """Exact tests of N-vs-N tables, one ``fisher_margins`` lookup per distinct
-    margin (n, c1); each margin gets an index into ``bounds``."""
+def _exact_tests(n: int, succ_a: np.ndarray, succ_b: np.ndarray, table: list[StepCdf]):
+    """The p-value and null-bound index of each N-vs-N table (a, n - a, c, n - c).
 
-    def __init__(self):
-        self.bounds: list[StepCdf] = []
-        self._index: dict[tuple[int, int], int] = {}
-        self._pvals: list[tuple[float, ...]] = []
-        self._offset: list[int] = [0]  # start of each margin's p-values in the flat array
-        self._lo: list[int] = []
-
-    def ids(self, n: int, succ_a: np.ndarray, succ_b: np.ndarray) -> np.ndarray:
-        """The margin index of each table (a, n - a, c, n - c)."""
-        c1 = succ_a + succ_b
-        ids = np.zeros(2 * n + 1, dtype=np.intp)  # by c1: at most 2n + 1 margins occur
-        ids[c1] = 1  # marks the margins that occur, then holds their index
-        for c in ids.nonzero()[0].tolist():
-            i = self._index.get((n, c))
-            if i is None:
-                pv, lo, bound = fisher_margins(n, n, c)
-                i = self._index[n, c] = len(self.bounds)
-                self.bounds.append(bound)
-                self._pvals.append(pv)
-                self._offset.append(self._offset[-1] + len(pv))
-                self._lo.append(lo)
-            ids[c] = i
-        return ids[c1]
-
-    def pvals(self, ids: np.ndarray, succ_a: np.ndarray) -> np.ndarray:
-        """The p-value of each table, given its margin index and first cell."""
-        flat = np.fromiter(chain.from_iterable(self._pvals), float, self._offset[-1])
-        return flat[np.array(self._offset[:-1])[ids] + succ_a - np.array(self._lo)[ids]]
+    One ``fisher_margins`` lookup per distinct margin c1 = a + c: row i of the
+    p-value table holds margin i's p-value of first cell lo_i + j in column j.
+    The margins' bounds are appended to ``table``; the index of each table's
+    bound points into it.  Draws of any shape give arrays of that shape.
+    """
+    c1 = succ_a + succ_b
+    row_of = np.zeros(2 * n + 1, dtype=np.intp)  # by c1: at most 2n + 1 margins occur
+    row_of[c1] = 1  # marks the margins that occur, then holds their row
+    present = row_of.nonzero()[0]
+    row_of[present] = np.arange(len(present))
+    margins = [fisher_margins(n, n, c) for c in present.tolist()]
+    pvals = np.zeros((len(margins), max(len(pv) for pv, _, _ in margins)))
+    for i, (pv, _, _) in enumerate(margins):
+        pvals[i, :len(pv)] = pv
+    lo = np.array([first for _, first, _ in margins], dtype=np.intp)
+    row = row_of[c1]
+    offset = len(table)
+    table.extend(bound for _, _, bound in margins)
+    return pvals[row, succ_a - lo[row]], row + offset
 
 
 def generate_trial(config: ScenarioConfig, trial_index: int) -> TrialStream:
     """One simulated stream; deterministic given (seed, trial_index)."""
     labels, succ_a, succ_b = _draw(config, trial_index)
     n = config.n_subjects
-    margins = _Margins()
-    ids = margins.ids(n, succ_a, succ_b)
+    table: list[StepCdf] = []
+    pvals, ids = _exact_tests(n, succ_a, succ_b, table)
     a, c = succ_a.tolist(), succ_b.tolist()
     return TrialStream(tables=[(x, n - x, y, n - y) for x, y in zip(a, c)], labels=labels,
-                       pvals=margins.pvals(ids, succ_a).tolist(),
-                       bounds=[margins.bounds[i] for i in ids.tolist()])
+                       pvals=pvals.tolist(), bounds=[table[i] for i in ids.tolist()])
 
 
 @dataclass
 class TrialResults:
-    outcomes: dict[str, list[TrialOutcome]]
+    outcomes: dict[str, TrialOutcome]  # one row per trial
     audits_ok: bool
     audit_failures: list[tuple[str, int]] = field(default_factory=list)
 
@@ -185,18 +173,17 @@ class TrialResults:
 def _run_stacked(scenarios: Sequence[ScenarioConfig], configs: dict[str, ProcedureConfig],
                  audit: bool) -> list[TrialResults]:
     """Every trial of every scenario (all of one stream length) in one batch per procedure."""
-    margins = _Margins()
-    labels, first_cells, ids = [], [], []
+    table: list[StepCdf] = []
+    labels, tests = [], []
     for scenario in scenarios:
-        for i in range(scenario.n_trials):
-            trial_labels, succ_a, succ_b = _draw(scenario, i)
-            labels.append(trial_labels)
-            first_cells.append(succ_a)
-            ids.append(margins.ids(scenario.n_subjects, succ_a, succ_b))
-    pvals = margins.pvals(np.array(ids), np.array(first_cells))
-    bounds = NullBounds(margins.bounds, ids)
+        draws = [_draw(scenario, i) for i in range(scenario.n_trials)]
+        scenario_labels, succ_a, succ_b = map(np.array, zip(*draws))
+        labels.append(scenario_labels)
+        tests.append(_exact_tests(scenario.n_subjects, succ_a, succ_b, table))
+    pvals, ids = (np.concatenate(arrays) for arrays in zip(*tests))
+    bounds = NullBounds(table, ids)
     rejects = {}
-    failed = np.zeros((len(ids), len(configs)), dtype=bool)
+    failed = np.zeros((len(pvals), len(configs)), dtype=bool)
     for j, (name, config) in enumerate(configs.items()):
         run = run_batch(name, config, pvals, bounds)
         rejects[name] = run.rejects
@@ -205,10 +192,9 @@ def _run_stacked(scenarios: Sequence[ScenarioConfig], configs: dict[str, Procedu
     names = list(configs)
     results = []
     start = 0
-    for scenario in scenarios:
+    for scenario, scenario_labels in zip(scenarios, labels):
         rows = slice(start, start + scenario.n_trials)
-        outcomes = {name: [TrialOutcome(r, lab) for r, lab in zip(rej[rows], labels[rows])]
-                    for name, rej in rejects.items()}
+        outcomes = {name: TrialOutcome(rej[rows], scenario_labels) for name, rej in rejects.items()}
         # trial by trial, in procedure order
         trial, proc = np.nonzero(failed[rows])
         failures = [(names[j], i) for i, j in zip(trial.tolist(), proc.tolist())]
@@ -281,8 +267,8 @@ def run_sweep(points: Sequence[SweepPoint], audit: bool = False) -> EvalReport:
         for point, results in zip(group, stacked):
             report.audits_ok = report.audits_ok and results.audits_ok
             T = point.scenario.m
-            for name, trials in results.outcomes.items():
-                report.add(name, "fwer", estimate_fwer(trials, T), T, **point.keys)
-                report.add(name, "mfdr", estimate_mfdr(trials, T), T, **point.keys)
-                report.add(name, "power", estimate_power(trials, T), T, **point.keys)
+            for name, block in results.outcomes.items():
+                report.add(name, "fwer", estimate_fwer([block], T), T, **point.keys)
+                report.add(name, "mfdr", estimate_mfdr([block], T), T, **point.keys)
+                report.add(name, "power", estimate_power([block], T), T, **point.keys)
     return report

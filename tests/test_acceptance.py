@@ -188,11 +188,11 @@ def test_criterion_5_error_rate_control():
     msgs = []
     ok = res.audits_ok
     for name in ("rho-ob", "rho-aob"):
-        e = estimate_fwer(res.outcomes[name], sc.m)
+        e = estimate_fwer([res.outcomes[name]], sc.m)
         ok = ok and e.value <= 0.2 + 3 * e.se
         msgs.append(f"{name} FWER={e.value:.3f}")
     for name in ("rho-lord", "rho-alord"):
-        e = estimate_mfdr(res.outcomes[name], sc.m)
+        e = estimate_mfdr([res.outcomes[name]], sc.m)
         ok = ok and e.value <= 0.2 + 3 * e.se
         msgs.append(f"{name} mFDR={e.value:.3f}")
     dt = time.perf_counter() - t0
@@ -214,8 +214,8 @@ def test_criterion_6_power_ordering():
               else ScenarioConfig(pi_a=value))
         res = run_trials(sc, configs)
         for base, rich in (("aob", "rho-aob"), ("alord", "rho-alord")):
-            pb = estimate_power(res.outcomes[base], sc.m).value
-            pr = estimate_power(res.outcomes[rich], sc.m).value
+            pb = estimate_power([res.outcomes[base]], sc.m).value
+            pr = estimate_power([res.outcomes[rich]], sc.m).value
             if pr < pb:
                 ok = False
                 details.append(f"{axis}={value}:{rich} {pr:.3f} < {base} {pb:.3f}")

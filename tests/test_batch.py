@@ -325,5 +325,5 @@ def test_run_trials_reports_audit_failures_in_trial_order():
     assert len(want.audit_failures) > 8
     assert got.audit_failures == want.audit_failures and not got.audits_ok
     for name in configs:
-        assert [o.rejects.tolist() for o in got.outcomes[name]] == \
+        assert got.outcomes[name].rejects.tolist() == \
             [o.rejects.tolist() for o in want.outcomes[name]]

@@ -373,6 +373,9 @@ def test_simulate_bad_config(tmp_path, capsys):
         {"scenario": {"m": 10, "n_trials": 2.0}},
         {"scenario": {**small, "seed": 1.5}},
         {"sweep": {"axis": "N", "values": [10.0]}, "scenario": small},
+        {"scenaro": {"m": 20, "n_trials": 1}},                         # unknown top-level keys
+        {"sweeep": {"axis": "N", "values": [5]}},
+        {"scenario": {**small, "seed": -1}},
     ]
     for payload in bad:
         cfg = _write_config(tmp_path, payload)

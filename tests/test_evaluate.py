@@ -15,15 +15,87 @@ def _trial(rejects, labels):
     return TrialOutcome(np.array(rejects, bool), np.array(labels, bool))
 
 
+# -- the per-trial estimators the array estimators replaced, as their oracle --
+
+def _false_discoveries(tr, T):
+    return int(np.sum(tr.rejects[:T] & ~tr.labels[:T]))
+
+
+def _discoveries(tr, T):
+    return int(np.sum(tr.rejects[:T]))
+
+
+def _true_discoveries(tr, T):
+    return int(np.sum(tr.rejects[:T] & tr.labels[:T]))
+
+
+def _oracle_fwer(trials, T):
+    n = len(trials)
+    hits = sum(1 for tr in trials if _false_discoveries(tr, T) >= 1)
+    p = hits / n
+    return Estimate(p, math.sqrt(p * (1.0 - p) / n), n)
+
+
+def _oracle_mfdr(trials, T):
+    n = len(trials)
+    x = np.array([_false_discoveries(tr, T) for tr in trials], dtype=float)
+    y = np.array([max(1, _discoveries(tr, T)) for tr in trials], dtype=float)
+    xbar, ybar = x.mean(), y.mean()
+    ratio = xbar / ybar
+    if n > 1:
+        sxx = x.var(ddof=1)
+        syy = y.var(ddof=1)
+        sxy = float(np.cov(x, y, ddof=1)[0, 1])
+        var = (sxx - 2.0 * ratio * sxy + ratio * ratio * syy) / (n * ybar * ybar)
+        se = math.sqrt(max(0.0, var))
+    else:
+        se = float("nan")
+    return Estimate(ratio, se, n)
+
+
+def _oracle_power(trials, T):
+    props = [_true_discoveries(tr, T) / max(1, int(np.sum(tr.labels))) for tr in trials]
+    arr = np.asarray(props)
+    n = len(arr)
+    se = float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
+    return Estimate(float(arr.mean()), se, n)
+
+
+ESTIMATORS = [(estimate_fwer, _oracle_fwer), (estimate_mfdr, _oracle_mfdr),
+              (estimate_power, _oracle_power)]
+
+
+def _assert_same(got, want):
+    """Equal value, se and n_trials, bit for bit; a NaN se matches a NaN se."""
+    assert got.value == want.value and got.n_trials == want.n_trials
+    assert got.se == want.se or (math.isnan(got.se) and math.isnan(want.se))
+
+
 def test_outcome_counting():
-    tr = _trial([1, 0, 1, 1], [0, 0, 1, 1])
-    assert tr.false_discoveries(4) == 1
-    assert tr.true_discoveries(4) == 2
-    assert tr.discoveries(4) == 3
-    assert tr.false_discoveries(1) == 1
-    assert tr.discoveries(2) == 1
     with pytest.raises(ValueError):
         _trial([1, 0], [0])
+    with pytest.raises(ValueError):
+        TrialOutcome(np.zeros((3, 4), bool), np.zeros((4, 3), bool))
+
+
+def test_estimators_match_per_trial_oracle():
+    """A block, its rows one by one and a mix of both give the per-trial
+    estimates exactly, for K = 1..40 trials, m = 1..60 and every T <= m."""
+    rng = np.random.default_rng(8)
+    for m in range(1, 61):
+        K = 1 + (m - 1) % 40
+        labels = rng.random((K, m)) < rng.random()
+        rejects = rng.random((K, m)) < rng.random()
+        block = TrialOutcome(rejects, labels)
+        rows = [TrialOutcome(r, lab) for r, lab in zip(rejects, labels)]
+        mixed = rows[:K // 2] + [TrialOutcome(rejects[K // 2:], labels[K // 2:])]
+        for T in range(m + 1):
+            for estimate, oracle in ESTIMATORS:
+                want = oracle(rows, T)
+                if K == 1 and estimate is not estimate_fwer:
+                    assert math.isnan(want.se)  # FWER's se is 0 at n = 1
+                for trials in ([block], rows, mixed):
+                    _assert_same(estimate(trials, T), want)
 
 
 def test_fwer_estimate():
@@ -68,6 +140,8 @@ def test_estimators_require_trials():
     for f in (estimate_fwer, estimate_mfdr, estimate_power):
         with pytest.raises(ValueError):
             f([], 3)
+        with pytest.raises(ValueError):
+            f([TrialOutcome(np.zeros((0, 3), bool), np.zeros((0, 3), bool))], 3)
 
 
 def test_wealth_curves_identity_bound_coincide():

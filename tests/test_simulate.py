@@ -3,8 +3,8 @@ import pytest
 
 from sure_omt.cli import parse_procedures
 from sure_omt.discrete import ContingencyTable2x2, fisher_two_sided
-from sure_omt.simulate import (PLACEMENTS, ScenarioConfig, generate_trial, place_signal,
-                               run_sweep, run_trials, sweep_points)
+from sure_omt.simulate import (PLACEMENTS, ScenarioConfig, _exact_tests, generate_trial,
+                               place_signal, run_sweep, run_trials, sweep_points)
 
 
 def _standard_configs(*names):
@@ -35,6 +35,8 @@ def test_scenario_validation():
         ScenarioConfig(n_trials=0)
     with pytest.raises(ValueError):
         ScenarioConfig(n_subjects=-1)
+    with pytest.raises(ValueError, match="seed"):
+        ScenarioConfig(seed=-1)
     # integer fields take integers only, as JSON configs give them
     for field in ("m", "n_trials", "n_subjects", "seed"):
         for value in (50.0, True, "5"):
@@ -112,14 +114,36 @@ def test_generate_trial_degenerate_margins():
         assert all(bound.support == (1.0,) for bound in tr.bounds)
 
 
+@pytest.mark.parametrize("n,probs", [(12, (0.05, 0.5)), (3, (0.5, 0.9)), (0, (0.3, 0.3)),
+                                     (8, (0.0, 0.0))])
+def test_exact_tests_match_fisher_table_by_table(n, probs):
+    """A block of trials and a single trial: each table's p-value and bound are
+    fisher_two_sided's, and the bound indices point past the bounds already
+    in the table."""
+    rng = np.random.default_rng(n)
+    succ_a = rng.binomial(n, probs[0], size=(6, 25))
+    succ_b = rng.binomial(n, probs[1], size=(6, 25))
+    for a, c in ((succ_a, succ_b), (succ_a[2], succ_b[2])):
+        table = ["kept"]
+        pvals, ids = _exact_tests(n, a, c, table)
+        assert pvals.shape == ids.shape == a.shape and table[0] == "kept"
+        assert ids.min() >= 1 and len(table) == 1 + len(np.unique(a + c))
+        for x, y, p, i in zip(a.ravel().tolist(), c.ravel().tolist(), pvals.ravel().tolist(),
+                              ids.ravel().tolist()):
+            r = fisher_two_sided(ContingencyTable2x2(x, n - x, y, n - y))
+            assert (p, table[i]) == (r.p_value, r.null_bound)
+        if n == 0 or probs == (0.0, 0.0):
+            assert pvals.tolist() == np.ones(a.shape).tolist()
+
+
 def test_run_trials_and_containment():
     sc = ScenarioConfig(m=60, n_subjects=15, n_trials=5)
     res = run_trials(sc, _standard_configs("aob", "rho-aob"), audit=True)
     assert res.audits_ok
-    assert len(res.outcomes["aob"]) == 5
-    for base, rich in zip(res.outcomes["aob"], res.outcomes["rho-aob"]):
-        # domination: every base rejection is also a rewarded rejection
-        assert np.all(rich.rejects | ~base.rejects)
+    base, rich = res.outcomes["aob"], res.outcomes["rho-aob"]
+    assert base.rejects.shape == rich.rejects.shape == (5, 60)  # one row per trial
+    # domination: every base rejection is also a rewarded rejection, in every trial
+    assert np.all(rich.rejects | ~base.rejects)
 
 
 def test_run_sweep_reports_each_value():
