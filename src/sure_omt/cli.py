@@ -67,8 +67,6 @@ def _apply_overrides(config: dict, overrides: list[str]) -> dict:
 
 def _load_config(path: str | None, overrides: list[str]) -> dict:
     if path is None:
-        path = os.environ.get(CONFIG_ENV_VAR)
-    if path is None:
         config = {}
     else:
         try:
@@ -192,14 +190,15 @@ def cmd_simulate(args) -> int:
         raise InputError(f"unknown key(s) {', '.join(unknown)}; simulate takes "
                          f"{', '.join(SIMULATE_KEYS)}")
     configs = parse_procedures(config.get("procedures", [{"name": "rho-ob"}, {"name": "rho-lord"}]))
-    sweep = config.get("sweep")
+    sweep = config.get("sweep", {"axis": None, "values": None})
     try:
         scenario = ScenarioConfig(**config.get("scenario", {}))
-        # the sweep object's keys are sweep_points' axis and values
-        points = sweep_points(scenario, configs, **({} if sweep is None else sweep))
+        if not isinstance(sweep, dict) or sorted(sweep) != ["axis", "values"]:
+            raise ValueError(f"a sweep has exactly the keys axis and values, got {sweep!r}")
+        points = sweep_points(scenario, configs, sweep["axis"], sweep["values"])
     except (TypeError, ValueError) as exc:
         raise InputError(f"scenario or sweep: {exc}") from None
-    report = run_sweep(points, audit=True)
+    report = run_sweep(points)
     report.write(args.out, args.out_json)
     print(json.dumps({"rows": len(report.rows), "audits_ok": report.audits_ok}))
     return 0 if report.audits_ok else 1
@@ -236,6 +235,19 @@ def cmd_plotdata(args) -> int:
     return 0
 
 
+def _check_distinct_files(args) -> None:
+    """Reject two file arguments that name one file, before any is written:
+    an output would replace an input or the other output."""
+    seen = {}
+    for dest in args.files:
+        path = getattr(args, dest)
+        if path is not None:
+            flag = "--" + dest.replace("_", "-")
+            first = seen.setdefault(os.path.realpath(path), flag)
+            if first != flag:
+                raise InputError(f"{first} and {flag} name the same file {path}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sure-omt",
@@ -244,25 +256,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="run one procedure over a table CSV")
-    pa.add_argument("--config", help=f"JSON config (default ${CONFIG_ENV_VAR})")
+    pa.add_argument("--config", default=os.environ.get(CONFIG_ENV_VAR),
+                    help=f"JSON config (default ${CONFIG_ENV_VAR})")
     pa.add_argument("--input", required=True, help="CSV with header id,a,b,c,d")
     pa.add_argument("--out-trace", required=True)
     pa.add_argument("--out-summary")
     pa.add_argument("--set", action="append", metavar="KEY=VALUE")
-    pa.set_defaults(func=cmd_analyze)
+    pa.set_defaults(func=cmd_analyze, files=("config", "input", "out_trace", "out_summary"))
 
     ps = sub.add_parser("simulate", help="Monte-Carlo evaluation run")
-    ps.add_argument("--config", help=f"JSON config (default ${CONFIG_ENV_VAR})")
+    ps.add_argument("--config", default=os.environ.get(CONFIG_ENV_VAR),
+                    help=f"JSON config (default ${CONFIG_ENV_VAR})")
     ps.add_argument("--out", required=True, help="report CSV path")
     ps.add_argument("--out-json")
     ps.add_argument("--set", action="append", metavar="KEY=VALUE")
-    ps.set_defaults(func=cmd_simulate)
+    ps.set_defaults(func=cmd_simulate, files=("config", "out", "out_json"))
 
     pp = sub.add_parser("plotdata", help="trace to plot-ready long format")
     pp.add_argument("--trace", required=True)
     pp.add_argument("--transform", choices=("raw", "loglog"), default="raw")
     pp.add_argument("--out", required=True)
-    pp.set_defaults(func=cmd_plotdata)
+    pp.set_defaults(func=cmd_plotdata, files=("trace", "out"))
     return parser
 
 
@@ -270,6 +284,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_distinct_files(args)
         return args.func(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,9 @@ value for time T is fixed before the p-value at T is seen.
 Two base formulas serve the four rules: online Bonferroni and LORD are the
 adaptive rules with lambda = 0, whose re-indexation clocks are plain time.
 A procedure keeps four history lists (eligibility flags, alphas, reject
-flags, null bounds); without a reward, the alphas are the base values.
+flags, spent levels); without a reward, the alphas are the base values.  The
+spent level, which the budget audits read, is F_t(alpha_t) for a rewarded rule
+(its reward is alpha_t - F_t(alpha_t)) and alpha_t for a base rule.
 
 ``run_batch`` runs one procedure over K streams in lockstep, as numpy arrays,
 for the simulator; ``OnlineProcedure`` stays the streaming API and its
@@ -17,7 +19,8 @@ reference.  The batch keeps the scalar machine's order of every floating-point
 operation, so its alphas and reject flags are the scalar ones bit for bit: sums
 run left to right (``cumsum``, and a running row to which each rejection adds
 its term in rejection order).  Both compute the power/log/jm reward part with
-``_reward_part`` over time-major rewards, and share one array budget audit.
+``_reward_part`` over time-major rewards, record the spent levels, and share
+one array budget audit over them.
 """
 
 from __future__ import annotations
@@ -120,7 +123,7 @@ class OnlineProcedure:
         self.lam_flags: list[bool] = []       # p_t >= lambda
         self.alphas: list[float] = []
         self.rejects: list[bool] = []
-        self.cdfs: list[StepCdf] = []
+        self.spent: list[float] = []          # F_t(alpha_t) if rewarded, else alpha_t
         self.r_count = 0
         # re-indexation clocks: clock j reads 1 + E - starts[j], where E counts
         # the eligible steps so far and starts[j] is E at the j-th rejection
@@ -224,12 +227,13 @@ class OnlineProcedure:
         bound = IDENTITY_BOUND if bound is None else bound
         t = self._t_next
         reject = p <= alpha
-        rho = alpha - bound(alpha)
+        f = bound(alpha)
+        rho = alpha - f
         eligible = p >= self._lam
         self.lam_flags.append(eligible)
         self.alphas.append(alpha)
         self.rejects.append(reject)
-        self.cdfs.append(bound)
+        self.spent.append(f if self.rewarded else alpha)
         if self.rewarded and eligible and rho > 0.0:
             if self._window is not None:
                 self._win_t.append(t)
@@ -341,12 +345,12 @@ class NullBounds:
         identity = np.fromiter((b.exact_identity for b in self.table), bool, n)
         self._identity = identity[self.ids] if identity.any() else None
 
-    def cdf(self, u, steps=slice(None)) -> np.ndarray:
-        """F(u) at column ``steps`` of every stream, for u >= 0; u > 1 reads as 1."""
-        q = self._start[:, steps] + self._points.searchsorted(u, "right")
+    def cdf(self, u, i: int) -> np.ndarray:
+        """F(u) at step i (0-based) of every stream, for u >= 0; u > 1 reads as 1."""
+        q = self._start[:, i] + self._points.searchsorted(u, "right")
         out = self._vals_before[self._keys.searchsorted(q, "right")]
         if self._identity is not None:
-            out = np.where(self._identity[:, steps], np.minimum(u, 1.0), out)
+            out = np.where(self._identity[:, i], np.minimum(u, 1.0), out)
         return out
 
 
@@ -416,26 +420,23 @@ def _reward_part(gp: SpendingSequence, rewards: np.ndarray, i: int,
 class BatchRun:
     """One procedure run over K streams in lockstep.
 
-    Row k of ``alphas``, ``rejects`` and ``lam_flags`` equals the history
-    ``OnlineProcedure`` records on stream k, bit for bit.
+    Row k of ``alphas``, ``rejects``, ``lam_flags`` and ``spent`` equals the
+    history ``OnlineProcedure`` records on stream k, bit for bit.
     """
 
     config: ProcedureConfig
-    rewarded: bool
-    lam: float
+    rule: Rule
     alphas: np.ndarray
     rejects: np.ndarray
     lam_flags: np.ndarray
-    bounds: NullBounds
+    spent: np.ndarray  # ``alphas`` itself for a base rule
 
-    def audit(self, mfdr: bool, alphas=None) -> list[AuditReport]:
-        """The FWER (or, with ``mfdr``, mFDR) budget audit of every stream."""
-        vals = self.alphas if alphas is None else np.asarray(alphas, dtype=float)
-        if np.any(vals < 0.0):
-            raise ValueError("alphas must be nonnegative")
-        spent = self.bounds.cdf(vals) if self.rewarded or alphas is not None else vals
-        return _budget_audit(vals, spent, self.lam_flags, self.rejects,
-                             (1.0 - self.lam) * self.config.alpha, mfdr)
+    def audit(self) -> list[AuditReport]:
+        """The budget audit of every stream for the error rate the rule controls:
+        mFDR for the investing rules, FWER for the others."""
+        budget = (1.0 - self.rule.lam(self.config)) * self.config.alpha
+        return _budget_audit(self.alphas, self.spent, self.lam_flags, self.rejects, budget,
+                             self.rule.investing)
 
 
 def run_batch(name: str, config: ProcedureConfig, pvals, bounds: NullBounds) -> BatchRun:
@@ -463,24 +464,25 @@ def run_batch(name: str, config: ProcedureConfig, pvals, bounds: NullBounds) -> 
     else:
         base = (config.alpha * (1.0 - lam)) * gamma[clock0]
     if rule.investing or rule.rewarded:
-        alphas, rejects = _step(config, p, eligible, bounds, base, rule.rewarded)
+        alphas, rejects, spent = _step(config, p, eligible, bounds, base, rule.rewarded)
     else:
-        alphas, rejects = base, p <= base
-    return BatchRun(config, rule.rewarded, lam, alphas, rejects, eligible, bounds)
+        alphas, rejects, spent = base, p <= base, base
+    return BatchRun(config, rule, alphas, rejects, eligible, spent)
 
 
 def _step(config: ProcedureConfig, p: np.ndarray, eligible: np.ndarray, bounds: NullBounds,
           bases: np.ndarray | _InvestingBase, rewarded: bool):
-    """Alphas and reject flags, one step of all streams at a time: a rewarded
-    rule adds its reward part and carry to the base, and investing ``bases``
-    are rebuilt after each rejection."""
+    """Alphas, reject flags and spent levels, one step of all streams at a
+    time: a rewarded rule adds its reward part and carry to the base and spends
+    F(alpha), and investing ``bases`` are rebuilt after each rejection."""
     investing = bases if isinstance(bases, _InvestingBase) else None
     K, m = p.shape
     gp = config.gamma_prime
     gp_table = _gamma_table(gp, m) if rewarded and gp.kind not in ("kernel", "explicit") else None
     alphas = np.empty((m, K))
     rejects = np.empty((m, K), dtype=bool)
-    rewards = np.zeros((m, K)) if rewarded else None  # time-major: step i's collected rewards
+    spent = np.empty((m, K)) if rewarded else None     # time-major: step i's F(alpha)
+    rewards = np.zeros((m, K)) if rewarded else None  # and its collected rewards
     eps = np.zeros(K)
     for i in range(m):
         base = bases[:, i] if investing is None else investing.values(i)
@@ -492,14 +494,16 @@ def _step(config: ProcedureConfig, p: np.ndarray, eligible: np.ndarray, bounds: 
         reject = np.less_equal(p[:, i], alpha, out=rejects[i])
         if rewarded:
             # rho >= 0, so rho times the eligibility flag is the collected reward
-            rho = alpha - bounds.cdf(alpha, i)
-            np.multiply(rho, eligible[:, i], out=rewards[i])
+            spent[i] = bounds.cdf(alpha, i)
+            np.multiply(alpha - spent[i], eligible[:, i], out=rewards[i])
             eps = np.where(eligible[:, i], 0.0, alpha - base)
         if investing is not None:
             ks = reject.nonzero()[0]
             if len(ks):
                 investing.reject(ks, i)
-    return np.ascontiguousarray(alphas.T), np.ascontiguousarray(rejects.T)
+    alphas = np.ascontiguousarray(alphas.T)
+    spent = alphas if spent is None else np.ascontiguousarray(spent.T)
+    return alphas, np.ascontiguousarray(rejects.T), spent
 
 
 # -- budget audits ---------------------------------------------------------------
@@ -542,29 +546,22 @@ def _budget_audit(vals, spent, flags, rejects, budget: float, mfdr: bool) -> lis
     return reports
 
 
-def _audit(proc: OnlineProcedure, mfdr: bool, alphas=None) -> AuditReport:
-    # without a reward the alphas are the base values, which are spent in full
-    vals = proc.alphas if alphas is None else list(alphas)
-    if proc.rewarded or alphas is not None:
-        spent = list(map(StepCdf.__call__, proc.cdfs, vals))
-    else:
-        spent = vals
-    [report] = _budget_audit([vals], [spent], [proc.lam_flags], [proc.rejects],
+def _audit(proc: OnlineProcedure, mfdr: bool) -> AuditReport:
+    [report] = _budget_audit([proc.alphas], [proc.spent], [proc.lam_flags], [proc.rejects],
                              (1.0 - proc._lam) * proc.config.alpha, mfdr)
     return report
 
 
-def audit_fwer_budget(proc: OnlineProcedure, alphas=None) -> AuditReport:
-    """Check the family-wise error budget along the realized history.
+def audit_fwer_budget(proc: OnlineProcedure) -> AuditReport:
+    """Check the family-wise error budget along the recorded history.
 
     For base procedures this is the condition on the base values; for
     rewarded procedures the realized critical values enter through their
-    truly spent level F_t(alpha_t).  ``alphas`` substitutes a corrupted
-    sequence for negative-control testing.
+    truly spent level F_t(alpha_t), recorded at each step.
     """
-    return _audit(proc, mfdr=False, alphas=alphas)
+    return _audit(proc, mfdr=False)
 
 
-def audit_mfdr_budget(proc: OnlineProcedure, alphas=None) -> AuditReport:
+def audit_mfdr_budget(proc: OnlineProcedure) -> AuditReport:
     """Same as the FWER audit but against the rejection-scaled budget."""
-    return _audit(proc, mfdr=True, alphas=alphas)
+    return _audit(proc, mfdr=True)

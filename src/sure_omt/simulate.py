@@ -21,7 +21,7 @@ from .core import StepCdf
 from .discrete import fisher_margins
 from .evaluate import (EvalReport, TrialOutcome, estimate_fwer, estimate_mfdr,
                        estimate_power)
-from .procedures import FWER_NAMES, NullBounds, ProcedureConfig, run_batch
+from .procedures import NullBounds, ProcedureConfig, run_batch
 from .spending import make_kernel
 
 PLACEMENTS = ("B", "E", "BM", "BE", "ME", "Random")
@@ -170,9 +170,10 @@ class TrialResults:
     audit_failures: list[tuple[str, int]] = field(default_factory=list)
 
 
-def _run_stacked(scenarios: Sequence[ScenarioConfig], configs: dict[str, ProcedureConfig],
-                 audit: bool) -> list[TrialResults]:
-    """Every trial of every scenario (all of one stream length) in one batch per procedure."""
+def _run_stacked(scenarios: Sequence[ScenarioConfig],
+                 configs: dict[str, ProcedureConfig]) -> list[TrialResults]:
+    """Every trial of every scenario (all of one stream length) in one audited batch
+    per procedure."""
     table: list[StepCdf] = []
     labels, tests = [], []
     for scenario in scenarios:
@@ -182,32 +183,28 @@ def _run_stacked(scenarios: Sequence[ScenarioConfig], configs: dict[str, Procedu
         tests.append(_exact_tests(scenario.n_subjects, succ_a, succ_b, table))
     pvals, ids = (np.concatenate(arrays) for arrays in zip(*tests))
     bounds = NullBounds(table, ids)
-    rejects = {}
-    failed = np.zeros((len(pvals), len(configs)), dtype=bool)
-    for j, (name, config) in enumerate(configs.items()):
+    rejects, passed = {}, {}
+    for name, config in configs.items():
         run = run_batch(name, config, pvals, bounds)
         rejects[name] = run.rejects
-        if audit:
-            failed[:, j] = [not rep.ok for rep in run.audit(mfdr=name not in FWER_NAMES)]
-    names = list(configs)
+        passed[name] = [rep.ok for rep in run.audit()]
     results = []
     start = 0
     for scenario, scenario_labels in zip(scenarios, labels):
         rows = slice(start, start + scenario.n_trials)
         outcomes = {name: TrialOutcome(rej[rows], scenario_labels) for name, rej in rejects.items()}
         # trial by trial, in procedure order
-        trial, proc = np.nonzero(failed[rows])
-        failures = [(names[j], i) for i, j in zip(trial.tolist(), proc.tolist())]
+        failures = [(name, i) for i in range(scenario.n_trials) for name in configs
+                    if not passed[name][start + i]]
         results.append(TrialResults(outcomes=outcomes, audits_ok=not failures,
                                     audit_failures=failures))
         start = rows.stop
     return results
 
 
-def run_trials(scenario: ScenarioConfig, configs: dict[str, ProcedureConfig],
-               audit: bool = False) -> TrialResults:
-    """Run each named procedure over each simulated trial, in fixed trial order."""
-    [results] = _run_stacked([scenario], configs, audit)
+def run_trials(scenario: ScenarioConfig, configs: dict[str, ProcedureConfig]) -> TrialResults:
+    """Run and audit each named procedure over each simulated trial, in fixed trial order."""
+    [results] = _run_stacked([scenario], configs)
     return results
 
 
@@ -248,8 +245,9 @@ def sweep_points(scenario: ScenarioConfig, configs: dict[str, ProcedureConfig],
     return points
 
 
-def run_sweep(points: Sequence[SweepPoint], audit: bool = False) -> EvalReport:
-    """FWER, mFDR and power of each procedure at each point, checked at the stream end.
+def run_sweep(points: Sequence[SweepPoint]) -> EvalReport:
+    """FWER, mFDR and power of each procedure at each point, checked at the stream
+    end, and whether every trial passed its budget audit.
 
     Consecutive points that share their procedure configs (the points of a
     scenario axis) and stream length run as one batch.
@@ -263,7 +261,7 @@ def run_sweep(points: Sequence[SweepPoint], audit: bool = False) -> EvalReport:
         else:
             groups.append([point])
     for group in groups:
-        stacked = _run_stacked([point.scenario for point in group], group[0].configs, audit)
+        stacked = _run_stacked([point.scenario for point in group], group[0].configs)
         for point, results in zip(group, stacked):
             report.audits_ok = report.audits_ok and results.audits_ok
             T = point.scenario.m

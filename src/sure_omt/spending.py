@@ -15,16 +15,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SUM_SLACK = 1e-9
+# terms the normalizing constants sum directly; an analytic tail adds the rest
+POWER_NORM_TERMS = 100_000
+LOG_NORM_TERMS = JM_NORM_TERMS = 1_000_000
 
 
-def _power_norm(q: float, n: int = 100_000) -> float:
+def _power_norm(q: float) -> float:
     """Normalizing constant sum_{t>=1} t^-q via truncated sum + Euler-Maclaurin tail.
 
-    Relative error well below 1e-10 for q in (1, 10] and the default n.
+    Relative error well below 1e-10 for q in (1, 10].
     """
-    ks = np.arange(1, n + 1, dtype=float)
+    ks = np.arange(1, POWER_NORM_TERMS + 1, dtype=float)
     partial = float(np.sum(ks ** -q))
-    a = float(n + 1)
+    a = float(POWER_NORM_TERMS + 1)
     tail = a ** (1 - q) / (q - 1) + 0.5 * a ** -q + (q / 12.0) * a ** (-q - 1)
     return partial + tail
 
@@ -33,11 +36,11 @@ def _log_family_term(t: float, q: float) -> float:
     return 1.0 / ((t + 1.0) * math.log(t + 1.0) ** q)
 
 
-def _log_norm(q: float, n: int = 1_000_000) -> float:
+def _log_norm(q: float) -> float:
     """sum_{t>=1} 1/((t+1) log^q(t+1)); truncated sum + integral tail + half term."""
-    ks = np.arange(1.0, n + 1.0)
+    ks = np.arange(1.0, LOG_NORM_TERMS + 1.0)
     partial = float(np.sum(1.0 / ((ks + 1.0) * np.log(ks + 1.0) ** q)))
-    a = float(n + 1)
+    a = float(LOG_NORM_TERMS + 1)
     tail = math.log(a + 1.0) ** (1 - q) / (q - 1) + 0.5 * _log_family_term(a, q)
     return partial + tail
 
@@ -46,12 +49,12 @@ def _jm_term(t: float) -> float:
     return math.log(t + 1.0) / ((t + 1.0) * math.exp(math.sqrt(math.log(t + 1.0))))
 
 
-def _jm_norm(n: int = 1_000_000) -> float:
+def _jm_norm() -> float:
     """Slowly converging series; the tail integral is exact under u = sqrt(log(x+1))."""
-    ks = np.arange(1.0, n + 1.0)
+    ks = np.arange(1.0, JM_NORM_TERMS + 1.0)
     logs = np.log(ks + 1.0)
     partial = float(np.sum(logs / ((ks + 1.0) * np.exp(np.sqrt(logs)))))
-    a = float(n + 1)
+    a = float(JM_NORM_TERMS + 1)
     u0 = math.sqrt(math.log(a + 1.0))
     tail = 2.0 * math.exp(-u0) * (u0 ** 3 + 3 * u0 ** 2 + 6 * u0 + 6)
     return partial + tail + 0.5 * _jm_term(a)

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -18,6 +19,16 @@ def random_stream(rng: random.Random, T: int, max_points: int = 4):
     bounds = [random_bound(rng, max_points) for _ in range(T)]
     pvals = [rng.choice(b.support) for b in bounds]
     return pvals, bounds
+
+
+def corrupted_history(proc, bounds, levels):
+    """A copy of ``proc`` whose recorded history has ``levels`` as its alphas,
+    each spent as the rule spends it: F from the step's bound if rewarded, else
+    in full.  A negative control for the budget audits."""
+    bad = copy.copy(proc)
+    bad.alphas = list(levels)
+    bad.spent = [b(a) for b, a in zip(bounds, levels)] if proc.rewarded else bad.alphas
+    return bad
 
 
 @pytest.fixture

@@ -9,7 +9,8 @@ human-readable scorecard:
   3. dual-recursion oracle and clock mass identities
   4. budget audits pass; corrupted levels fail
   5. empirical FWER / mFDR at the default scenario stay at the target level
-  6. rewarded power is at least base power on the whole sweep grid
+  6. rewarded power is at least base power on the whole sweep grid, and
+     every trial's budget audit passes
   7. exact-test oracle and null-bound validity
   8. golden re-indexation clock table
   9. nominal wealth never exceeds effective wealth
@@ -34,7 +35,7 @@ from sure_omt.simulate import PLACEMENTS, ScenarioConfig, run_trials
 from sure_omt.spending import (make_explicit, make_greedy, make_kernel,
                                make_power_law)
 
-from conftest import random_stream
+from conftest import corrupted_history, random_stream
 
 PAIRS = (("ob", "rho-ob"), ("aob", "rho-aob"),
          ("lord", "rho-lord"), ("alord", "rho-alord"))
@@ -164,9 +165,8 @@ def test_criterion_4_budget_audits():
             rep = audit_fwer_budget(proc) if fwer else audit_mfdr_budget(proc)
             ok_pos = ok_pos and rep.ok
             if s % 100 == 0:
-                bad = [a * 5.0 + 0.1 for a in proc.alphas]
-                neg = (audit_fwer_budget(proc, alphas=bad) if fwer
-                       else audit_mfdr_budget(proc, alphas=bad))
+                bad = corrupted_history(proc, bounds, [a * 5.0 + 0.1 for a in proc.alphas])
+                neg = audit_fwer_budget(bad) if fwer else audit_mfdr_budget(bad)
                 ok_neg = ok_neg and not neg.ok
     dt = time.perf_counter() - t0
     _report(4, ok_pos and ok_neg and dt < 30.0,
@@ -184,7 +184,7 @@ def test_criterion_5_error_rate_control():
     t0 = time.perf_counter()
     sc = ScenarioConfig()  # m=500, N=25, pi_A=0.3, p3=0.4, 1000 trials
     configs = _standard_configs("rho-ob", "rho-aob", "rho-lord", "rho-alord")
-    res = run_trials(sc, configs, audit=True)
+    res = run_trials(sc, configs)
     msgs = []
     ok = res.audits_ok
     for name in ("rho-ob", "rho-aob"):
@@ -213,6 +213,9 @@ def test_criterion_6_power_ordering():
         sc = (ScenarioConfig(placement=value) if axis == "placement"
               else ScenarioConfig(pi_a=value))
         res = run_trials(sc, configs)
+        if not res.audits_ok:
+            ok = False
+            details.append(f"{axis}={value}: audit failures {res.audit_failures[:3]}")
         for base, rich in (("aob", "rho-aob"), ("alord", "rho-alord")):
             pb = estimate_power([res.outcomes[base]], sc.m).value
             pr = estimate_power([res.outcomes[rich]], sc.m).value
@@ -221,7 +224,7 @@ def test_criterion_6_power_ordering():
                 details.append(f"{axis}={value}:{rich} {pr:.3f} < {base} {pb:.3f}")
     dt = time.perf_counter() - t0
     _report(6, ok,
-            f"power(rewarded) >= power(base) on all {len(grid)} grid points, "
+            f"audits pass and power(rewarded) >= power(base) on all {len(grid)} grid points, "
             f"1000 trials each ({'; '.join(details) or 'no violations'}; {dt:.0f}s)")
 
 

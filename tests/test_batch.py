@@ -3,6 +3,7 @@ built on it against the per-trial loop it replaced."""
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from sure_omt.simulate import (ScenarioConfig, TrialResults, TrialStream, genera
 from sure_omt.spending import (SpendingSequence, make_explicit, make_greedy, make_jm_family,
                                make_kernel, make_log_family, make_power_law)
 
-from conftest import random_stream
+from conftest import corrupted_history, random_stream
 
 GAMMA_PRIMES = {
     "power": lambda: make_power_law(1.6),
@@ -45,14 +46,13 @@ def _cfg(gp=None, **kw):
     return ProcedureConfig(gamma_prime=None if gp is None else GAMMA_PRIMES[gp](), **kw)
 
 
-def _loop_audit(proc, mfdr, alphas=None, tol=1e-9):
-    """The per-step audit loop the array audit replaced."""
+def _loop_audit(proc, bounds, mfdr, alphas=None, tol=1e-9):
+    """The per-step audit loop the array audit replaced.  It spends F of each
+    level from the stream's ``bounds`` (rewarded rules) or the level itself,
+    and does not read the procedure's recorded spent levels."""
     budget = (1.0 - proc._lam) * proc.config.alpha
     vals = proc.alphas if alphas is None else list(alphas)
-    if proc.rewarded or alphas is not None:
-        spent = [proc.cdfs[i](vals[i]) for i in range(proc.t)]
-    else:
-        spent = vals
+    spent = [b(a) for b, a in zip(bounds, vals)] if proc.rewarded else vals
     worst, worst_t, r, cum = 0.0, None, 0, 0.0
     for i in range(proc.t):
         if mfdr and proc.rejects[i]:
@@ -76,13 +76,14 @@ def _bounds_of(rows):
 
 def _assert_batch_is_scalar(name, config, streams):
     """Batch and scalar machine agree bit for bit on every stream: alphas,
-    reject flags, eligibility flags, both audits and their negative controls."""
+    reject flags, eligibility flags, spent levels, the audits and their
+    negative controls, which audit a corrupted copy of the recorded history."""
     run = run_batch(name, config, [s[0] for s in streams],
                     _bounds_of([s[1] for s in streams]))
     corrupt = run.alphas * 5.0 + 0.3  # above the budget from the first step
-    audits = [run.audit(mfdr) for mfdr in (False, True)]
-    negative = [run.audit(mfdr, alphas=corrupt) for mfdr in (False, True)]
-    procs = []
+    controlled = audit_mfdr_budget if RULES[name].investing else audit_fwer_budget
+    audits = run.audit()
+    procs, bad_procs = [], []
     for k, (pvals, bounds) in enumerate(streams):
         proc = make_procedure(name, config)
         for p, b in zip(pvals, bounds):
@@ -90,17 +91,20 @@ def _assert_batch_is_scalar(name, config, streams):
         assert run.alphas[k].tolist() == proc.alphas, (name, k)
         assert run.rejects[k].tolist() == proc.rejects, (name, k)
         assert run.lam_flags[k].tolist() == proc.lam_flags, (name, k)
-        bad = corrupt[k].tolist()
+        assert run.spent[k].tolist() == proc.spent, (name, k)
+        assert audits[k] == controlled(proc), (name, k)
+        bad = corrupted_history(proc, bounds, corrupt[k].tolist())
         for mfdr, audit in ((False, audit_fwer_budget), (True, audit_mfdr_budget)):
-            want, want_bad = audit(proc), audit(proc, alphas=bad)
-            assert audits[mfdr][k] == want, (name, k, mfdr)
-            assert negative[mfdr][k] == want_bad, (name, k, mfdr)
+            want, want_bad = audit(proc), audit(bad)
             assert (want.ok, want.worst_excess, want.worst_t, want.n_checked) == \
-                _loop_audit(proc, mfdr)
+                _loop_audit(proc, bounds, mfdr)
             assert (want_bad.ok, want_bad.worst_excess, want_bad.worst_t,
-                    want_bad.n_checked) == _loop_audit(proc, mfdr, alphas=bad)
-        assert not negative[False][k].ok and not negative[True][k].ok
+                    want_bad.n_checked) == _loop_audit(proc, bounds, mfdr, alphas=bad.alphas)
+            assert not want_bad.ok, (name, k, mfdr)
         procs.append(proc)
+        bad_procs.append(bad)
+    negative = replace(run, alphas=corrupt, spent=np.array([bad.spent for bad in bad_procs]))
+    assert negative.audit() == [controlled(bad) for bad in bad_procs], name
     return procs
 
 
@@ -197,14 +201,17 @@ def test_audits_fail_on_a_non_finite_level(levels, worst_t, bound):
     A NaN used to pass: argmax landed on it and NaN > 0 is false, although step
     3 of [0.1, nan, 0.5] overspends the budget of 0.2 by 0.3."""
     config = _cfg(lam=0.0)
-    proc = make_procedure("ob", config)
-    for _ in levels:
-        proc.step(0.5, bound)
-    run = run_batch("ob", config, [[0.5] * len(levels)], _bounds_of([[bound] * len(levels)]))
+    bounds = [bound] * len(levels)
     want = AuditReport(ok=False, worst_excess=math.inf, worst_t=worst_t, n_checked=3)
-    assert audit_fwer_budget(proc, alphas=levels) == want
-    assert audit_mfdr_budget(proc, alphas=levels) == want
-    assert run.audit(False, alphas=[levels]) == run.audit(True, alphas=[levels]) == [want]
+    for name in ("ob", "lord"):  # the batch audits FWER for one and mFDR for the other
+        proc = make_procedure(name, config)
+        for b in bounds:
+            proc.step(0.5, b)
+        bad = corrupted_history(proc, bounds, levels)
+        assert audit_fwer_budget(bad) == audit_mfdr_budget(bad) == want
+        run = run_batch(name, config, [[0.5] * len(levels)], _bounds_of([bounds]))
+        assert replace(run, alphas=np.array([levels]), spent=np.array([bad.spent])).audit() \
+            == [want]
 
 
 def test_null_bounds_match_step_cdf(rng):
@@ -217,7 +224,7 @@ def test_null_bounds_match_step_cdf(rng):
     bounds = NullBounds(table, ids)
     u = np.array([[rng.choice((rng.uniform(0, 1.3), rng.choice(table[i].support), 0.0))
                    for i in row] for row in ids])
-    got = bounds.cdf(u)
+    got = np.column_stack([bounds.cdf(u[:, i], i) for i in range(u.shape[1])])
     want = [[table[i](x) for i, x in zip(row, xs)] for row, xs in zip(ids, u.tolist())]
     assert got.tolist() == want
 
@@ -267,8 +274,8 @@ def test_generate_trial_keeps_its_draws(scenario):
         assert got.labels.dtype == bool and got.labels.tolist() == want.labels.tolist()
 
 
-def _loop_run_trials(scenario, configs, audit=False):
-    """The per-trial, per-step loop run_trials replaced."""
+def _loop_run_trials(scenario, configs):
+    """The per-trial, per-step loop run_trials replaced, audits included."""
     outcomes = {name: [] for name in configs}
     failures = []
     for i in range(scenario.n_trials):
@@ -278,18 +285,16 @@ def _loop_run_trials(scenario, configs, audit=False):
             for p, bound in zip(stream.pvals, stream.bounds):
                 proc.step(p, bound)
             outcomes[name].append(TrialOutcome(proc.rejects, stream.labels))
-            if audit:
-                rep = (audit_fwer_budget(proc) if name in FWER_NAMES
-                       else audit_mfdr_budget(proc))
-                if not rep.ok:
-                    failures.append((name, i))
+            rep = audit_fwer_budget(proc) if name in FWER_NAMES else audit_mfdr_budget(proc)
+            if not rep.ok:
+                failures.append((name, i))
     return TrialResults(outcomes=outcomes, audits_ok=not failures, audit_failures=failures)
 
 
-def _loop_run_sweep(points, audit=False):
+def _loop_run_sweep(points):
     report = EvalReport()
     for point in points:
-        results = _loop_run_trials(point.scenario, point.configs, audit=audit)
+        results = _loop_run_trials(point.scenario, point.configs)
         report.audits_ok = report.audits_ok and results.audits_ok
         T = point.scenario.m
         for name, trials in results.outcomes.items():
@@ -309,8 +314,8 @@ ALL_STANDARD = parse_procedures([{"name": name} for name in RULES])
 def test_run_sweep_matches_per_trial_loop(axis, values, tmp_path):
     points = sweep_points(ScenarioConfig(m=80, n_trials=6, seed=5), ALL_STANDARD, axis, values)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    run_sweep(points, audit=True).write(got)
-    _loop_run_sweep(points, audit=True).write(want)
+    run_sweep(points).write(got)
+    _loop_run_sweep(points).write(want)
     assert got.read_bytes() == want.read_bytes()
 
 
@@ -321,7 +326,7 @@ def test_run_trials_reports_audit_failures_in_trial_order():
                                      gamma_prime=c.gamma_prime)
                for name, c in ALL_STANDARD.items()}
     scenario = ScenarioConfig(m=60, n_trials=8, seed=3)
-    got, want = run_trials(scenario, configs, audit=True), _loop_run_trials(scenario, configs, True)
+    got, want = run_trials(scenario, configs), _loop_run_trials(scenario, configs)
     assert len(want.audit_failures) > 8
     assert got.audit_failures == want.audit_failures and not got.audits_ok
     for name in configs:

@@ -376,6 +376,10 @@ def test_simulate_bad_config(tmp_path, capsys):
         {"scenaro": {"m": 20, "n_trials": 1}},                         # unknown top-level keys
         {"sweeep": {"axis": "N", "values": [5]}},
         {"scenario": {**small, "seed": -1}},
+        {"sweep": {}, "scenario": small},                              # incomplete sweeps
+        {"sweep": {"values": [5]}, "scenario": small},
+        {"sweep": {"axis": "N", "values": [5], "step": 1}, "scenario": small},
+        {"sweep": [], "scenario": small},
     ]
     for payload in bad:
         cfg = _write_config(tmp_path, payload)
@@ -383,6 +387,44 @@ def test_simulate_bad_config(tmp_path, capsys):
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2, payload
         _assert_one_error_line(capsys)
         assert not out.exists()
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_file_arguments_naming_one_file_are_rejected(tmp_path, capsys, monkeypatch):
+    """Two file arguments of one command that name the same file, however
+    spelled, exit 2 before any file is written: no output garbles another or
+    replaces the input."""
+    monkeypatch.chdir(tmp_path)
+    sim = _write_config(tmp_path, {"scenario": {"m": 10, "n_trials": 1},
+                                   "procedures": [{"name": "ob"}]}, "sim.json")
+    ana = _write_config(tmp_path, ANALYZE_CFG, "analyze.json")
+    tables = _write_tables(tmp_path, ["r1,3,7,9,1", "r2,5,5,4,6"], name="t.csv")
+    (tmp_path / "r.csv").write_text("old report\n")
+    (tmp_path / "p.csv").write_text("t,p,alpha\n1,0.5,0.1\n")
+    os.symlink("t.csv", tmp_path / "link.csv")
+    before = _files(tmp_path)
+    for argv in (
+        ["simulate", "--config", sim, "--out", "r.csv", "--out-json", "r.csv"],
+        ["simulate", "--config", sim, "--out", "r.csv", "--out-json", "sub/../r.csv"],
+        ["simulate", "--config", sim, "--out", sim],
+        ["analyze", "--config", ana, "--input", tables,
+         "--out-trace", "s.csv", "--out-summary", "s.csv"],
+        ["analyze", "--config", ana, "--input", tables, "--out-trace", tables],
+        ["analyze", "--config", ana, "--input", tables, "--out-trace", "link.csv"],
+        ["analyze", "--config", ana, "--input", "t.csv", "--out-trace", "x.csv",
+         "--out-summary", ana],
+        ["plotdata", "--trace", "p.csv", "--out", str(tmp_path / "p.csv")],
+    ):
+        assert main(argv) == 2, argv
+        _assert_one_error_line(capsys, "name the same file")
+        assert _files(tmp_path) == before, argv
+    monkeypatch.setenv(CONFIG_ENV_VAR, sim)  # a config path from the environment counts too
+    assert main(["simulate", "--out", sim]) == 2
+    _assert_one_error_line(capsys, "name the same file")
+    assert _files(tmp_path) == before
 
 
 def test_missing_config_file(tmp_path):

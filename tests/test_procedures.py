@@ -15,7 +15,7 @@ from sure_omt.procedures import (AuditReport, OnlineProcedure, ProcedureConfig,
 from sure_omt.spending import (make_explicit, make_greedy, make_jm_family, make_kernel,
                                make_log_family, make_power_law)
 
-from conftest import random_stream
+from conftest import corrupted_history, random_stream
 
 DYADIC = make_explicit(tuple(0.5 ** k for k in range(1, 64)))
 
@@ -333,9 +333,10 @@ def test_corrupted_alphas_fail_audit(rng):
     for p, b in zip(pvals, bounds):
         proc.step(p, b)
     assert audit_fwer_budget(proc).ok
-    bad = [a * 4.0 + 0.05 for a in proc.alphas]
-    assert not audit_fwer_budget(proc, alphas=bad).ok
-    assert not audit_mfdr_budget(proc, alphas=bad).ok
+    bad = corrupted_history(proc, bounds, [a * 4.0 + 0.05 for a in proc.alphas])
+    assert not audit_fwer_budget(bad).ok
+    assert not audit_mfdr_budget(bad).ok
+    assert audit_fwer_budget(proc).ok  # the copy leaves the procedure's history as it was
 
 
 def test_base_procedures_satisfy_budget(rng):

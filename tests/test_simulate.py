@@ -138,7 +138,7 @@ def test_exact_tests_match_fisher_table_by_table(n, probs):
 
 def test_run_trials_and_containment():
     sc = ScenarioConfig(m=60, n_subjects=15, n_trials=5)
-    res = run_trials(sc, _standard_configs("aob", "rho-aob"), audit=True)
+    res = run_trials(sc, _standard_configs("aob", "rho-aob"))
     assert res.audits_ok
     base, rich = res.outcomes["aob"], res.outcomes["rho-aob"]
     assert base.rejects.shape == rich.rejects.shape == (5, 60)  # one row per trial
