@@ -18,9 +18,10 @@ for the simulator; ``OnlineProcedure`` stays the streaming API and its
 reference.  The batch keeps the scalar machine's order of every floating-point
 operation, so its alphas and reject flags are the scalar ones bit for bit: sums
 run left to right (``cumsum``, and a running row to which each rejection adds
-its term in rejection order).  Both compute the power/log/jm reward part with
-``_reward_part`` over time-major rewards, record the spent levels, and share
-one array budget audit over them.
+its term in rejection order).  Both read gamma tables and reward windows from
+the spending sequence (``table(n)``, ``window``), compute the reward part of a
+gamma' with no window with ``_reward_part`` over time-major rewards (the batch
+every reward part), record the spent levels, and share one array budget audit.
 """
 
 from __future__ import annotations
@@ -129,18 +130,13 @@ class OnlineProcedure:
         # the eligible steps so far and starts[j] is E at the j-th rejection
         self._n_eligible = 0
         self._starts: list[int] = [0]
-        # eligible positive rewards: the last _window steps for a gamma' that
-        # is 0 beyond them (kernel, explicit), else run_batch's time-major
-        # rewards (0.0 where none was collected) and gamma' table, grown by doubling
-        gp = self._gp
-        if gp is None or gp.kind not in ("kernel", "explicit"):
-            self._window = None
-        else:
-            self._window = gp.h if gp.kind == "kernel" else len(gp.values)
+        # eligible positive rewards: the last gamma'.window steps if gamma' has a
+        # window (kernel, explicit), else run_batch's time-major rewards (0.0 where
+        # none was collected), grown by doubling; the sequence gives their weights
+        self._window = None if self._gp is None else self._gp.window
         self._win_t: deque[int] = deque()
         self._win_rho: deque[float] = deque()
         self._rewards = np.zeros((0, 1))
-        self._gp_table = None
         self._t_next = 1
         self._eps = 0.0                       # carry: alpha - base after p < lambda
         self._pending: tuple[float, float, float, float] | None = None
@@ -180,8 +176,7 @@ class OnlineProcedure:
             if n < T:
                 # grow geometrically: one rebuild per doubling of T
                 self._rewards = np.concatenate((self._rewards, np.zeros((2 * T - n, 1))))
-                self._gp_table = _gamma_table(gp, 2 * T)
-            return float(_reward_part(gp, self._rewards, T - 1, self._gp_table)[0])
+            return float(_reward_part(gp, self._rewards, T - 1)[0])
         wt, wr = self._win_t, self._win_rho
         cutoff = T - self._window
         while wt and wt[0] < cutoff:
@@ -193,10 +188,9 @@ class OnlineProcedure:
             for rho in wr:
                 s += rho
             return s / gp.h
-        vals = gp.values
         s = 0.0
         for t, rho in zip(wt, wr):
-            s += vals[T - t - 1] * rho
+            s += gp.gamma(T - t) * rho
         return s
 
     # -- step API ------------------------------------------------------------
@@ -354,12 +348,6 @@ class NullBounds:
         return out
 
 
-def _gamma_table(seq: SpendingSequence, n: int) -> np.ndarray:
-    """gamma_k at index k, for 0 <= k <= n."""
-    seq._extend(n)
-    return np.array(seq._memo[:n + 1])
-
-
 class _InvestingBase:
     """LORD/ALORD base values of K streams at every step, rebuilt after each
     rejection.
@@ -399,17 +387,15 @@ class _InvestingBase:
         self._s[ks, cols] += term
 
 
-def _reward_part(gp: SpendingSequence, rewards: np.ndarray, i: int,
-                 gp_table: np.ndarray | None) -> np.ndarray:
+def _reward_part(gp: SpendingSequence, rewards: np.ndarray, i: int) -> np.ndarray:
     """Reward part of step i (0-based) of each stream, from the time-major
-    rewards of steps 0..i-1 (0.0 where none was collected), added left to right."""
+    rewards of steps 0..i-1 (0.0 where none was collected) in gamma'.window,
+    weighted by gamma'_{i-t} (the kernel's sum is divided by h), added left to right."""
+    lo = 0 if gp.window is None else max(0, i - gp.window)
     if gp.kind == "kernel":
-        terms = rewards[max(0, i - gp.h):i]
-    elif gp.kind == "explicit":
-        lo = max(0, i - len(gp.values))
-        terms = np.array(gp.values[:i - lo][::-1])[:, None] * rewards[lo:i]
+        terms = rewards[lo:i]
     else:
-        terms = gp_table[i:0:-1, None] * rewards[:i]
+        terms = gp.table(i - lo)[i - lo:0:-1, None] * rewards[lo:i]
     if not len(terms):
         return np.zeros(rewards.shape[1])
     total = terms.cumsum(axis=0)[-1]
@@ -458,7 +444,7 @@ def run_batch(name: str, config: ProcedureConfig, pvals, bounds: NullBounds) -> 
     n_eligible = np.cumsum(eligible, axis=1)  # E through each step
     clock0 = np.ones(p.shape, dtype=np.intp)
     clock0[:, 1:] += n_eligible[:, :-1]
-    gamma = _gamma_table(config.gamma, p.shape[1])
+    gamma = config.gamma.table(p.shape[1])
     if rule.investing:
         base = _InvestingBase(config, lam, rule.capped, gamma, clock0, n_eligible)
     else:
@@ -478,7 +464,6 @@ def _step(config: ProcedureConfig, p: np.ndarray, eligible: np.ndarray, bounds: 
     investing = bases if isinstance(bases, _InvestingBase) else None
     K, m = p.shape
     gp = config.gamma_prime
-    gp_table = _gamma_table(gp, m) if rewarded and gp.kind not in ("kernel", "explicit") else None
     alphas = np.empty((m, K))
     rejects = np.empty((m, K), dtype=bool)
     spent = np.empty((m, K)) if rewarded else None     # time-major: step i's F(alpha)
@@ -488,7 +473,7 @@ def _step(config: ProcedureConfig, p: np.ndarray, eligible: np.ndarray, bounds: 
         base = bases[:, i] if investing is None else investing.values(i)
         alpha = alphas[i]
         if rewarded:
-            np.add(base + _reward_part(gp, rewards, i, gp_table), eps, out=alpha)
+            np.add(base + _reward_part(gp, rewards, i), eps, out=alpha)
         else:
             alpha[:] = base
         reject = np.less_equal(p[:, i], alpha, out=rejects[i])

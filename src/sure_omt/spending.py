@@ -8,6 +8,7 @@ over a window of length h).
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -18,8 +19,11 @@ SUM_SLACK = 1e-9
 # terms the normalizing constants sum directly; an analytic tail adds the rest
 POWER_NORM_TERMS = 100_000
 LOG_NORM_TERMS = JM_NORM_TERMS = 1_000_000
+# each normalizing constant is computed once per q (callers pass it as a
+# float): a sum over up to 10^6 terms costs tens of milliseconds
 
 
+@functools.lru_cache(maxsize=64)
 def _power_norm(q: float) -> float:
     """Normalizing constant sum_{t>=1} t^-q via truncated sum + Euler-Maclaurin tail.
 
@@ -36,12 +40,22 @@ def _log_family_term(t: float, q: float) -> float:
     return 1.0 / ((t + 1.0) * math.log(t + 1.0) ** q)
 
 
+@functools.lru_cache(maxsize=64)
 def _log_norm(q: float) -> float:
-    """sum_{t>=1} 1/((t+1) log^q(t+1)); truncated sum + integral tail + half term."""
-    ks = np.arange(1.0, LOG_NORM_TERMS + 1.0)
-    partial = float(np.sum(1.0 / ((ks + 1.0) * np.log(ks + 1.0) ** q)))
+    """sum_{t>=1} 1/((t+1) log^q(t+1)); truncated sum + integral tail + half term.
+
+    From q of about 270.3 the last term's log^q overflows a float, and q is
+    rejected; below that, a term whose denominator overflows reads 0.
+    """
     a = float(LOG_NORM_TERMS + 1)
-    tail = math.log(a + 1.0) ** (1 - q) / (q - 1) + 0.5 * _log_family_term(a, q)
+    try:
+        tail = math.log(a + 1.0) ** (1 - q) / (q - 1) + 0.5 * _log_family_term(a, q)
+    except OverflowError:
+        raise ValueError(f"log-family q = {q!r} is too large: its normalizing constant "
+                         "overflows a float") from None
+    ks = np.arange(1.0, LOG_NORM_TERMS + 1.0)
+    with np.errstate(over="ignore"):
+        partial = float(np.sum(1.0 / ((ks + 1.0) * np.log(ks + 1.0) ** q)))
     return partial + tail
 
 
@@ -49,6 +63,7 @@ def _jm_term(t: float) -> float:
     return math.log(t + 1.0) / ((t + 1.0) * math.exp(math.sqrt(math.log(t + 1.0))))
 
 
+@functools.cache
 def _jm_norm() -> float:
     """Slowly converging series; the tail integral is exact under u = sqrt(log(x+1))."""
     ks = np.arange(1.0, JM_NORM_TERMS + 1.0)
@@ -65,7 +80,8 @@ class SpendingSequence:
     """Lazy evaluator for gamma_t with memoized values and prefix sums.
 
     ``kind`` is one of power / log / jm / kernel / explicit; greedy is the
-    explicit sequence (1, 0, 0, ...).  gamma_t = 0 for t <= 0.
+    explicit sequence (1, 0, 0, ...).  gamma_t = 0 for t <= 0.  Two sequences
+    are equal when their parameters are, whatever either has evaluated.
     """
 
     kind: str
@@ -73,8 +89,16 @@ class SpendingSequence:
     h: int | None = None
     values: tuple[float, ...] | None = None
     norm: float | None = None
-    _memo: list[float] = field(default_factory=lambda: [0.0], repr=False)
-    _prefix: list[float] = field(default_factory=lambda: [0.0], repr=False)
+    _memo: list[float] = field(default_factory=lambda: [0.0], repr=False, compare=False)
+    _prefix: list[float] = field(default_factory=lambda: [0.0], repr=False, compare=False)
+    _table: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def window(self) -> int | None:
+        """The t beyond which gamma_t = 0 (kernel: h, explicit: its length); None if infinite."""
+        if self.kind == "kernel":
+            return self.h
+        return len(self.values) if self.kind == "explicit" else None
 
     def _raw(self, t: int) -> float:
         if self.kind == "power":
@@ -102,6 +126,15 @@ class SpendingSequence:
         self._extend(t)
         return self._memo[t]
 
+    def table(self, n: int) -> np.ndarray:
+        """Read-only gamma_k at index k, for 0 <= k <= n at least.  Kept and regrown
+        to twice n in a new array, so a table read earlier stays a correct prefix."""
+        if self._table is None or len(self._table) <= n:
+            self._extend(2 * n)
+            self._table = np.array(self._memo[:2 * n + 1])
+            self._table.flags.writeable = False
+        return self._table
+
     def prefix(self, t: int) -> float:
         """sum_{s<=t} gamma_s."""
         if t <= 0:
@@ -111,10 +144,8 @@ class SpendingSequence:
 
     def tail_bound(self, t: int) -> float:
         """Upper bound on sum_{s>t} gamma_s, analytic where available."""
-        if self.kind == "kernel":
-            return max(0.0, 1.0 - self.prefix(t))
-        if self.kind == "explicit":
-            return sum(self.values[t:]) if t < len(self.values) else 0.0
+        if self.window is not None:  # the remaining values themselves
+            return math.fsum(self.gamma(s) for s in range(t + 1, self.window + 1))
         a = float(t + 1)
         if self.kind == "power":
             raw = a ** (1 - self.q) / (self.q - 1) + a ** -self.q
@@ -133,14 +164,14 @@ def make_power_law(q: float) -> SpendingSequence:
     if not 1 < q < math.inf:  # NaN fails too
         raise ValueError("power-law spending requires a finite q > 1 (the series diverges "
                          "for q <= 1)")
-    return SpendingSequence(kind="power", q=q, norm=_power_norm(q))
+    return SpendingSequence(kind="power", q=q, norm=_power_norm(float(q)))
 
 
 def make_log_family(q: float) -> SpendingSequence:
     """gamma_t proportional to 1 / ((t+1) log^q(t+1)), q > 1."""
     if not 1 < q < math.inf:  # NaN fails too
         raise ValueError("log-family spending requires a finite q > 1")
-    return SpendingSequence(kind="log", q=q, norm=_log_norm(q))
+    return SpendingSequence(kind="log", q=q, norm=_log_norm(float(q)))
 
 
 def make_jm_family() -> SpendingSequence:
@@ -194,11 +225,16 @@ def validate_sequence(seq: SpendingSequence, horizon: int = 10_000) -> SequenceV
     # the analytic tail bound overshoots the true tail by about half the
     # first omitted term; use the sharper midpoint estimate for the check
     est = tail
-    if seq.kind in ("power", "log", "jm"):
+    if seq.window is None:
         est = tail - 0.5 * seq.gamma(horizon + 1)
     ok = total + est <= 1.0 + SUM_SLACK
     msg = "" if ok else f"prefix sum {total} + tail {tail} exceeds 1"
     return SequenceValidation(ok, total, tail, horizon, msg)
+
+
+# the keys of each family's spec besides "family"
+SPEC_KEYS = {"power": ("q",), "log": ("q",), "jm": (), "kernel": ("h",), "greedy": (),
+             "explicit": ("values",)}
 
 
 def parse_sequence_spec(spec: dict) -> SpendingSequence:
@@ -207,10 +243,17 @@ def parse_sequence_spec(spec: dict) -> SpendingSequence:
     Grammar: {"family": "power", "q": 1.6} | {"family": "log", "q": q}
            | {"family": "jm"} | {"family": "kernel", "h": 100}
            | {"family": "greedy"} | {"family": "explicit", "values": [...]}
+    A spec has exactly its family's keys.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"a spending spec must be an object, got {spec!r}")
     family = spec.get("family")
+    if not isinstance(family, str) or family not in SPEC_KEYS:
+        raise ValueError(f"unknown spending family {family!r}")
+    keys = {"family", *SPEC_KEYS[family]}
+    if set(spec) != keys:
+        raise ValueError(f"a {family} spending spec takes exactly the keys "
+                         f"{', '.join(sorted(keys))}, got {', '.join(map(str, spec))}")
     if family == "power":
         return make_power_law(float(spec["q"]))
     if family == "log":
@@ -221,6 +264,4 @@ def parse_sequence_spec(spec: dict) -> SpendingSequence:
         return make_kernel(spec["h"])
     if family == "greedy":
         return make_greedy()
-    if family == "explicit":
-        return make_explicit(spec["values"])
-    raise ValueError(f"unknown spending family {family!r}")
+    return make_explicit(spec["values"])

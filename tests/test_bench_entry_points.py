@@ -6,11 +6,23 @@ worker calls it, so a cut of the public surface fails here first.
 """
 
 import csv
+import importlib.util
 import json
+from pathlib import Path
 
 import sure_omt
 from sure_omt import cli, evaluate, procedures, simulate, spending
 from sure_omt.procedures import RULES
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def _bench_workloads():
+    """bench/workloads.py (standard library only), loaded by its path."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_bench_entry_points(tmp_path):
@@ -23,6 +35,11 @@ def test_bench_entry_points(tmp_path):
 
     trial = simulate.generate_trial(simulate.ScenarioConfig(m=40, n_subjects=10), 0)
     assert len(trial.tables) == len(trial.pvals) == len(trial.bounds) == len(trial.labels) == 40
+
+    # the traced analyze replay parses the specs of the bench's analyze config
+    analyze_config = _bench_workloads().ANALYZE_CONFIG
+    assert spending.parse_sequence_spec(analyze_config["gamma"]).kind == "power"
+    assert spending.parse_sequence_spec(analyze_config["gamma_prime"]).kind == "kernel"
 
     gamma = spending.make_power_law(1.6)
     gammas_prime = {"kernel": spending.make_kernel(10), "power": spending.make_power_law(1.6)}

@@ -295,6 +295,33 @@ def test_explicit_gamma_out_of_range_is_a_config_error(tmp_path, capsys, values)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "tables.csv"]
 
 
+@pytest.mark.parametrize("key", ["gamma", "gamma_prime"])
+@pytest.mark.parametrize("spec,fragment", [
+    ({"family": "kernel", "h": 5, "q": 3}, "takes exactly the keys family, h"),
+    ({"family": "jm", "q": 2}, "takes exactly the keys family, got"),
+    ({"family": "greedy", "values": [0.5]}, "takes exactly the keys family, got"),
+    ({"family": "log", "q": 300}, "too large"),
+    ({"family": "log", "q": 1e5}, "too large"),
+])
+def test_bad_spending_spec_is_a_config_error(tmp_path, capsys, key, spec, fragment):
+    """A spending spec with a key of another family, or a log q whose normalizing
+    constant overflows, exits 2 with one error line in both commands and writes
+    nothing; the key used to be ignored and the q to end in a traceback."""
+    cfg = _write_config(tmp_path, {**ANALYZE_CFG, key: spec})
+    tables = _write_tables(tmp_path, ["a,3,0,0,3", "b,1,1,1,1", "c,5,0,0,5"])
+    trace, summary = tmp_path / "trace.csv", tmp_path / "summary.json"
+    assert main(["analyze", "--config", cfg, "--input", tables, "--out-trace", str(trace),
+                 "--out-summary", str(summary)]) == 2
+    _assert_one_error_line(capsys, fragment)
+    cfg = _write_config(tmp_path, {"scenario": {"m": 10, "n_trials": 1},
+                                   "procedures": [{"name": "rho-ob", key: spec}]})
+    out, out_json = tmp_path / "r.csv", tmp_path / "r.json"
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--out-json", str(out_json)]) == 2
+    _assert_one_error_line(capsys, fragment)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "tables.csv"]
+
+
 def _strict_json(text):
     def reject(constant):
         raise ValueError(f"not JSON: {constant}")

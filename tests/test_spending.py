@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from sure_omt.spending import (SUM_SLACK, SpendingSequence, make_explicit, make_greedy,
-                               make_jm_family, make_kernel, make_log_family, make_power_law,
-                               parse_sequence_spec, validate_sequence)
+from sure_omt.procedures import ProcedureConfig
+from sure_omt.spending import (SUM_SLACK, SpendingSequence, _jm_norm, _log_norm, _power_norm,
+                               make_explicit, make_greedy, make_jm_family, make_kernel,
+                               make_log_family, make_power_law, parse_sequence_spec,
+                               validate_sequence)
 
 # Normalizing constants frozen from an independent high-precision computation
 # (truncated series at two different lengths plus the analytic tail integral
@@ -152,3 +155,90 @@ def test_tail_bound_dominates_remaining_mass():
     for g in (make_power_law(1.6), make_log_family(2.0), make_jm_family()):
         tail_sum = sum(g.gamma(t) for t in range(101, 3000))
         assert g.tail_bound(100) >= tail_sum
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "kernel", "h": 5, "q": 3},
+    {"family": "jm", "q": 2},
+    {"family": "greedy", "values": [0.5]},
+    {"family": "power", "q": 1.6, "h": 10},
+    {"family": "explicit", "values": [0.5], "q": 2},
+    {"family": "power"},
+    {"family": "kernel"},
+])
+def test_spec_takes_exactly_its_family_keys(spec):
+    # a foreign key used to be ignored, and a missing one raised a bare KeyError
+    with pytest.raises(ValueError, match="takes exactly the keys"):
+        parse_sequence_spec(spec)
+
+
+@pytest.mark.parametrize("q", [270.5, 300.0, 1e5])
+def test_log_q_whose_normalizer_overflows_is_rejected(q):
+    # its last term's log^q used to raise OverflowError
+    with pytest.raises(ValueError, match="too large"):
+        make_log_family(q)
+    with pytest.raises(ValueError, match="too large"):
+        parse_sequence_spec({"family": "log", "q": q})
+
+
+def test_large_log_q_builds_without_a_warning():
+    # numpy's overflow in the partial sum used to print a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = make_log_family(268.0)
+    assert math.isfinite(g.norm) and g.gamma(1) > 0.0
+
+
+@pytest.mark.parametrize("factory,norm", [
+    (lambda: make_power_law(1.7), _power_norm),
+    (lambda: make_log_family(1.7), _log_norm),
+    (make_jm_family, _jm_norm),
+])
+def test_normalizing_constant_is_computed_once_per_q(factory, norm):
+    first = factory()
+    misses = norm.cache_info().misses
+    second = factory()
+    assert norm.cache_info().misses == misses
+    assert second == first and second.norm == first.norm
+
+
+def test_integer_q_shares_the_float_q_constant():
+    misses = _power_norm.cache_info().misses
+    assert make_power_law(3).norm == make_power_law(3.0).norm
+    assert _power_norm.cache_info().misses <= misses + 1
+
+
+def test_equality_ignores_evaluated_values():
+    a, b = make_power_law(1.6), make_power_law(1.6)
+    a.gamma(5)  # used to make a != b
+    assert a == b
+    a.table(40)
+    assert a == b and b == a
+    assert ProcedureConfig(alpha=0.2, gamma=a) == ProcedureConfig(alpha=0.2, gamma=b)
+    assert make_power_law(1.6) != make_power_law(1.7)
+    assert make_kernel(3) != make_kernel(4)
+
+
+@pytest.mark.parametrize("factory,window", [
+    (lambda: make_power_law(1.6), None),
+    (lambda: make_log_family(1.5), None),
+    (make_jm_family, None),
+    (lambda: make_kernel(7), 7),
+    (lambda: make_explicit([0.4, 0.3, 0.2]), 3),
+    (make_greedy, 1),
+])
+def test_table_and_window(factory, window):
+    g = factory()
+    assert g.window == window
+    if window is not None:
+        assert g.gamma(window) > 0.0 and g.gamma(window + 1) == 0.0
+    small = g.table(5)
+    big = g.table(300)
+    assert len(small) > 5 and len(big) > 300
+    assert g.table(3) is big  # kept on the sequence
+    # an older table stays a correct prefix of the regrown one
+    assert big[:len(small)].tolist() == small.tolist()
+    assert big[:301].tolist() == [g.gamma(k) for k in range(301)]
+    for table in (small, big):
+        with pytest.raises(ValueError):
+            table[1] = 0.5
