@@ -13,6 +13,13 @@ flags, spent levels); without a reward, the alphas are the base values.  The
 spent level, which the budget audits read, is F_t(alpha_t) for a rewarded rule
 (its reward is alpha_t - F_t(alpha_t)) and alpha_t for a base rule.
 
+LORD/ALORD pay gamma at one re-indexation clock per past rejection.  Both
+engines keep, for each clock ahead, the sum of gamma over the rejections after
+the first: a rejection adds its gamma row to every later clock's sum, in
+rejection order, so a step reads its base from one entry.  The scalar machine
+buffers the clocks ahead and rebuilds the buffer, twice as long, when the
+clock runs past it.
+
 ``run_batch`` runs one procedure over K streams in lockstep, as numpy arrays,
 for the simulator; ``OnlineProcedure`` stays the streaming API and its
 reference.  The batch keeps the scalar machine's order of every floating-point
@@ -130,6 +137,11 @@ class OnlineProcedure:
         # the eligible steps so far and starts[j] is E at the j-th rejection
         self._n_eligible = 0
         self._starts: list[int] = [0]
+        # _later[c - _lo] is the sum, in rejection order, of gamma at clock c
+        # minus starts[j] over the rejections j >= 2, for buffered clocks c
+        self._lo = 1
+        self._later = np.zeros(0)
+        self._gtab = np.zeros(0)
         # eligible positive rewards: the last gamma'.window steps if gamma' has a
         # window (kernel, explicit), else run_batch's time-major rewards (0.0 where
         # none was collected), grown by doubling; the sequence gives their weights
@@ -155,13 +167,22 @@ class OnlineProcedure:
         alpha, w0 = self._alpha, self._w0
         starts = self._starts
         b1 = memo[c0 - starts[1]] if len(starts) > 1 else 0.0
-        s = 0.0
-        for start in starts[2:]:
-            s += memo[c0 - start]
+        if c0 - self._lo >= len(self._later):
+            self._refill(c0)
+        s = self._later.item(c0 - self._lo)
         val = (1.0 - self._lam) * (w0 * memo[c0] + (alpha - w0) * b1 + alpha * s)
         if self._capped:
             val = min(self._lam, val)
         return val
+
+    def _refill(self, c0: int) -> None:
+        """Buffer clocks [c0, c0 + n), twice as many as before and at least
+        1024: each past rejection j >= 2 adds its gamma row, in rejection order."""
+        n = max(1024, 2 * len(self._later))
+        self._gtab = gtab = self._g.table(c0 + n)
+        self._lo, self._later = c0, np.zeros(n)
+        for start in self._starts[2:]:
+            self._later += gtab[c0 - start:c0 - start + n]
 
     def _clock(self, j: int) -> int:
         """Value of re-indexation clock j (0 <= j <= rejections) at the next step."""
@@ -240,6 +261,10 @@ class OnlineProcedure:
         if reject:
             self._starts.append(self._n_eligible)
             self.r_count += 1
+            if self._investing and self.r_count >= 2:
+                # clocks above the new start read gamma_1, gamma_2, ... more
+                k = self._n_eligible + 1 - self._lo
+                self._later[k:] += self._gtab[1:len(self._later) - k + 1]
         self._t_next = t + 1
         return Decision(t=t, p=p, alpha=alpha, reject=reject, rho=rho,
                         base_part=base, sure_part=sure, eps_part=eps,
@@ -355,9 +380,9 @@ class _InvestingBase:
     ``_base_alpha`` adds w0 times gamma at clock 0 and alpha - w0 times gamma
     at clock 1 (set by the first rejection), then alpha times the sum of gamma
     at the later clocks.  Each row keeps the first two added (``_head``) and
-    the sum, to which a rejection adds its gamma in rejection order, as the
-    scalar loop does; so the values of a step, read once the rejections
-    before it are in, are bit for bit the scalar ones.
+    the per-step sums of the later clocks for all steps of the batch; so the
+    values of a step, read once the rejections before it are in, are bit for
+    bit the scalar ones.
     """
 
     def __init__(self, config: ProcedureConfig, lam: float, capped: bool,

@@ -37,7 +37,11 @@ def _power_norm(q: float) -> float:
 
 
 def _log_family_term(t: float, q: float) -> float:
-    return 1.0 / ((t + 1.0) * math.log(t + 1.0) ** q)
+    """1/((t+1) log^q(t+1)), which reads 0 where its denominator overflows a float."""
+    try:
+        return 1.0 / ((t + 1.0) * math.log(t + 1.0) ** q)
+    except OverflowError:
+        return 0.0
 
 
 @functools.lru_cache(maxsize=64)
@@ -49,10 +53,11 @@ def _log_norm(q: float) -> float:
     """
     a = float(LOG_NORM_TERMS + 1)
     try:
-        tail = math.log(a + 1.0) ** (1 - q) / (q - 1) + 0.5 * _log_family_term(a, q)
+        math.log(a + 1.0) ** q  # the last term's log^q
     except OverflowError:
         raise ValueError(f"log-family q = {q!r} is too large: its normalizing constant "
                          "overflows a float") from None
+    tail = math.log(a + 1.0) ** (1 - q) / (q - 1) + 0.5 * _log_family_term(a, q)
     ks = np.arange(1.0, LOG_NORM_TERMS + 1.0)
     with np.errstate(over="ignore"):
         partial = float(np.sum(1.0 / ((ks + 1.0) * np.log(ks + 1.0) ** q)))
@@ -243,7 +248,8 @@ def parse_sequence_spec(spec: dict) -> SpendingSequence:
     Grammar: {"family": "power", "q": 1.6} | {"family": "log", "q": q}
            | {"family": "jm"} | {"family": "kernel", "h": 100}
            | {"family": "greedy"} | {"family": "explicit", "values": [...]}
-    A spec has exactly its family's keys.
+    A spec has exactly its family's keys; q is a number and values a list of
+    numbers, neither a string nor a bool.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"a spending spec must be an object, got {spec!r}")
@@ -255,13 +261,23 @@ def parse_sequence_spec(spec: dict) -> SpendingSequence:
         raise ValueError(f"a {family} spending spec takes exactly the keys "
                          f"{', '.join(sorted(keys))}, got {', '.join(map(str, spec))}")
     if family == "power":
-        return make_power_law(float(spec["q"]))
+        return make_power_law(float(_spec_number(spec["q"], "power spending q")))
     if family == "log":
-        return make_log_family(float(spec["q"]))
+        return make_log_family(float(_spec_number(spec["q"], "log spending q")))
     if family == "jm":
         return make_jm_family()
     if family == "kernel":
         return make_kernel(spec["h"])
     if family == "greedy":
         return make_greedy()
-    return make_explicit(spec["values"])
+    values = spec["values"]
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"explicit spending values must be a list of numbers, got {values!r}")
+    return make_explicit([_spec_number(v, "each explicit spending value") for v in values])
+
+
+def _spec_number(x, what: str):
+    """``x`` if it is a number: float() would also read a string or a bool."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {x!r}")
+    return x

@@ -31,6 +31,22 @@ def corrupted_history(proc, bounds, levels):
     return bad
 
 
+def resummed_base(rule, config, n_eligible, starts):
+    """The LORD/ALORD base value of the next step, with ``n_eligible`` eligible
+    steps so far and ``starts[j - 1]`` the eligible steps through rejection j:
+    every past rejection's gamma re-summed in rejection order, as the scalar
+    machine did at every step before it kept per-clock sums (the reference)."""
+    lam = rule.lam(config)
+    alpha, w0, gamma = config.alpha, config.w0, config.gamma.gamma
+    c0 = 1 + n_eligible
+    b1 = gamma(c0 - starts[0]) if starts else 0.0
+    s = 0.0
+    for start in starts[1:]:
+        s += gamma(c0 - start)
+    val = (1.0 - lam) * (w0 * gamma(c0) + (alpha - w0) * b1 + alpha * s)
+    return min(lam, val) if rule.capped else val
+
+
 @pytest.fixture
 def rng():
     return random.Random(20230823)

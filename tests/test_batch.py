@@ -129,6 +129,38 @@ def test_batch_matches_online_procedure(name, gp):
                 assert max(p.r_count for p in procs) >= 3  # capped at lambda = 0: none
 
 
+def _dense_signal_stream(rng, T):
+    """A stream with a tiny p-value at about 40% of the steps; half of the
+    steps have p >= 0.5, and the other nulls lie below it."""
+    strong = support_to_bound((1e-4, 0.5, 1.0))
+    nulls = [support_to_bound((round(rng.uniform(0.002, 0.45), 6),
+                               round(rng.uniform(0.5, 0.95), 6), 1.0)) for _ in range(64)]
+    pvals, bounds = [], []
+    for _ in range(T):
+        u = rng.random()
+        bound = strong if u < 0.4 else rng.choice(nulls)
+        pvals.append(bound.support[0] if u < 0.5 else rng.choice(bound.support[1:]))
+        bounds.append(bound)
+    return pvals, bounds
+
+
+@pytest.mark.parametrize("name", [name for name, rule in RULES.items() if rule.investing])
+def test_batch_matches_online_procedure_across_refills(name):
+    """Long streams with thousands of rejections, whose clocks run past the
+    scalar machine's first two buffers of per-clock sums (1024 clocks, then
+    2048), so it refills them at least twice."""
+    rng = random.Random(f"refills/{name}")
+    for lam in (0.0, 0.5):
+        config = _cfg("kernel10" if RULES[name].rewarded else None, lam=lam)
+        T = int(3200 / (1.0 - lam))
+        streams = [_dense_signal_stream(rng, T) for _ in range(2)]
+        procs = _assert_batch_is_scalar(name, config, streams)
+        for proc in procs:
+            assert 1 + sum(proc.lam_flags) > 1024 + 2048, (name, lam)
+            if not (RULES[name].capped and lam == 0.0):  # capped at lambda = 0: none
+                assert proc.r_count > 1000, (name, lam)
+
+
 def _tiny(T):
     """Every p is 1e-6 and rejected; F(alpha) = 1e-6 leaves almost all of alpha unspent."""
     strong = support_to_bound((1e-6, 1.0))

@@ -302,11 +302,15 @@ def test_explicit_gamma_out_of_range_is_a_config_error(tmp_path, capsys, values)
     ({"family": "greedy", "values": [0.5]}, "takes exactly the keys family, got"),
     ({"family": "log", "q": 300}, "too large"),
     ({"family": "log", "q": 1e5}, "too large"),
+    ({"family": "power", "q": "2"}, "power spending q must be a number"),
+    ({"family": "explicit", "values": "1"}, "must be a list of numbers"),
+    ({"family": "explicit", "values": [0.5, "0.25"]}, "value must be a number"),
 ])
 def test_bad_spending_spec_is_a_config_error(tmp_path, capsys, key, spec, fragment):
-    """A spending spec with a key of another family, or a log q whose normalizing
-    constant overflows, exits 2 with one error line in both commands and writes
-    nothing; the key used to be ignored and the q to end in a traceback."""
+    """A spending spec with a key of another family, a log q whose normalizing
+    constant overflows, or a string for a number exits 2 with one error line in
+    both commands and writes nothing; the key used to be ignored, the q to end
+    in a traceback, and a string q or values to run."""
     cfg = _write_config(tmp_path, {**ANALYZE_CFG, key: spec})
     tables = _write_tables(tmp_path, ["a,3,0,0,3", "b,1,1,1,1", "c,5,0,0,5"])
     trace, summary = tmp_path / "trace.csv", tmp_path / "summary.json"

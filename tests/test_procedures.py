@@ -9,13 +9,13 @@ import pytest
 
 from sure_omt.core import IDENTITY_BOUND
 from sure_omt.discrete import support_to_bound
-from sure_omt.procedures import (AuditReport, OnlineProcedure, ProcedureConfig,
+from sure_omt.procedures import (RULES, AuditReport, OnlineProcedure, ProcedureConfig,
                                  alpha_tilde_oracle, audit_fwer_budget,
                                  audit_mfdr_budget, make_procedure, reindex_clock)
 from sure_omt.spending import (make_explicit, make_greedy, make_jm_family, make_kernel,
                                make_log_family, make_power_law)
 
-from conftest import corrupted_history, random_stream
+from conftest import corrupted_history, random_stream, resummed_base
 
 DYADIC = make_explicit(tuple(0.5 ** k for k in range(1, 64)))
 
@@ -288,6 +288,35 @@ def test_long_stream_reward_sums_are_exact(family, rng):
             assert len(taus) > 50
         rerun = make_procedure(name, replace(cfg, gamma_prime=warm)).run(zip(pvals, bounds))
         assert rerun == decisions, name
+
+
+@pytest.mark.parametrize("name", [name for name, rule in RULES.items() if rule.investing])
+def test_investing_base_matches_the_resummed_loop(name, rng):
+    """The base value of every step equals every past rejection's gamma
+    re-summed in rejection order.  The first rejection comes after 1500
+    eligible steps, past the first buffer of per-clock sums (1024 clocks), and
+    rejected p-values below lambda make the next step read the same clock
+    again, now with that rejection's gamma_1."""
+    quiet, strong = support_to_bound((0.6, 1.0)), support_to_bound((1e-10, 0.5, 1.0))
+    pvals, bounds = random_stream(rng, 2000)
+    for i in range(len(pvals)):
+        if rng.random() < 0.3:
+            pvals[i], bounds[i] = 1e-10, strong
+    pvals, bounds = [1.0] * 1500 + pvals, [quiet] * 1500 + bounds
+    config = _cfg(lam=0.5, w0=0.1, gamma_prime=make_kernel(10))
+    rule = RULES[name]
+    lam = rule.lam(config)
+    proc = make_procedure(name, config)
+    n_eligible, starts, repeats = 0, [], 0
+    for p, bound in zip(pvals, bounds):
+        d = proc.step(p, bound)
+        assert d.base_part == resummed_base(rule, config, n_eligible, starts), d.t
+        n_eligible += p >= lam
+        if d.reject:
+            starts.append(n_eligible)
+            repeats += p < lam and len(starts) > 1
+    assert starts[0] > 1024 and len(starts) > 400, (name, len(starts))
+    assert repeats > 200 or lam == 0.0, (name, repeats)
 
 
 @pytest.mark.parametrize("name", ["rho-ob", "rho-aob", "rho-lord", "rho-alord"])

@@ -189,6 +189,31 @@ def test_large_log_q_builds_without_a_warning():
     assert math.isfinite(g.norm) and g.gamma(1) > 0.0
 
 
+def test_log_gamma_whose_denominator_overflows_reads_zero():
+    """From about t = 1e6 a q just below the limit overflows log(t+1)**q; gamma_t
+    and the tail bound used to raise OverflowError there, and both read 0."""
+    g = make_log_family(270.0)
+    assert g._raw(1_100_000) == 0.0  # what gamma(1_100_000) and table() extend by
+    assert g.tail_bound(1_100_000) == 0.0
+    assert g.gamma(1) > 0.0
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "power", "q": "2"},
+    {"family": "log", "q": "2.0"},
+    {"family": "power", "q": True},
+    {"family": "power", "q": None},
+    {"family": "explicit", "values": "1"},
+    {"family": "explicit", "values": [0.5, "0.25"]},
+    {"family": "explicit", "values": [True]},
+    {"family": "explicit", "values": 0.5},
+])
+def test_spec_numbers_are_not_strings_or_bools(spec):
+    # "2" used to build q = 2.0, and the values "1" the greedy sequence
+    with pytest.raises(ValueError, match="must be a"):
+        parse_sequence_spec(spec)
+
+
 @pytest.mark.parametrize("factory,norm", [
     (lambda: make_power_law(1.7), _power_norm),
     (lambda: make_log_family(1.7), _log_norm),
