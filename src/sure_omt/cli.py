@@ -23,7 +23,7 @@ from .evaluate import open_atomic
 from .procedures import (FWER_NAMES, ProcedureConfig, audit_fwer_budget,
                          audit_mfdr_budget, make_procedure, parse_name)
 from .simulate import ScenarioConfig, run_sweep, sweep_points
-from .spending import parse_sequence_spec
+from .spending import _spec_number, parse_sequence_spec
 
 CONFIG_ENV_VAR = "SURE_OMT_CONFIG"
 
@@ -105,7 +105,7 @@ def parse_procedures(entries, name_key: str = "name",
             unknown = sorted(set(spec) - set(PROCEDURE_KEYS))
             if unknown:
                 raise ValueError(f"unknown key(s) {', '.join(unknown)}")
-            alpha = float(spec.get("alpha", defaults["alpha"]))
+            alpha = float(_spec_number(spec.get("alpha", defaults["alpha"]), "alpha"))
             if rule.investing and "w0_share" in defaults:
                 spec.setdefault("w0", defaults["w0_share"] * alpha)
             if rule.rewarded and "kernel_h" in defaults:
@@ -118,8 +118,8 @@ def parse_procedures(entries, name_key: str = "name",
             configs[name] = ProcedureConfig(
                 alpha=alpha,
                 gamma=parse_sequence_spec(spec["gamma"]) if "gamma" in spec else default_gamma(),
-                lam=float(spec.get("lambda", defaults["lambda"])),
-                w0=float(spec["w0"]) if rule.investing else None,
+                lam=float(_spec_number(spec.get("lambda", defaults["lambda"]), "lambda")),
+                w0=float(_spec_number(spec["w0"], "w0")) if rule.investing else None,
                 gamma_prime=parse_sequence_spec(spec["gamma_prime"]) if rule.rewarded else None,
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -20,19 +20,25 @@ rejection order, so a step reads its base from one entry.  The scalar machine
 buffers the clocks ahead and rebuilds the buffer, twice as long, when the
 clock runs past it.
 
-``run_batch`` runs one procedure over K streams in lockstep, as numpy arrays,
-for the simulator; ``OnlineProcedure`` stays the streaming API and its
-reference.  The batch keeps the scalar machine's order of every floating-point
-operation, so its alphas and reject flags are the scalar ones bit for bit: sums
-run left to right (``cumsum``, and a running row to which each rejection adds
-its term in rejection order).  Both read gamma tables and reward windows from
-the spending sequence (``table(n)``, ``window``), compute the reward part of a
-gamma' with no window with ``_reward_part`` over time-major rewards (the batch
-every reward part), record the spent levels, and share one array budget audit.
+``run_batch`` runs every procedure of a simulator batch over K streams in
+lockstep, as numpy arrays; ``OnlineProcedure`` stays the streaming API and its
+reference.  The procedures that step through time share one loop over time
+per chunk of streams: each step is one numpy operation per quantity over a
+block of P procedures x K streams, so a chunk's working set is about P times
+one procedure's K x m arrays, and chunks of at most ``BATCH_COLUMNS`` columns
+bound it.  Every column keeps the scalar machine's order of every
+floating-point operation, so its alphas and reject flags are the scalar ones
+bit for bit: sums run left to right (row after row down a time-major array,
+and a running row to which each rejection adds its term in rejection order).
+Both engines read gamma tables and reward windows from the spending sequence
+(``table(n)``, ``window``), compute the reward part of a gamma' with no window
+with ``_reward_part`` over time-major rewards (the batch every reward part),
+record the spent levels, and share one array budget audit.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
@@ -330,7 +336,13 @@ def alpha_tilde_oracle(base_values: Sequence[float], p_values: Sequence[float],
     return tilde[T - 1]
 
 
-# -- lockstep batch: K streams of one procedure at once ------------------------
+# -- lockstep batch: K streams of every procedure at once ----------------------
+
+# The most columns (procedures x streams) a chunk of the lockstep block steps at
+# once: it caps the chunk's working set, which grows with its columns times the
+# stream length.  Picked from a sweep of 32-4096 columns (README "Performance").
+BATCH_COLUMNS = 1024
+
 
 class NullBounds:
     """The null bounds of K streams of m steps, evaluated as arrays.
@@ -365,51 +377,95 @@ class NullBounds:
         self._identity = identity[self.ids] if identity.any() else None
 
     def cdf(self, u, i: int) -> np.ndarray:
-        """F(u) at step i (0-based) of every stream, for u >= 0; u > 1 reads as 1."""
+        """F(u) at step i (0-based) of every stream, for u >= 0; u > 1 reads as 1.
+        ``u`` may have leading axes, which broadcast over the streams."""
         q = self._start[:, i] + self._points.searchsorted(u, "right")
         out = self._vals_before[self._keys.searchsorted(q, "right")]
         if self._identity is not None:
             out = np.where(self._identity[:, i], np.minimum(u, 1.0), out)
         return out
 
+    def rows(self, rows: slice) -> NullBounds:
+        """The bounds of the streams ``rows``, as views; the lookup keys are shared."""
+        part = copy.copy(self)
+        part.ids, part._start = self.ids[rows], self._start[rows]
+        if self._identity is not None:
+            part._identity = self._identity[rows]
+        return part
 
-class _InvestingBase:
-    """LORD/ALORD base values of K streams at every step, rebuilt after each
-    rejection.
 
-    ``_base_alpha`` adds w0 times gamma at clock 0 and alpha - w0 times gamma
-    at clock 1 (set by the first rejection), then alpha times the sum of gamma
-    at the later clocks.  Each row keeps the first two added (``_head``) and
-    the per-step sums of the later clocks for all steps of the batch; so the
+class _BlockBases:
+    """Base values of a block of P procedures x K streams at every step,
+    rebuilt after each rejection of an investing procedure.
+
+    Row j reads ``(1 - lambda_j) * (head + alpha_j * s)``, capped at lambda_j for
+    the capped rule.  An OB/AOB row's head holds its base values (alpha times
+    1 - lambda times gamma at clock 0), and the row reads them unchanged, with
+    alpha_j = lambda_j = 0.  A LORD/ALORD row's head holds w0 times gamma at
+    clock 0, plus alpha - w0 times gamma at clock 1 from the first rejection
+    on, and ``s`` the per-step sums of gamma at the later clocks.  So the
     values of a step, read once the rejections before it are in, are bit for
-    bit the scalar ones.
+    bit ``OnlineProcedure._base_alpha``.  The investing rows come first.
     """
 
-    def __init__(self, config: ProcedureConfig, lam: float, capped: bool,
-                 gamma: np.ndarray, clock0: np.ndarray, n_eligible: np.ndarray):
-        self._config, self._lam, self._capped = config, lam, capped
-        self._gamma, self._clock0, self._n_eligible = gamma, clock0, n_eligible
-        self._head = config.w0 * gamma[clock0]
-        self._s = np.zeros(clock0.shape)
-        self._first = np.ones(len(clock0), dtype=bool)
+    def __init__(self, rows: Sequence[tuple[Rule, ProcedureConfig]], lam_index: np.ndarray,
+                 clock0: np.ndarray):
+        _, K, m = clock0.shape
+        self._head = np.empty((len(rows), K, m))
+        for j, (rule, c) in enumerate(rows):
+            coef = c.w0 if rule.investing else c.alpha * (1.0 - rule.lam(c))
+            np.multiply(coef, c.gamma.table(m)[clock0[lam_index[j]]], out=self._head[j])
+        self._s = np.zeros(self._head.shape)
+        self._alpha = np.array([[c.alpha if rule.investing else 0.0] for rule, c in rows])
+        self._keep = np.array([[1.0 - rule.lam(c) if rule.investing else 1.0]
+                               for rule, c in rows])
+        capped = [[rule.lam(c) if rule.capped else np.inf] for rule, c in rows]
+        self._cap = np.array(capped) if any(rule.capped for rule, _ in rows) else None
+        # investing row r = j * K + k of head and s: procedure j on stream k
+        investing = [c for rule, c in rows if rule.investing]
+        n = len(investing)
+        self._head_rows, self._s_rows = self._head.reshape(-1, m), self._s.reshape(-1, m)
+        self._clock0 = clock0.reshape(-1, m)
+        self._clock_of = (lam_index[:n, None] * K + np.arange(K)).reshape(-1)
+        # gamma_1 .. gamma_m of each distinct gamma, one after the other, and
+        # the offset of each row's
+        gammas = []
+        for c in investing:
+            if c.gamma not in gammas:
+                gammas.append(c.gamma)
+        self._gamma = np.concatenate([g.table(m)[1:m + 1] for g in gammas] or [[]])
+        offsets = [m * gammas.index(c.gamma) for c in investing]
+        self._gamma_at = np.repeat(offsets, K) if len(gammas) > 1 else None
+        self._alpha_w0 = np.repeat([c.alpha - c.w0 for c in investing], K)
+        self._first = np.ones(n * K, dtype=bool)
 
     def values(self, i: int) -> np.ndarray:
-        """The base values of step i (0-based)."""
-        val = (1.0 - self._lam) * (self._head[:, i] + self._config.alpha * self._s[:, i])
-        return np.minimum(self._lam, val) if self._capped else val
+        """The base values of step i (0-based), P x K."""
+        val = self._alpha * self._s[:, :, i]
+        val += self._head[:, :, i]
+        val *= self._keep
+        return val if self._cap is None else np.minimum(self._cap, val, out=val)
 
-    def reject(self, ks: np.ndarray, i: int) -> None:
-        """Streams ``ks`` reject at step i (0-based): rebuild their values after it."""
+    def reject(self, rejects: np.ndarray, i: int) -> None:
+        """The investing rows' reject flags (n x K) of step i (0-based): rebuild
+        the values after it of the streams that reject."""
+        rows = rejects.reshape(-1).nonzero()[0]
         cols = slice(i + 1, None)
-        # clock j after the j-th rejection: 1 + E before the step - E at the rejection
-        term = self._gamma[self._clock0[ks, cols] - self._n_eligible[ks, i][:, None]]
-        first = self._first[ks]
-        if first.any():
-            c = self._config
-            self._head[ks[first], cols] += (c.alpha - c.w0) * term[first]
-            self._first[ks] = False
-            ks, term = ks[~first], term[~first]
-        self._s[ks, cols] += term
+        if not len(rows) or i + 1 == self._s_rows.shape[1]:
+            return
+        clock0 = self._clock0[self._clock_of[rows], cols]
+        # the new clock reads 1 at step i + 1, then 1 + clock 0 - clock 0 there
+        first_clock = clock0[:, :1]
+        if self._gamma_at is not None:
+            first_clock = first_clock - self._gamma_at[rows, None]
+        term = self._gamma[clock0 - first_clock]
+        first = self._first[rows]
+        if np.count_nonzero(first):
+            head_rows = rows[first]
+            self._head_rows[head_rows, cols] += self._alpha_w0[head_rows, None] * term[first]
+            self._first[head_rows] = False
+            rows, term = rows[~first], term[~first]
+        self._s_rows[rows, cols] += term
 
 
 def _reward_part(gp: SpendingSequence, rewards: np.ndarray, i: int) -> np.ndarray:
@@ -423,7 +479,8 @@ def _reward_part(gp: SpendingSequence, rewards: np.ndarray, i: int) -> np.ndarra
         terms = gp.table(i - lo)[i - lo:0:-1, None] * rewards[lo:i]
     if not len(terms):
         return np.zeros(rewards.shape[1])
-    total = terms.cumsum(axis=0)[-1]
+    # reduce adds row after row over two or more columns, but one column pairwise
+    total = np.add.reduce(terms, axis=0) if terms.shape[1] > 1 else terms.cumsum(axis=0)[-1]
     return total / gp.h if gp.kind == "kernel" else total
 
 
@@ -450,70 +507,107 @@ class BatchRun:
                              self.rule.investing)
 
 
-def run_batch(name: str, config: ProcedureConfig, pvals, bounds: NullBounds) -> BatchRun:
-    """Run procedure ``name`` over K streams: ``pvals`` is K x m, step (k, t)
-    has null bound ``bounds.table[bounds.ids[k, t]]``.
+def run_batch(configs: dict[str, ProcedureConfig], pvals,
+              bounds: NullBounds) -> dict[str, BatchRun]:
+    """Run every procedure of ``configs``, keyed by name, over K streams:
+    ``pvals`` is K x m, step (k, t) has null bound ``bounds.table[bounds.ids[k, t]]``.
 
     OB/AOB have no step loop: they read gamma at clock 0.  The other rules
-    step through time, vectorized over the streams; LORD/ALORD rebuild a
-    stream's base values after each of its rejections.
+    step through time in one loop, as a block of (procedures x streams)
+    columns cut into chunks of at most ``BATCH_COLUMNS`` columns; LORD/ALORD
+    rebuild a stream's base values after each of its rejections.  The
+    procedures with one lambda share their eligibility flags.
     """
-    rule = _checked_rule(name, config)
+    rules = {name: _checked_rule(name, config) for name, config in configs.items()}
     p = np.asarray(pvals, dtype=float)
     if p.ndim != 2 or bounds.ids.shape != p.shape:
         raise ValueError("pvals and bounds.ids must both be K x m")
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("p must lie in [0, 1]")
-    lam = rule.lam(config)
-    eligible = p >= lam
-    n_eligible = np.cumsum(eligible, axis=1)  # E through each step
-    clock0 = np.ones(p.shape, dtype=np.intp)
-    clock0[:, 1:] += n_eligible[:, :-1]
-    gamma = config.gamma.table(p.shape[1])
-    if rule.investing:
-        base = _InvestingBase(config, lam, rule.capped, gamma, clock0, n_eligible)
-    else:
-        base = (config.alpha * (1.0 - lam)) * gamma[clock0]
-    if rule.investing or rule.rewarded:
-        alphas, rejects, spent = _step(config, p, eligible, bounds, base, rule.rewarded)
-    else:
-        alphas, rejects, spent = base, p <= base, base
-    return BatchRun(config, rule, alphas, rejects, eligible, spent)
-
-
-def _step(config: ProcedureConfig, p: np.ndarray, eligible: np.ndarray, bounds: NullBounds,
-          bases: np.ndarray | _InvestingBase, rewarded: bool):
-    """Alphas, reject flags and spent levels, one step of all streams at a
-    time: a rewarded rule adds its reward part and carry to the base and spends
-    F(alpha), and investing ``bases`` are rebuilt after each rejection."""
-    investing = bases if isinstance(bases, _InvestingBase) else None
     K, m = p.shape
-    gp = config.gamma_prime
-    alphas = np.empty((m, K))
-    rejects = np.empty((m, K), dtype=bool)
-    spent = np.empty((m, K)) if rewarded else None     # time-major: step i's F(alpha)
-    rewards = np.zeros((m, K)) if rewarded else None  # and its collected rewards
-    eps = np.zeros(K)
-    for i in range(m):
-        base = bases[:, i] if investing is None else investing.values(i)
-        alpha = alphas[i]
-        if rewarded:
-            np.add(base + _reward_part(gp, rewards, i), eps, out=alpha)
+    lams = sorted({rule.lam(configs[name]) for name, rule in rules.items()})
+    lam_of = {name: lams.index(rule.lam(configs[name])) for name, rule in rules.items()}
+    flags = np.empty((len(lams), K, m), dtype=bool)  # p >= lambda, by distinct lambda
+    # the block: investing rows first, rewarded rows last, equal gamma' adjacent
+    gammas = [c.gamma_prime for c in configs.values()]
+    block = sorted((name for name, rule in rules.items() if rule.investing or rule.rewarded),
+                   key=lambda name: (not rules[name].investing, rules[name].rewarded,
+                                     gammas.index(configs[name].gamma_prime)))
+    r0 = sum(not rules[name].rewarded for name in block)
+    alphas = np.empty((len(block), K, m))
+    rejects = np.empty(alphas.shape, dtype=bool)
+    spent = np.empty((len(block) - r0, K, m))
+    loop_free = {name: (np.empty((K, m)), np.empty((K, m), dtype=bool))
+                 for name in rules if name not in block}
+    chunk = max(1, BATCH_COLUMNS // max(1, len(block)))
+    for lo in range(0, K, chunk):
+        rows = slice(lo, lo + chunk)
+        p_rows, flag_rows = p[rows], flags[:, rows]
+        np.greater_equal(p_rows, np.array(lams)[:, None, None], out=flag_rows)
+        clock0 = np.ones(flag_rows.shape, dtype=np.intp)  # 1 + E before each step
+        np.cumsum(flag_rows[:, :, :-1], axis=2, out=clock0[:, :, 1:])
+        clock0[:, :, 1:] += 1
+        for name, (a, r) in loop_free.items():
+            c = configs[name]
+            np.multiply(c.alpha * (1.0 - rules[name].lam(c)),
+                        c.gamma.table(m)[clock0[lam_of[name]]], out=a[rows])
+            np.less_equal(p_rows, a[rows], out=r[rows])
+        if block:
+            _step_block([(rules[name], configs[name]) for name in block],
+                        np.array([lam_of[name] for name in block]), p_rows, flag_rows, clock0,
+                        bounds.rows(rows), alphas[:, rows], rejects[:, rows], spent[:, rows])
+    runs = {name: BatchRun(configs[name], rules[name], a, r, flags[lam_of[name]], a)
+            for name, (a, r) in loop_free.items()}
+    for j, name in enumerate(block):
+        runs[name] = BatchRun(configs[name], rules[name], alphas[j], rejects[j],
+                              flags[lam_of[name]], spent[j - r0] if j >= r0 else alphas[j])
+    return {name: runs[name] for name in configs}
+
+
+def _step_block(rows: Sequence[tuple[Rule, ProcedureConfig]], lam_index: np.ndarray,
+                p: np.ndarray, flags: np.ndarray, clock0: np.ndarray, bounds: NullBounds,
+                alphas: np.ndarray, rejects: np.ndarray, spent: np.ndarray) -> None:
+    """Step P procedures (``rows``, investing first and rewarded last) over the
+    K x m ``p`` together, one step of all P x K columns at a time, into
+    ``alphas``, ``rejects`` (P x K x m) and the rewarded rows' ``spent``.
+
+    ``flags`` and ``clock0`` hold the eligibility flags and clock 0 for each
+    distinct lambda, and ``lam_index`` each row's.  A rewarded row adds its
+    reward part and carry to the base and spends F(alpha); the other rows add
+    zeros.  Each run of rows with one gamma' reads its reward parts at once.
+    """
+    P, K, m = alphas.shape
+    r0 = P - len(spent)
+    n_investing = sum(rule.investing for rule, _ in rows)
+    bases = _BlockBases(rows, lam_index, clock0)
+    runs = []  # (gamma', first column, end column) of the time-major rewards
+    for j, (_, c) in enumerate(rows[r0:]):
+        if runs and runs[-1][0] == c.gamma_prime:
+            runs[-1][2] += K
         else:
-            alpha[:] = base
-        reject = np.less_equal(p[:, i], alpha, out=rejects[i])
-        if rewarded:
+            runs.append([c.gamma_prime, j * K, (j + 1) * K])
+    rewards = np.zeros((m, (P - r0) * K))  # time-major: step i's collected rewards
+    sure, eps = np.zeros((P, K)), np.zeros((P, K))  # reward part and carry
+    sure_r, eps_r = sure[r0:].reshape(-1), eps[r0:]
+    flag_index = lam_index[r0:]
+    for i in range(m):
+        for gp, a, b in runs:
+            sure_r[a:b] = _reward_part(gp, rewards[:, a:b], i)
+        base = bases.values(i)
+        alpha = np.add(base, sure, out=alphas[:, :, i])
+        alpha += eps
+        reject = np.less_equal(p[:, i], alpha, out=rejects[:, :, i])
+        if r0 < P:
+            alpha_r = alpha[r0:]
+            f = spent[:, :, i] = bounds.cdf(alpha_r, i)
+            eligible = flags[flag_index, :, i]
             # rho >= 0, so rho times the eligibility flag is the collected reward
-            spent[i] = bounds.cdf(alpha, i)
-            np.multiply(alpha - spent[i], eligible[:, i], out=rewards[i])
-            eps = np.where(eligible[:, i], 0.0, alpha - base)
-        if investing is not None:
-            ks = reject.nonzero()[0]
-            if len(ks):
-                investing.reject(ks, i)
-    alphas = np.ascontiguousarray(alphas.T)
-    spent = alphas if spent is None else np.ascontiguousarray(spent.T)
-    return alphas, np.ascontiguousarray(rejects.T), spent
+            collected = np.subtract(alpha_r, f, out=rewards[i].reshape(P - r0, K))
+            collected *= eligible
+            np.subtract(alpha_r, base[r0:], out=eps_r)
+            eps_r[eligible] = 0.0
+        if n_investing:
+            bases.reject(reject[:n_investing], i)
 
 
 # -- budget audits ---------------------------------------------------------------

@@ -6,7 +6,7 @@ Null positions use equal success probabilities (a low and a mid level);
 alternative positions give one group an elevated probability.
 
 The sweep runs every trial of the points that share their procedures as one
-batch per procedure (``procedures.run_batch``); each trial keeps its own
+batch of all procedures (``procedures.run_batch``); each trial keeps its own
 seeded draws, so the results do not depend on how trials are batched.
 """
 
@@ -22,7 +22,7 @@ from .discrete import fisher_margins
 from .evaluate import (EvalReport, TrialOutcome, estimate_fwer, estimate_mfdr,
                        estimate_power)
 from .procedures import NullBounds, ProcedureConfig, run_batch
-from .spending import make_kernel
+from .spending import _spec_number, make_kernel
 
 PLACEMENTS = ("B", "E", "BM", "BE", "ME", "Random")
 # sweep axis -> the ScenarioConfig field it sets; the other axes set lambda and h
@@ -51,8 +51,8 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.m < 1 or self.n_trials < 1 or self.n_subjects < 0 or self.seed < 0:
             raise ValueError("need m >= 1, n_trials >= 1, n_subjects >= 0 and seed >= 0")
-        for p in (self.pi_a, self.p3, self.p_null_low, self.p_null_mid):
-            if not 0.0 <= p <= 1.0:
+        for name in ("pi_a", "p3", "p_null_low", "p_null_mid"):
+            if not 0.0 <= _spec_number(getattr(self, name), name) <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")
 
     @property
@@ -170,24 +170,28 @@ class TrialResults:
     audit_failures: list[tuple[str, int]] = field(default_factory=list)
 
 
-def _run_stacked(scenarios: Sequence[ScenarioConfig],
-                 configs: dict[str, ProcedureConfig]) -> list[TrialResults]:
-    """Every trial of every scenario (all of one stream length) in one audited batch
-    per procedure."""
-    table: list[StepCdf] = []
+def _stacked_tests(scenarios: Sequence[ScenarioConfig], table: list[StepCdf]):
+    """The labels of each scenario's trials, and the p-values and bound ids
+    (into ``table``) of all their steps, stacked in scenario order.  The draws
+    are dropped on return, before any procedure runs."""
     labels, tests = [], []
     for scenario in scenarios:
-        draws = [_draw(scenario, i) for i in range(scenario.n_trials)]
-        scenario_labels, succ_a, succ_b = map(np.array, zip(*draws))
+        scenario_labels, succ_a, succ_b = map(np.array, zip(
+            *(_draw(scenario, i) for i in range(scenario.n_trials))))
         labels.append(scenario_labels)
         tests.append(_exact_tests(scenario.n_subjects, succ_a, succ_b, table))
     pvals, ids = (np.concatenate(arrays) for arrays in zip(*tests))
-    bounds = NullBounds(table, ids)
-    rejects, passed = {}, {}
-    for name, config in configs.items():
-        run = run_batch(name, config, pvals, bounds)
-        rejects[name] = run.rejects
-        passed[name] = [rep.ok for rep in run.audit()]
+    return labels, pvals, ids
+
+
+def _run_stacked(scenarios: Sequence[ScenarioConfig],
+                 configs: dict[str, ProcedureConfig]) -> list[TrialResults]:
+    """Every trial of every scenario (all of one stream length) in one audited batch."""
+    table: list[StepCdf] = []
+    labels, pvals, ids = _stacked_tests(scenarios, table)
+    runs = run_batch(configs, pvals, NullBounds(table, ids))
+    rejects = {name: run.rejects for name, run in runs.items()}
+    passed = {name: [rep.ok for rep in run.audit()] for name, run in runs.items()}
     results = []
     start = 0
     for scenario, scenario_labels in zip(scenarios, labels):

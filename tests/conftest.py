@@ -2,9 +2,15 @@ import copy
 import random
 
 import pytest
+from hypothesis import settings
 
 from sure_omt.discrete import support_to_bound
 from sure_omt.spending import make_kernel, make_power_law
+
+# The same examples on every run, and no per-example deadline: the tests run
+# on hosts whose speed drifts by a factor of two.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 def random_bound(rng: random.Random, max_points: int = 4):

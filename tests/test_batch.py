@@ -7,15 +7,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sure_omt import procedures
 from sure_omt.cli import parse_procedures
 from sure_omt.core import IDENTITY_BOUND
 from sure_omt.discrete import fisher_margins, support_to_bound
 from sure_omt.evaluate import (EvalReport, TrialOutcome, estimate_fwer, estimate_mfdr,
                                estimate_power)
 from sure_omt.procedures import (FWER_NAMES, RULES, AuditReport, NullBounds, ProcedureConfig,
-                                 audit_fwer_budget, audit_mfdr_budget, make_procedure,
-                                 run_batch)
+                                 _reward_part, audit_fwer_budget, audit_mfdr_budget,
+                                 make_procedure, run_batch)
 from sure_omt.simulate import (ScenarioConfig, TrialResults, TrialStream, generate_trial,
                                place_signal, run_sweep, run_trials, sweep_points)
 from sure_omt.spending import (SpendingSequence, make_explicit, make_greedy, make_jm_family,
@@ -78,8 +80,8 @@ def _assert_batch_is_scalar(name, config, streams):
     """Batch and scalar machine agree bit for bit on every stream: alphas,
     reject flags, eligibility flags, spent levels, the audits and their
     negative controls, which audit a corrupted copy of the recorded history."""
-    run = run_batch(name, config, [s[0] for s in streams],
-                    _bounds_of([s[1] for s in streams]))
+    run = run_batch({name: config}, [s[0] for s in streams],
+                    _bounds_of([s[1] for s in streams]))[name]
     corrupt = run.alphas * 5.0 + 0.3  # above the budget from the first step
     controlled = audit_mfdr_budget if RULES[name].investing else audit_fwer_budget
     audits = run.audit()
@@ -217,11 +219,11 @@ def test_batch_edge_streams(name, gp):
 def test_batch_rejects_bad_input():
     bounds = _bounds_of([[support_to_bound((0.5, 1.0))] * 3])
     with pytest.raises(ValueError):
-        run_batch("ob", _cfg(), [[0.1, 1.5, 0.2]], bounds)
+        run_batch({"ob": _cfg()}, [[0.1, 1.5, 0.2]], bounds)
     with pytest.raises(ValueError):
-        run_batch("ob", _cfg(), [[0.1, 0.2]], bounds)
+        run_batch({"ob": _cfg()}, [[0.1, 0.2]], bounds)
     with pytest.raises(ValueError):
-        run_batch("rho-ob", _cfg(), [[0.1, 0.2, 0.3]], bounds)  # no gamma'
+        run_batch({"rho-ob": _cfg()}, [[0.1, 0.2, 0.3]], bounds)  # no gamma'
 
 
 @pytest.mark.parametrize("levels,worst_t", [
@@ -241,7 +243,7 @@ def test_audits_fail_on_a_non_finite_level(levels, worst_t, bound):
             proc.step(0.5, b)
         bad = corrupted_history(proc, bounds, levels)
         assert audit_fwer_budget(bad) == audit_mfdr_budget(bad) == want
-        run = run_batch(name, config, [[0.5] * len(levels)], _bounds_of([bounds]))
+        run = run_batch({name: config}, [[0.5] * len(levels)], _bounds_of([bounds]))[name]
         assert replace(run, alphas=np.array([levels]), spent=np.array([bad.spent])).audit() \
             == [want]
 
@@ -259,6 +261,98 @@ def test_null_bounds_match_step_cdf(rng):
     got = np.column_stack([bounds.cdf(u[:, i], i) for i in range(u.shape[1])])
     want = [[table[i](x) for i, x in zip(row, xs)] for row, xs in zip(ids, u.tolist())]
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("gp", ["power", "kernel10", "explicit"])
+@pytest.mark.parametrize("width", [1, 2, 3, 17, 1000])
+def test_reward_part_adds_each_window_left_to_right(width, gp):
+    """Each column's window is summed row after row, as the scalar machine adds
+    it, at every width and on a column slice of wider time-major rewards (the
+    form the block passes).  numpy's reduce over one column adds pairwise."""
+    rng = np.random.default_rng(width)
+    spending = GAMMA_PRIMES[gp]()
+    m = 200
+    # rewards of all magnitudes and many zeros, so another order of the sum shows
+    wide = rng.random((m, width + 5)) * 10.0 ** rng.integers(-12, 3, (m, width + 5))
+    wide[rng.random(wide.shape) < 0.3] = 0.0
+    for rewards in (np.ascontiguousarray(wide[:, :width]), wide[:, 2:2 + width]):
+        for i in (0, 1, 9, 10, 11, 150, m):
+            lo = 0 if spending.window is None else max(0, i - spending.window)
+            kernel = spending.kind == "kernel"
+            want = np.zeros(width)
+            for t in range(lo, i):
+                want = want + (rewards[t] if kernel else spending.gamma(i - t) * rewards[t])
+            if kernel:
+                want = want / spending.h
+            assert _reward_part(spending, rewards, i).tobytes() == want.tobytes(), (i, width)
+
+
+SPENDINGS = [lambda: make_power_law(1.6), lambda: make_power_law(3.0),
+             lambda: make_log_family(1.5), make_jm_family, lambda: make_kernel(5),
+             lambda: make_explicit((0.4, 0.3, 0.2)), make_greedy]
+
+
+@st.composite
+def _mixed_batches(draw):
+    """Any subset of the 9 procedures, each with its own gamma, gamma', lambda,
+    w0 and alpha, over K <= 4 streams of m <= 40 steps.  The bounds include the
+    identity; p lies on or off its bound's support."""
+    names = draw(st.lists(st.sampled_from(list(RULES)), min_size=1, max_size=9, unique=True))
+    configs = {}
+    for name in names:
+        rule = RULES[name]
+        alpha = draw(st.sampled_from([0.05, 0.2, 0.5]))
+        configs[name] = ProcedureConfig(
+            alpha=alpha, gamma=draw(st.sampled_from(SPENDINGS))(),
+            lam=draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.9])),
+            w0=alpha * draw(st.sampled_from([0.1, 0.5, 0.9])) if rule.investing else None,
+            gamma_prime=GAMMA_PRIMES[draw(st.sampled_from(list(GAMMA_PRIMES)))]()
+            if rule.rewarded else None)
+    K, m = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    point = st.floats(0.001, 0.99).map(lambda x: round(x, 4))
+    table = [IDENTITY_BOUND] + [
+        support_to_bound(sorted(set(draw(st.lists(point, max_size=4))) | {1.0}))
+        for _ in range(draw(st.integers(1, 4)))]
+    ids = [[draw(st.integers(0, len(table) - 1)) for _ in range(m)] for _ in range(K)]
+    pvals = [[draw(st.one_of(st.sampled_from(table[i].support),
+                             st.sampled_from([0.0, 1e-6, 1e-3, 1.0]),
+                             st.floats(0.0, 1.0))) for i in row] for row in ids]
+    return configs, pvals, [[table[i] for i in row] for row in ids]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("columns", [None, 1, 3])
+@settings(max_examples=40)
+@given(batch=_mixed_batches())
+def test_mixed_batch_matches_each_rule_alone_and_the_scalar_machine(columns, batch):
+    """Every rule of a fused batch equals the same rule run alone and the scalar
+    machine, bit for bit, on alphas, reject and eligibility flags, spent levels
+    and audit verdicts; also with the block cut into chunks of 1 or 3 columns."""
+    configs, pvals, bound_rows = batch
+    bounds = _bounds_of(bound_rows)
+    with pytest.MonkeyPatch.context() as patch:
+        if columns is not None:
+            patch.setattr(procedures, "BATCH_COLUMNS", columns)
+        fused = run_batch(configs, pvals, bounds)
+        assert list(fused) == list(configs)
+        for name, config in configs.items():
+            alone = run_batch({name: config}, pvals, bounds)[name]
+            controlled = audit_mfdr_budget if RULES[name].investing else audit_fwer_budget
+            want_audits = []
+            for k, (row, bound_row) in enumerate(zip(pvals, bound_rows)):
+                proc = make_procedure(name, config)
+                for p, b in zip(row, bound_row):
+                    proc.step(p, b)
+                want_audits.append(controlled(proc))
+                for run in (fused[name], alone):
+                    assert _bits(run.alphas[k]) == _bits(proc.alphas), (name, k)
+                    assert run.rejects[k].tolist() == proc.rejects, (name, k)
+                    assert run.lam_flags[k].tolist() == proc.lam_flags, (name, k)
+                    assert _bits(run.spent[k]) == _bits(proc.spent), (name, k)
+            assert fused[name].audit() == alone.audit() == want_audits, name
 
 
 # -- the simulator ---------------------------------------------------------------

@@ -171,6 +171,41 @@ def test_analyze_bad_config_combinations(tmp_path, capsys):
         _assert_one_error_line(capsys, fragment)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("alpha", "0.2"), ("lambda", "0.1"), ("lambda", False), ("w0", "0.05"), ("w0", True),
+])
+def test_analyze_config_numbers_must_be_numbers(tmp_path, capsys, key, value):
+    """A string or bool for a number exits 2 and names the key.  These used to
+    run: float() read "0.2" as 0.2, and a lambda of false ran as 0."""
+    payload = {**ANALYZE_CFG, "procedure": "rho-alord", "w0": 0.1, "lambda": 0.3, key: value}
+    trace = tmp_path / "t.csv"
+    assert main(["analyze", "--config", _write_config(tmp_path, payload),
+                 "--input", _write_tables(tmp_path, ["a,1,2,3,4"]),
+                 "--out-trace", str(trace)]) == 2
+    _assert_one_error_line(capsys, f"{key} must be a number, got {value!r}")
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("payload,key", [
+    ({"scenario": {"pi_a": "0.3"}}, "pi_a"),
+    ({"scenario": {"p3": "0.4"}}, "p3"),
+    ({"scenario": {"p_null_low": False}}, "p_null_low"),
+    ({"scenario": {"p_null_mid": "0.1"}}, "p_null_mid"),
+    ({"sweep": {"axis": "pi_a", "values": [0.1, "0.3"]}}, "pi_a"),
+    ({"procedures": [{"name": "aob", "lambda": "0.5"}]}, "lambda"),
+    ({"procedures": [{"name": "lord", "alpha": "0.2"}]}, "alpha"),
+])
+def test_simulate_config_numbers_must_be_numbers(tmp_path, capsys, payload, key):
+    """A non-number scenario probability exits 2 with a message that names the
+    key; it used to report Python's "'<=' not supported between instances"."""
+    payload = {**payload, "scenario": {"m": 10, "n_trials": 1, **payload.get("scenario", {})}}
+    out = tmp_path / "r.csv"
+    assert main(["simulate", "--config", _write_config(tmp_path, payload),
+                 "--out", str(out)]) == 2
+    _assert_one_error_line(capsys, f"{key} must be a number")
+    assert not out.exists()
+
+
 def test_config_from_env_and_overrides(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path, ANALYZE_CFG)
     monkeypatch.setenv(CONFIG_ENV_VAR, cfg)
