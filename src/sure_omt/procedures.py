@@ -394,6 +394,13 @@ class NullBounds:
         return part
 
 
+def _clock0_part(rule: Rule, config: ProcedureConfig, clock0: np.ndarray, out: np.ndarray):
+    """The base part read at clock 0 (K x m): the whole base of OB/AOB, alpha
+    times 1 - lambda times gamma, and w0 times gamma for LORD/ALORD."""
+    coef = config.w0 if rule.investing else config.alpha * (1.0 - rule.lam(config))
+    return np.multiply(coef, config.gamma.table(clock0.shape[-1])[clock0], out=out)
+
+
 class _BlockBases:
     """Base values of a block of P procedures x K streams at every step,
     rebuilt after each rejection of an investing procedure.
@@ -413,8 +420,7 @@ class _BlockBases:
         _, K, m = clock0.shape
         self._head = np.empty((len(rows), K, m))
         for j, (rule, c) in enumerate(rows):
-            coef = c.w0 if rule.investing else c.alpha * (1.0 - rule.lam(c))
-            np.multiply(coef, c.gamma.table(m)[clock0[lam_index[j]]], out=self._head[j])
+            _clock0_part(rule, c, clock0[lam_index[j]], out=self._head[j])
         self._s = np.zeros(self._head.shape)
         self._alpha = np.array([[c.alpha if rule.investing else 0.0] for rule, c in rows])
         self._keep = np.array([[1.0 - rule.lam(c) if rule.investing else 1.0]
@@ -548,9 +554,7 @@ def run_batch(configs: dict[str, ProcedureConfig], pvals,
         np.cumsum(flag_rows[:, :, :-1], axis=2, out=clock0[:, :, 1:])
         clock0[:, :, 1:] += 1
         for name, (a, r) in loop_free.items():
-            c = configs[name]
-            np.multiply(c.alpha * (1.0 - rules[name].lam(c)),
-                        c.gamma.table(m)[clock0[lam_of[name]]], out=a[rows])
+            _clock0_part(rules[name], configs[name], clock0[lam_of[name]], out=a[rows])
             np.less_equal(p_rows, a[rows], out=r[rows])
         if block:
             _step_block([(rules[name], configs[name]) for name in block],

@@ -52,8 +52,9 @@ class ScenarioConfig:
         if self.m < 1 or self.n_trials < 1 or self.n_subjects < 0 or self.seed < 0:
             raise ValueError("need m >= 1, n_trials >= 1, n_subjects >= 0 and seed >= 0")
         for name in ("pi_a", "p3", "p_null_low", "p_null_mid"):
-            if not 0.0 <= _spec_number(getattr(self, name), name) <= 1.0:
-                raise ValueError("probabilities must lie in [0, 1]")
+            value = _spec_number(getattr(self, name), name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
     @property
     def m3(self) -> int:

@@ -29,8 +29,10 @@ def test_scenario_odd_remainder_goes_to_low_group():
 def test_scenario_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(placement="nope")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pi_a must lie in"):
         ScenarioConfig(pi_a=1.5)
+    with pytest.raises(ValueError, match="p_null_mid must lie in"):
+        ScenarioConfig(p_null_mid=-0.1)
     with pytest.raises(ValueError):
         ScenarioConfig(n_trials=0)
     with pytest.raises(ValueError):
