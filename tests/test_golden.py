@@ -1,4 +1,4 @@
-"""``sure-omt simulate`` keeps its recorded output bits (see golden.py)."""
+"""``sure-omt`` keeps its recorded output bits (see golden.py)."""
 
 import json
 
@@ -6,13 +6,28 @@ import pytest
 
 from sure_omt.procedures import BATCH_COLUMNS, RULES
 
-from golden import CASES, GOLDEN_PATH, WIDE_CASE, digests, versions
+from golden import (ANALYZE_CASES, CASES, GOLDEN_PATH, WIDE_CASE, analyze_digests,
+                    plotdata_digests, simulate_digests, versions, write_tables)
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 
+def _check(what: str, want: dict, got: dict) -> None:
+    differ = [kind for kind in want if got[kind] != want[kind]]
+    assert not differ, (f"{what}: {', '.join(differ)} differ from the golden digest "
+                        f"(recorded with {GOLDEN['versions']}, running {versions()})")
+
+
+@pytest.fixture(scope="module")
+def tables(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden") / "tables.csv"
+    write_tables(path)
+    return path
+
+
 def test_golden_covers_every_case():
     assert sorted(GOLDEN["simulate"]) == sorted(CASES)
+    assert sorted(GOLDEN["analyze"]) == sorted(ANALYZE_CASES)
 
 
 def test_wide_case_spans_several_chunks():
@@ -21,11 +36,22 @@ def test_wide_case_spans_several_chunks():
     assert CASES[WIDE_CASE]["scenario"]["n_trials"] > BATCH_COLUMNS // stepped
 
 
+def test_tables_hold_groups_of_10_to_500(tables):
+    rows = [list(map(int, line.split(",")[1:])) for line in tables.read_text().splitlines()[1:]]
+    sizes = [n for a, b, c, d in rows for n in (a + b, c + d)]
+    assert len(rows) == 300 and min(sizes) >= 10 and max(sizes) == 500
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_simulate_digests(case):
-    want = GOLDEN["simulate"][case]
-    got = digests(CASES[case])
-    for kind in ("csv", "json"):
-        assert got[kind] == want[kind], (
-            f"simulate {kind} of case {case!r} differs from the golden digest "
-            f"(recorded with {GOLDEN['versions']}, running {versions()})")
+    _check(f"simulate case {case!r}", GOLDEN["simulate"][case], simulate_digests(CASES[case]))
+
+
+@pytest.mark.parametrize("case", ANALYZE_CASES)
+def test_analyze_digests(case, tables):
+    _check(f"analyze case {case!r}", GOLDEN["analyze"][case],
+           analyze_digests(ANALYZE_CASES[case], tables))
+
+
+def test_plotdata_digests(tables):
+    _check("plotdata", GOLDEN["plotdata"], plotdata_digests(tables))
