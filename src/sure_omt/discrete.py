@@ -85,16 +85,6 @@ def _check_margins(r1: int, r2: int, c1: int) -> None:
         raise ValueError(f"inconsistent margins {(r1, r2, c1)}")
 
 
-def hypergeom_pmf(k: int, margins: tuple[int, int, int]) -> float:
-    """P(first cell = k) conditionally on the margins (row1, row2, col1)."""
-    r1, r2, c1 = margins
-    _check_margins(r1, r2, c1)
-    lo, hi = max(0, c1 - r2), min(r1, c1)
-    if not lo <= k <= hi:
-        raise ValueError(f"cell value {k} outside feasible range [{lo}, {hi}]")
-    return math.exp(_log_pmf(r1, r2, c1, k, k)[0])
-
-
 @lru_cache(maxsize=4096)
 def fisher_margins(r1: int, r2: int, c1: int) -> tuple[tuple[float, ...], int, StepCdf]:
     """p-values and null bound for all feasible first cells given the margins.

@@ -1,4 +1,4 @@
-"""Monte-Carlo estimation of error rates and power, plus wealth trajectories."""
+"""Monte-Carlo estimation of error rates and power, and the report that holds them."""
 
 from __future__ import annotations
 
@@ -12,9 +12,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-
-from .core import StepCdf
-from .spending import SpendingSequence
 
 
 @dataclass
@@ -87,29 +84,6 @@ def estimate_power(trials: Sequence[TrialOutcome], T: int) -> Estimate:
     arr = (rejects[:, :T] & labels[:, :T]).sum(axis=1) / np.maximum(1, labels.sum(axis=1))
     se = float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
     return Estimate(float(arr.mean()), se, n)
-
-
-def wealth_curves(gamma: SpendingSequence, alpha: float, cdfs: Sequence[StepCdf],
-                  horizon: int, realized_alphas: Sequence[float] | None = None):
-    """Nominal and effective wealth trajectories over the horizon.
-
-    Nominal assumes the scheduled levels alpha * gamma_t are fully spent;
-    effective charges only the truly achieved level F_t of each critical
-    value (the scheduled one, or ``realized_alphas`` when given).
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    nominal = np.empty(horizon)
-    effective = np.empty(horizon)
-    nom = eff = alpha
-    for i in range(horizon):
-        level = alpha * gamma.gamma(i + 1)
-        spent = level if realized_alphas is None else realized_alphas[i]
-        nom -= level
-        eff -= cdfs[i](spent)
-        nominal[i] = nom
-        effective[i] = eff
-    return nominal, effective
 
 
 @contextmanager

@@ -165,18 +165,18 @@ class OnlineProcedure:
         # OB and LORD are AOB and ALORD with lambda = 0: every step is eligible,
         # so clock 0 is T and clock j is T minus the j-th rejection time
         c0 = 1 + self._n_eligible
-        g = self._g
-        g._extend(c0)
-        memo = g._memo
+        if c0 >= len(self._gtab):
+            self._gtab = self._g.table(c0)
+        gtab = self._gtab
         if not self._investing:
-            return self._alpha * (1.0 - self._lam) * memo[c0]
+            return self._alpha * (1.0 - self._lam) * gtab.item(c0)
         alpha, w0 = self._alpha, self._w0
         starts = self._starts
-        b1 = memo[c0 - starts[1]] if len(starts) > 1 else 0.0
+        b1 = gtab.item(c0 - starts[1]) if len(starts) > 1 else 0.0
         if c0 - self._lo >= len(self._later):
             self._refill(c0)
         s = self._later.item(c0 - self._lo)
-        val = (1.0 - self._lam) * (w0 * memo[c0] + (alpha - w0) * b1 + alpha * s)
+        val = (1.0 - self._lam) * (w0 * gtab.item(c0) + (alpha - w0) * b1 + alpha * s)
         if self._capped:
             val = min(self._lam, val)
         return val
@@ -215,9 +215,10 @@ class OnlineProcedure:
             for rho in wr:
                 s += rho
             return s / gp.h
+        weights = gp.table(self._window)
         s = 0.0
         for t, rho in zip(wt, wr):
-            s += gp.gamma(T - t) * rho
+            s += weights.item(T - t) * rho
         return s
 
     # -- step API ------------------------------------------------------------
@@ -293,47 +294,6 @@ class OnlineProcedure:
 def make_procedure(name: str, config: ProcedureConfig) -> OnlineProcedure:
     """Build a procedure by its public name."""
     return OnlineProcedure(name, config)
-
-
-def reindex_clock(lam_flags: Sequence[bool], taus: Sequence[int], j: int, T: int) -> int:
-    """Clock value at time T: counts steps whose preceding p-value was eligible.
-
-    Clock 0 starts at time 1; clock j >= 1 starts right after the j-th
-    rejection and reads 0 up to it.
-    """
-    if j < 0 or T < 1:
-        raise ValueError("need j >= 0 and T >= 1")
-    if j == 0:
-        start = 2
-    else:
-        if j > len(taus):
-            return 0
-        tau = taus[j - 1]
-        if T <= tau:
-            return 0
-        start = tau + 2
-    # lam_flags[t-1] holds the eligibility of p_t
-    return 1 + sum(1 for t in range(start, T + 1) if lam_flags[t - 2])
-
-
-def alpha_tilde_oracle(base_values: Sequence[float], p_values: Sequence[float],
-                       cdfs: Sequence[StepCdf], gamma_prime: SpendingSequence,
-                       lam: float, T: int) -> float:
-    """Dual-form recursion for the rewarded critical value (test oracle).
-
-    Computes the value at time T from full prefixes, independently of the
-    incremental machinery.
-    """
-    tilde: list[float] = []
-    for s in range(1, T + 1):
-        v = base_values[s - 1]
-        for t in range(1, s):
-            if p_values[t - 1] >= lam:
-                a = gamma_prime.prefix(s - t)
-                v += base_values[t - 1]
-                v -= (1.0 - a) * tilde[t - 1] + a * cdfs[t - 1](tilde[t - 1])
-        tilde.append(v)
-    return tilde[T - 1]
 
 
 # -- lockstep batch: K streams of every procedure at once ----------------------

@@ -82,7 +82,7 @@ def _jm_norm() -> float:
 
 @dataclass
 class SpendingSequence:
-    """Lazy evaluator for gamma_t with memoized values and prefix sums.
+    """Lazy evaluator for gamma_t, kept as one read-only table of its values.
 
     ``kind`` is one of power / log / jm / kernel / explicit; greedy is the
     explicit sequence (1, 0, 0, ...).  gamma_t = 0 for t <= 0.  Two sequences
@@ -94,8 +94,6 @@ class SpendingSequence:
     h: int | None = None
     values: tuple[float, ...] | None = None
     norm: float | None = None
-    _memo: list[float] = field(default_factory=lambda: [0.0], repr=False, compare=False)
-    _prefix: list[float] = field(default_factory=lambda: [0.0], repr=False, compare=False)
     _table: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -118,50 +116,20 @@ class SpendingSequence:
             return self.values[t - 1] if t <= len(self.values) else 0.0
         raise ValueError(f"unknown spending sequence kind {self.kind!r}")
 
-    def _extend(self, t: int) -> None:
-        while len(self._memo) <= t:
-            g = self._raw(len(self._memo))
-            self._memo.append(g)
-            self._prefix.append(self._prefix[-1] + g)
-
     def gamma(self, t: int) -> float:
         """gamma_t, with gamma_t = 0 for t <= 0."""
-        if t <= 0:
-            return 0.0
-        self._extend(t)
-        return self._memo[t]
+        return self.table(t).item(t) if t > 0 else 0.0
 
     def table(self, n: int) -> np.ndarray:
-        """Read-only gamma_k at index k, for 0 <= k <= n at least.  Kept and regrown
-        to twice n in a new array, so a table read earlier stays a correct prefix."""
+        """Read-only gamma_k at index k, for 0 <= k <= n at least.  Regrown to
+        twice n in a new array that evaluates only the new indices, so a table
+        read earlier stays a correct prefix."""
         if self._table is None or len(self._table) <= n:
-            self._extend(2 * n)
-            self._table = np.array(self._memo[:2 * n + 1])
+            old = np.zeros(1) if self._table is None else self._table
+            new = np.fromiter(map(self._raw, range(len(old), 2 * n + 1)), float)
+            self._table = np.concatenate((old, new))
             self._table.flags.writeable = False
         return self._table
-
-    def prefix(self, t: int) -> float:
-        """sum_{s<=t} gamma_s."""
-        if t <= 0:
-            return 0.0
-        self._extend(t)
-        return self._prefix[t]
-
-    def tail_bound(self, t: int) -> float:
-        """Upper bound on sum_{s>t} gamma_s, analytic where available."""
-        if self.window is not None:  # the remaining values themselves
-            return math.fsum(self.gamma(s) for s in range(t + 1, self.window + 1))
-        a = float(t + 1)
-        if self.kind == "power":
-            raw = a ** (1 - self.q) / (self.q - 1) + a ** -self.q
-        elif self.kind == "log":
-            raw = math.log(a + 1.0) ** (1 - self.q) / (self.q - 1) + _log_family_term(a, self.q)
-        elif self.kind == "jm":
-            u0 = math.sqrt(math.log(a + 1.0))
-            raw = 2.0 * math.exp(-u0) * (u0 ** 3 + 3 * u0 ** 2 + 6 * u0 + 6) + _jm_term(a)
-        else:
-            raise ValueError(self.kind)
-        return raw / self.norm
 
 
 def make_power_law(q: float) -> SpendingSequence:
@@ -208,33 +176,6 @@ def make_explicit(values) -> SpendingSequence:
     if sum(vals) > 1.0 + SUM_SLACK:
         raise ValueError(f"spending values must sum to at most 1, got {sum(vals)!r}")
     return SpendingSequence(kind="explicit", values=vals)
-
-
-@dataclass(frozen=True)
-class SequenceValidation:
-    ok: bool
-    total_at_horizon: float
-    tail_bound: float
-    horizon: int
-    message: str = ""
-
-
-def validate_sequence(seq: SpendingSequence, horizon: int = 10_000) -> SequenceValidation:
-    """Check nonnegativity and total mass <= 1 (prefix at horizon + analytic tail)."""
-    for t in range(1, horizon + 1):
-        if seq.gamma(t) < 0:
-            return SequenceValidation(False, seq.prefix(horizon), 0.0, horizon,
-                                      f"negative value at t={t}")
-    total = seq.prefix(horizon)
-    tail = seq.tail_bound(horizon)
-    # the analytic tail bound overshoots the true tail by about half the
-    # first omitted term; use the sharper midpoint estimate for the check
-    est = tail
-    if seq.window is None:
-        est = tail - 0.5 * seq.gamma(horizon + 1)
-    ok = total + est <= 1.0 + SUM_SLACK
-    msg = "" if ok else f"prefix sum {total} + tail {tail} exceeds 1"
-    return SequenceValidation(ok, total, tail, horizon, msg)
 
 
 # the keys of each family's spec besides "family"

@@ -1,0 +1,92 @@
+"""Reference semantics the tests compare the package against.
+
+Each oracle computes its result from full histories or from first
+principles, independently of the incremental machinery in ``sure_omt``.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from sure_omt.core import StepCdf
+from sure_omt.discrete import _check_margins, _log_pmf
+from sure_omt.spending import SpendingSequence
+
+
+def reindex_clock(lam_flags: Sequence[bool], taus: Sequence[int], j: int, T: int) -> int:
+    """Clock value at time T: counts steps whose preceding p-value was eligible.
+
+    Clock 0 starts at time 1; clock j >= 1 starts right after the j-th
+    rejection and reads 0 up to it.
+    """
+    if j < 0 or T < 1:
+        raise ValueError("need j >= 0 and T >= 1")
+    if j == 0:
+        start = 2
+    else:
+        if j > len(taus):
+            return 0
+        tau = taus[j - 1]
+        if T <= tau:
+            return 0
+        start = tau + 2
+    # lam_flags[t-1] holds the eligibility of p_t
+    return 1 + sum(1 for t in range(start, T + 1) if lam_flags[t - 2])
+
+
+def alpha_tilde_oracle(base_values: Sequence[float], p_values: Sequence[float],
+                       cdfs: Sequence[StepCdf], gamma_prime: SpendingSequence,
+                       lam: float, T: int) -> float:
+    """Dual-form recursion for the rewarded critical value.
+
+    Computes the value at time T from full prefixes, independently of the
+    incremental machinery.  ``prefix[k]`` is sum_{s<=k} gamma'_s, summed left
+    to right.
+    """
+    prefix = np.cumsum(gamma_prime.table(T)).tolist()
+    tilde: list[float] = []
+    for s in range(1, T + 1):
+        v = base_values[s - 1]
+        for t in range(1, s):
+            if p_values[t - 1] >= lam:
+                a = prefix[s - t]
+                v += base_values[t - 1]
+                v -= (1.0 - a) * tilde[t - 1] + a * cdfs[t - 1](tilde[t - 1])
+        tilde.append(v)
+    return tilde[T - 1]
+
+
+def hypergeom_pmf(k: int, margins: tuple[int, int, int]) -> float:
+    """P(first cell = k) conditionally on the margins (row1, row2, col1)."""
+    r1, r2, c1 = margins
+    _check_margins(r1, r2, c1)
+    lo, hi = max(0, c1 - r2), min(r1, c1)
+    if not lo <= k <= hi:
+        raise ValueError(f"cell value {k} outside feasible range [{lo}, {hi}]")
+    return math.exp(_log_pmf(r1, r2, c1, k, k)[0])
+
+
+def wealth_curves(gamma: SpendingSequence, alpha: float, cdfs: Sequence[StepCdf],
+                  horizon: int, realized_alphas: Sequence[float] | None = None):
+    """Nominal and effective wealth trajectories over the horizon.
+
+    Nominal assumes the scheduled levels alpha * gamma_t are fully spent;
+    effective charges only the truly achieved level F_t of each critical
+    value (the scheduled one, or ``realized_alphas`` when given).
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    nominal = np.empty(horizon)
+    effective = np.empty(horizon)
+    nom = eff = alpha
+    for i in range(horizon):
+        level = alpha * gamma.gamma(i + 1)
+        spent = level if realized_alphas is None else realized_alphas[i]
+        nom -= level
+        eff -= cdfs[i](spent)
+        nominal[i] = nom
+        effective[i] = eff
+    return nominal, effective

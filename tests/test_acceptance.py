@@ -25,17 +25,16 @@ import pytest
 
 from sure_omt.cli import parse_procedures
 from sure_omt.core import IDENTITY_BOUND
-from sure_omt.discrete import fisher_margins, hypergeom_pmf, support_to_bound
-from sure_omt.evaluate import (estimate_fwer, estimate_mfdr, estimate_power,
-                               wealth_curves)
-from sure_omt.procedures import (ProcedureConfig, alpha_tilde_oracle,
-                                 audit_fwer_budget, audit_mfdr_budget,
-                                 make_procedure, reindex_clock)
+from sure_omt.discrete import fisher_margins, support_to_bound
+from sure_omt.evaluate import estimate_fwer, estimate_mfdr, estimate_power
+from sure_omt.procedures import (ProcedureConfig, audit_fwer_budget, audit_mfdr_budget,
+                                 make_procedure)
 from sure_omt.simulate import PLACEMENTS, ScenarioConfig, run_trials
 from sure_omt.spending import (make_explicit, make_greedy, make_kernel,
                                make_power_law)
 
 from conftest import corrupted_history, random_stream
+from oracles import alpha_tilde_oracle, hypergeom_pmf, reindex_clock, wealth_curves
 
 PAIRS = (("ob", "rho-ob"), ("aob", "rho-aob"),
          ("lord", "rho-lord"), ("alord", "rho-alord"))

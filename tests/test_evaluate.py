@@ -7,8 +7,10 @@ import pytest
 from sure_omt.core import IDENTITY_BOUND
 from sure_omt.discrete import support_to_bound
 from sure_omt.evaluate import (Estimate, EvalReport, TrialOutcome, estimate_fwer,
-                               estimate_mfdr, estimate_power, wealth_curves)
+                               estimate_mfdr, estimate_power)
 from sure_omt.spending import make_power_law
+
+from oracles import wealth_curves
 
 
 def _trial(rejects, labels):

@@ -10,12 +10,12 @@ import pytest
 from sure_omt.core import IDENTITY_BOUND
 from sure_omt.discrete import support_to_bound
 from sure_omt.procedures import (RULES, AuditReport, OnlineProcedure, ProcedureConfig,
-                                 alpha_tilde_oracle, audit_fwer_budget,
-                                 audit_mfdr_budget, make_procedure, reindex_clock)
+                                 audit_fwer_budget, audit_mfdr_budget, make_procedure)
 from sure_omt.spending import (make_explicit, make_greedy, make_jm_family, make_kernel,
                                make_log_family, make_power_law)
 
 from conftest import corrupted_history, random_stream, resummed_base
+from oracles import alpha_tilde_oracle, reindex_clock
 
 DYADIC = make_explicit(tuple(0.5 ** k for k in range(1, 64)))
 
