@@ -241,7 +241,8 @@ def sweep_points(scenario: ScenarioConfig, configs: dict[str, ProcedureConfig],
         if axis in SCENARIO_AXES:
             point_scenario = replace(scenario, **{SCENARIO_AXES[axis]: value})
         elif axis == "lambda":
-            point_configs = {name: replace(c, lam=value) for name, c in configs.items()}
+            lam = _spec_number(value, "lambda")
+            point_configs = {name: replace(c, lam=lam) for name, c in configs.items()}
         else:
             kernel = make_kernel(value)
             point_configs = {name: c if c.gamma_prime is None else replace(c, gamma_prime=kernel)

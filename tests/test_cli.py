@@ -194,10 +194,14 @@ def test_analyze_config_numbers_must_be_numbers(tmp_path, capsys, key, value):
     ({"sweep": {"axis": "pi_a", "values": [0.1, "0.3"]}}, "pi_a"),
     ({"procedures": [{"name": "aob", "lambda": "0.5"}]}, "lambda"),
     ({"procedures": [{"name": "lord", "alpha": "0.2"}]}, "alpha"),
+    ({"sweep": {"axis": "lambda", "values": [0.3, "0.3"]}}, "lambda"),
+    ({"sweep": {"axis": "lambda", "values": [None]}}, "lambda"),
+    ({"sweep": {"axis": "lambda", "values": [False]}}, "lambda"),
 ])
 def test_simulate_config_numbers_must_be_numbers(tmp_path, capsys, payload, key):
     """A non-number scenario probability exits 2 with a message that names the
-    key; it used to report Python's "'<=' not supported between instances"."""
+    key; it used to report Python's "'<=' not supported between instances".
+    A lambda sweep value of false used to run as lambda = 0 and exit 0."""
     payload = {**payload, "scenario": {"m": 10, "n_trials": 1, **payload.get("scenario", {})}}
     out = tmp_path / "r.csv"
     assert main(["simulate", "--config", _write_config(tmp_path, payload),
