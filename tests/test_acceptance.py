@@ -34,7 +34,7 @@ from sure_omt.spending import (make_explicit, make_greedy, make_kernel,
                                make_power_law)
 
 from conftest import corrupted_history, random_stream
-from oracles import alpha_tilde_oracle, hypergeom_pmf, reindex_clock, wealth_curves
+from oracles import alpha_tilde_oracle, reindex_clock, wealth_curves
 
 PAIRS = (("ob", "rho-ob"), ("aob", "rho-aob"),
          ("lord", "rho-lord"), ("alord", "rho-alord"))
