@@ -7,6 +7,10 @@
   runs at each lambda of ``LAMBDAS``; a rewarded one runs with each gamma' of
   ``GAMMA_PRIMES``.
 - ``plotdata``: the raw and loglog plot data of one analyze trace.
+- ``stream``: each case steps one rewarded procedure with a power, log or jm
+  gamma' (no reward window) over one seeded ``STREAM_STEPS``-step
+  ``generate_trial`` stream, long enough that the reward sums cross several
+  buffer rebuilds, and hashes its alphas, spent levels and reject flags.
 
 ``golden.json`` holds the digests and the Python and numpy versions they were
 made with; ``test_golden.py`` compares against it.  Regenerate it only on
@@ -33,7 +37,9 @@ import tempfile
 import numpy as np
 
 from sure_omt.cli import main
-from sure_omt.procedures import RULES
+from sure_omt.procedures import RULES, ProcedureConfig, make_procedure
+from sure_omt.simulate import ScenarioConfig, generate_trial
+from sure_omt.spending import make_power_law, parse_sequence_spec
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden.json")
 PROCEDURES = [{"name": name} for name in RULES]
@@ -89,6 +95,17 @@ ANALYZE_CASES = {
 # the analyze case whose trace the plotdata digests are made from
 PLOT_CASE = "rho-alord/power/lambda=0.5"
 TRANSFORMS = ("raw", "loglog")
+
+
+STREAM_STEPS = 5000  # past step 3073: the reward sums are rebuilt at 1025 and 3073
+STREAM_SEED = 20232
+STREAM_CASES = {
+    f"{name}/{gp}/lambda={lam}": (name, gp, lam)
+    for name, rule in RULES.items() if rule.rewarded
+    for gp in ("power", "log", "jm")
+    # lambda acts only on the adaptive rules: the others run at lambda = 0
+    for lam in (LAMBDAS if rule.base in ("aob", "alord") else (0.0,))
+}
 
 
 def write_tables(path, rows: int = 300, seed: int = 20231) -> None:
@@ -159,6 +176,24 @@ def plotdata_digests(tables) -> dict[str, str]:
         return {transform: _sha(root / f"{transform}.csv") for transform in TRANSFORMS}
 
 
+def stream_trial():
+    """The seeded STREAM_STEPS-step stream of (p-value, null bound) pairs."""
+    trial = generate_trial(ScenarioConfig(m=STREAM_STEPS, seed=STREAM_SEED, n_trials=1), 0)
+    return list(zip(trial.pvals, trial.bounds))
+
+
+def stream_digests(case: tuple, stream) -> dict[str, str]:
+    """The sha256 of the alphas, spent levels and reject flags of the
+    procedure ``case`` (name, gamma' key, lambda) run over ``stream``."""
+    name, gp, lam = case
+    proc = make_procedure(name, ProcedureConfig(
+        alpha=0.2, gamma=make_power_law(1.6), lam=lam, w0=0.1 if RULES[name].investing else None,
+        gamma_prime=parse_sequence_spec(GAMMA_PRIMES[gp])))
+    proc.run(stream)
+    return {kind: hashlib.sha256(np.array(getattr(proc, kind)).tobytes()).hexdigest()
+            for kind in ("alphas", "spent", "rejects")}
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         tables = pathlib.Path(tmp) / "tables.csv"
@@ -168,5 +203,7 @@ if __name__ == "__main__":
                   "analyze": {name: analyze_digests(case, tables)
                               for name, case in ANALYZE_CASES.items()},
                   "plotdata": plotdata_digests(tables)}
+    stream = stream_trial()
+    golden["stream"] = {name: stream_digests(case, stream) for name, case in STREAM_CASES.items()}
     GOLDEN_PATH.write_text(json.dumps(golden, indent=2) + "\n")
     print(f"wrote {GOLDEN_PATH}", file=sys.stderr)

@@ -6,8 +6,9 @@ import pytest
 
 from sure_omt.procedures import BATCH_COLUMNS, RULES
 
-from golden import (ANALYZE_CASES, CASES, GOLDEN_PATH, WIDE_CASE, analyze_digests,
-                    plotdata_digests, simulate_digests, versions, write_tables)
+from golden import (ANALYZE_CASES, CASES, GOLDEN_PATH, STREAM_CASES, WIDE_CASE,
+                    analyze_digests, plotdata_digests, simulate_digests, stream_digests,
+                    stream_trial, versions, write_tables)
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
@@ -28,6 +29,7 @@ def tables(tmp_path_factory):
 def test_golden_covers_every_case():
     assert sorted(GOLDEN["simulate"]) == sorted(CASES)
     assert sorted(GOLDEN["analyze"]) == sorted(ANALYZE_CASES)
+    assert sorted(GOLDEN["stream"]) == sorted(STREAM_CASES)
 
 
 def test_wide_case_spans_several_chunks():
@@ -40,6 +42,11 @@ def test_tables_hold_groups_of_10_to_500(tables):
     rows = [list(map(int, line.split(",")[1:])) for line in tables.read_text().splitlines()[1:]]
     sizes = [n for a, b, c, d in rows for n in (a + b, c + d)]
     assert len(rows) == 300 and min(sizes) >= 10 and max(sizes) == 500
+
+
+@pytest.fixture(scope="module")
+def stream():
+    return stream_trial()
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -55,3 +62,9 @@ def test_analyze_digests(case, tables):
 
 def test_plotdata_digests(tables):
     _check("plotdata", GOLDEN["plotdata"], plotdata_digests(tables))
+
+
+@pytest.mark.parametrize("case", STREAM_CASES)
+def test_stream_digests(case, stream):
+    _check(f"stream case {case!r}", GOLDEN["stream"][case],
+           stream_digests(STREAM_CASES[case], stream))
