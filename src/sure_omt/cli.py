@@ -87,7 +87,8 @@ def parse_procedures(entries, name_key: str = "name",
     ``defaults`` fills in the keys left out (see ANALYZE_DEFAULTS and
     STANDARD_DEFAULTS), and the default gamma is built at most once and
     shared.  A config has w0 if and only if the rule is investing, and
-    gamma_prime if and only if it is rewarded.
+    gamma_prime if and only if it is rewarded; an entry gives lambda only for
+    an adaptive rule.
     """
     if not isinstance(entries, list) or not entries:
         raise InputError("procedures must be a nonempty list")
@@ -113,6 +114,8 @@ def parse_procedures(entries, name_key: str = "name",
                 spec.setdefault("gamma_prime", {"family": "kernel", "h": h})
             if ("w0" in spec) != rule.investing:
                 raise ValueError("w0 is required by the investing rules and taken by no other")
+            if "lambda" in spec and not rule.adaptive:
+                raise ValueError("lambda is taken only by the adaptive rules")
             if ("gamma_prime" in spec) != rule.rewarded:
                 raise ValueError("gamma_prime is required by the rewarded rules and taken by no other")
             configs[name] = ProcedureConfig(

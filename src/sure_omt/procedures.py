@@ -62,9 +62,14 @@ class Rule(NamedTuple):
         """Alpha-investing rules need w0 and control mFDR; the others control FWER."""
         return self.base in ("lord", "alord")
 
+    @property
+    def adaptive(self) -> bool:
+        """Adaptive rules skip the steps with p below lambda; the others run at lambda = 0."""
+        return self.base in ("aob", "alord")
+
     def lam(self, config: ProcedureConfig) -> float:
         """The lambda the rule runs with: the config's for the adaptive bases, else 0."""
-        return config.lam if self.base in ("aob", "alord") else 0.0
+        return config.lam if self.adaptive else 0.0
 
 
 RULES = {

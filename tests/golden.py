@@ -3,9 +3,9 @@
 - ``simulate``: each case runs all 9 procedures on their standard configs and
   hashes the report CSV and JSON.
 - ``analyze``: each case runs one procedure over the same seeded table CSV
-  (``write_tables``) and hashes the trace and the summary.  Every procedure
-  runs at each lambda of ``LAMBDAS``; a rewarded one runs with each gamma' of
-  ``GAMMA_PRIMES``.
+  (``write_tables``) and hashes the trace and the summary.  Every adaptive
+  procedure runs at each lambda of ``LAMBDAS``, the others at lambda = 0; a
+  rewarded one runs with each gamma' of ``GAMMA_PRIMES``.
 - ``plotdata``: the raw and loglog plot data of one analyze trace.
 - ``stream``: each case steps one rewarded procedure with a power, log or jm
   gamma' (no reward window) over one seeded ``STREAM_STEPS``-step
@@ -77,8 +77,15 @@ GAMMA_PRIMES = {
 }
 
 
+def _lambdas(rule):
+    """LAMBDAS for an adaptive rule; the others take no lambda and run at 0."""
+    return LAMBDAS if rule.adaptive else (0.0,)
+
+
 def _analyze_case(name, lam, gamma_prime=None):
-    config = {"procedure": name, "lambda": lam}
+    config = {"procedure": name}
+    if RULES[name].adaptive:
+        config["lambda"] = lam
     if RULES[name].investing:
         config["w0"] = 0.1
     if gamma_prime is not None:
@@ -90,7 +97,7 @@ ANALYZE_CASES = {
     f"{name}/{gp}/lambda={lam}" if gp else f"{name}/lambda={lam}": _analyze_case(name, lam, gp)
     for name, rule in RULES.items()
     for gp in (GAMMA_PRIMES if rule.rewarded else [None])
-    for lam in LAMBDAS
+    for lam in _lambdas(rule)
 }
 # the analyze case whose trace the plotdata digests are made from
 PLOT_CASE = "rho-alord/power/lambda=0.5"
@@ -103,8 +110,7 @@ STREAM_CASES = {
     f"{name}/{gp}/lambda={lam}": (name, gp, lam)
     for name, rule in RULES.items() if rule.rewarded
     for gp in ("power", "log", "jm")
-    # lambda acts only on the adaptive rules: the others run at lambda = 0
-    for lam in (LAMBDAS if rule.base in ("aob", "alord") else (0.0,))
+    for lam in _lambdas(rule)
 }
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from sure_omt import cli
 from sure_omt.cli import CONFIG_ENV_VAR, main, parse_procedures
-from sure_omt.procedures import AuditReport
+from sure_omt.procedures import RULES, AuditReport
 from sure_omt.simulate import ScenarioConfig, generate_trial
 
 
@@ -65,7 +65,7 @@ def test_analyze_output_is_reproducible(tmp_path):
 
 def test_analyze_investing_procedure(tmp_path):
     cfg = _write_config(tmp_path, {
-        "procedure": "rho-lord", "alpha": 0.2, "w0": 0.1, "lambda": 0.5,
+        "procedure": "rho-lord", "alpha": 0.2, "w0": 0.1,
         "gamma": {"family": "power", "q": 1.6},
         "gamma_prime": {"family": "kernel", "h": 10},
     })
@@ -184,6 +184,33 @@ def test_analyze_config_numbers_must_be_numbers(tmp_path, capsys, key, value):
                  "--out-trace", str(trace)]) == 2
     _assert_one_error_line(capsys, f"{key} must be a number, got {value!r}")
     assert not trace.exists()
+
+
+@pytest.mark.parametrize("name", [name for name, rule in RULES.items() if not rule.adaptive])
+def test_lambda_on_a_rule_that_is_not_adaptive_is_a_config_error(tmp_path, capsys, name):
+    """A lambda given on ob, rho-ob, lord or rho-lord exits 2 in both commands:
+    it used to exit 0 and run at lambda = 0.  The simulate default lambda and
+    a lambda sweep are no key of the entry, and still run."""
+    entry = {"lambda": 0.5}
+    if RULES[name].investing:
+        entry["w0"] = 0.1
+    if RULES[name].rewarded:
+        entry["gamma_prime"] = {"family": "kernel", "h": 5}
+    trace = tmp_path / "t.csv"
+    assert main(["analyze", "--config", _write_config(tmp_path, {"procedure": name, **entry}),
+                 "--input", _write_tables(tmp_path, ["a,1,2,3,4"]),
+                 "--out-trace", str(trace)]) == 2
+    _assert_one_error_line(capsys, "lambda is taken only by the adaptive rules")
+    assert not trace.exists()
+    small = {"m": 10, "n_trials": 1}
+    out = tmp_path / "r.csv"
+    cfg = _write_config(tmp_path, {"procedures": [{"name": name, **entry}], "scenario": small})
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    _assert_one_error_line(capsys, "lambda is taken only by the adaptive rules")
+    assert not out.exists()
+    cfg = _write_config(tmp_path, {"procedures": [{"name": name}], "scenario": small,
+                                   "sweep": {"axis": "lambda", "values": [0.0, 0.5]}})
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("payload,key", [
