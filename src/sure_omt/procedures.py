@@ -13,12 +13,13 @@ flags, spent levels); without a reward, the alphas are the base values.  The
 spent level, which the budget audits read, is F_t(alpha_t) for a rewarded rule
 (its reward is alpha_t - F_t(alpha_t)) and alpha_t for a base rule.
 
-LORD/ALORD pay gamma at one re-indexation clock per past rejection.  Both
-engines keep, for each clock ahead, the sum of gamma over the rejections after
-the first: a rejection adds its gamma row to every later clock's sum, in
-rejection order, so a step reads its base from one entry.  The scalar machine
-buffers the clocks ahead and rebuilds the buffer, twice as long, when the
-clock runs past it.
+LORD/ALORD pay gamma at one re-indexation clock per past rejection, and a
+gamma' with no window (power, log, jm) pays gamma'_{T-t} rho_t for every past
+reward.  Both engines keep such sums per clock ahead: a rejection adds its
+gamma row, a reward its gamma' row times rho, to every later clock's sum, in
+order, so a step reads each sum from one entry.  The scalar machine buffers
+the clocks ahead (``_ClockSums``) and rebuilds the buffer, twice as long, from
+the recorded rejections or rewards when the clock runs past it.
 
 ``run_batch`` runs every procedure of a simulator batch over K streams in
 lockstep, as numpy arrays; ``OnlineProcedure`` stays the streaming API and its
@@ -31,9 +32,9 @@ floating-point operation, so its alphas and reject flags are the scalar ones
 bit for bit: sums run left to right (row after row down a time-major array,
 and a running row to which each rejection adds its term in rejection order).
 Both engines read gamma tables and reward windows from the spending sequence
-(``table(n)``, ``window``), compute the reward part of a gamma' with no window
-with ``_reward_part`` over time-major rewards (the batch every reward part),
-record the spent levels, and share one array budget audit.
+(``table(n)``, ``window``), record the spent levels, and share one array
+budget audit; the batch computes every reward part with ``_reward_part`` over
+time-major rewards.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import copy
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -119,6 +120,47 @@ class ProcedureConfig:
             raise ValueError("w0 must lie in (0, alpha)")
 
 
+class _ClockSums:
+    """For each clock c ahead, the sum of w * g_{c - s} over the events (s, w)
+    so far, added in event order from 0.0: an event adds its g row times w to
+    the sum of every later clock, as one numpy add.
+
+    The sums of the clocks ahead are buffered, at least 1024 and then twice as
+    many as before.  Read past the buffer, they are rebuilt for the clocks
+    ahead from the events the caller recorded, one add per event in the same
+    order, so every sum keeps its bits and T clocks rebuild O(log T) times.
+    A row of weight 1.0 is added as it is: multiplying it by 1.0 is exact.
+    """
+
+    def __init__(self, g: SpendingSequence):
+        self._g = g
+        self._lo = 1             # _sums[c - _lo] is the sum at clock c
+        self._sums = np.zeros(0)
+        self._tab = np.zeros(0)  # g_0 .. g_n at least, for the buffered clocks
+
+    def add(self, start: int, weight: float) -> None:
+        """An event at clock ``start``, not below the last clock read: the
+        clocks above it read g_1, g_2, ... times ``weight`` more."""
+        k = start + 1 - self._lo
+        row = self._tab[1:len(self._sums) - k + 1]
+        self._sums[k:] += row if weight == 1.0 else row * weight
+
+    def read(self, c: int, events: Callable[[], Iterable[tuple[int, float]]]) -> float:
+        """The sum at clock c, not below the last clock read; ``events()``
+        gives every event so far, in order, for a rebuild."""
+        if c - self._lo >= len(self._sums):
+            self._rebuild(c, events())
+        return self._sums.item(c - self._lo)
+
+    def _rebuild(self, c: int, events: Iterable[tuple[int, float]]) -> None:
+        n = max(1024, 2 * len(self._sums))
+        self._tab = tab = self._g.table(c + n)
+        self._lo, self._sums = c, np.zeros(n)
+        for start, weight in events:
+            row = tab[c - start:c - start + n]
+            self._sums += row if weight == 1.0 else row * weight
+
+
 class OnlineProcedure:
     """One single-stream online testing state machine for a public procedure name.
 
@@ -148,18 +190,18 @@ class OnlineProcedure:
         # the eligible steps so far and starts[j] is E at the j-th rejection
         self._n_eligible = 0
         self._starts: list[int] = [0]
-        # _later[c - _lo] is the sum, in rejection order, of gamma at clock c
-        # minus starts[j] over the rejections j >= 2, for buffered clocks c
-        self._lo = 1
-        self._later = np.zeros(0)
+        # the sum at clock c of gamma at c minus starts[j], over the rejections j >= 2
+        self._later = _ClockSums(self._g)
         self._gtab = np.zeros(0)
         # eligible positive rewards: the last gamma'.window steps if gamma' has a
-        # window (kernel, explicit), else run_batch's time-major rewards (0.0 where
-        # none was collected), grown by doubling; the sequence gives their weights
+        # window (kernel, explicit), else every step's (0.0 where none was
+        # collected, grown by doubling) and their gamma' sums at each step ahead
         self._window = None if self._gp is None else self._gp.window
         self._win_t: deque[int] = deque()
         self._win_rho: deque[float] = deque()
-        self._rewards = np.zeros((0, 1))
+        self._rewards = np.zeros(0)
+        self._reward_sums = (_ClockSums(self._gp) if self.rewarded and self._window is None
+                             else None)
         self._t_next = 1
         self._eps = 0.0                       # carry: alpha - base after p < lambda
         self._pending: tuple[float, float, float, float] | None = None
@@ -178,22 +220,14 @@ class OnlineProcedure:
         alpha, w0 = self._alpha, self._w0
         starts = self._starts
         b1 = gtab.item(c0 - starts[1]) if len(starts) > 1 else 0.0
-        if c0 - self._lo >= len(self._later):
-            self._refill(c0)
-        s = self._later.item(c0 - self._lo)
+        s = self._later.read(c0, self._rejection_events)
         val = (1.0 - self._lam) * (w0 * gtab.item(c0) + (alpha - w0) * b1 + alpha * s)
         if self._capped:
             val = min(self._lam, val)
         return val
 
-    def _refill(self, c0: int) -> None:
-        """Buffer clocks [c0, c0 + n), twice as many as before and at least
-        1024: each past rejection j >= 2 adds its gamma row, in rejection order."""
-        n = max(1024, 2 * len(self._later))
-        self._gtab = gtab = self._g.table(c0 + n)
-        self._lo, self._later = c0, np.zeros(n)
-        for start in self._starts[2:]:
-            self._later += gtab[c0 - start:c0 - start + n]
+    def _rejection_events(self):
+        return ((start, 1.0) for start in self._starts[2:])
 
     def _clock(self, j: int) -> int:
         """Value of re-indexation clock j (0 <= j <= rejections) at the next step."""
@@ -201,14 +235,14 @@ class OnlineProcedure:
 
     # -- reward convolution -------------------------------------------------
 
+    def _reward_events(self):
+        ts = self._rewards.nonzero()[0]
+        return zip((ts + 1).tolist(), self._rewards[ts].tolist())
+
     def _sure_part(self, T: int) -> float:
         gp = self._gp
         if self._window is None:
-            n = len(self._rewards)
-            if n < T:
-                # grow geometrically: one rebuild per doubling of T
-                self._rewards = np.concatenate((self._rewards, np.zeros((2 * T - n, 1))))
-            return float(_reward_part(gp, self._rewards, T - 1)[0])
+            return self._reward_sums.read(T, self._reward_events)
         wt, wr = self._win_t, self._win_rho
         cutoff = T - self._window
         while wt and wt[0] < cutoff:
@@ -266,7 +300,11 @@ class OnlineProcedure:
                 self._win_t.append(t)
                 self._win_rho.append(rho)
             else:
-                self._rewards[t - 1, 0] = rho
+                if t > len(self._rewards):  # grown geometrically
+                    self._rewards = np.concatenate((self._rewards,
+                                                    np.zeros(2 * t - len(self._rewards))))
+                self._rewards[t - 1] = rho
+                self._reward_sums.add(t, rho)
         if eligible:
             self._n_eligible += 1
         self._eps = 0.0 if eligible else alpha - base
@@ -274,9 +312,7 @@ class OnlineProcedure:
             self._starts.append(self._n_eligible)
             self.r_count += 1
             if self._investing and self.r_count >= 2:
-                # clocks above the new start read gamma_1, gamma_2, ... more
-                k = self._n_eligible + 1 - self._lo
-                self._later[k:] += self._gtab[1:len(self._later) - k + 1]
+                self._later.add(self._n_eligible, 1.0)
         self._t_next = t + 1
         return Decision(t=t, p=p, alpha=alpha, reject=reject, rho=rho,
                         base_part=base, sure_part=sure, eps_part=eps,

@@ -146,21 +146,26 @@ def _dense_signal_stream(rng, T):
     return pvals, bounds
 
 
-@pytest.mark.parametrize("name", [name for name, rule in RULES.items() if rule.investing])
-def test_batch_matches_online_procedure_across_refills(name):
-    """Long streams with thousands of rejections, whose clocks run past the
-    scalar machine's first two buffers of per-clock sums (1024 clocks, then
-    2048), so it refills them at least twice."""
+@pytest.mark.parametrize("name,gp", [
+    *(pytest.param(name, "kernel10" if rule.rewarded else None, id=name)
+      for name, rule in RULES.items() if rule.investing),
+    *(pytest.param(name, "power", id=f"{name}-power") for name in REWARDED_NAMES)])
+def test_batch_matches_online_procedure_across_refills(name, gp):
+    """Long streams, with thousands of rejections for the investing rules,
+    whose clocks run past the scalar machine's first two buffers of per-clock
+    sums (1024 clocks, then 2048), so it refills them at least twice.  With a
+    power gamma', the batch sums the rewards over its time-major array and the
+    scalar machine reads its buffered reward sums."""
     rng = random.Random(f"refills/{name}")
     for lam in (0.0, 0.5):
-        config = _cfg("kernel10" if RULES[name].rewarded else None, lam=lam)
+        config = _cfg(gp, lam=lam)
         T = int(3200 / (1.0 - lam))
         streams = [_dense_signal_stream(rng, T) for _ in range(2)]
         procs = _assert_batch_is_scalar(name, config, streams)
         for proc in procs:
             assert 1 + sum(proc.lam_flags) > 1024 + 2048, (name, lam)
-            if not (RULES[name].capped and lam == 0.0):  # capped at lambda = 0: none
-                assert proc.r_count > 1000, (name, lam)
+            if RULES[name].investing and not (RULES[name].capped and lam == 0.0):
+                assert proc.r_count > 1000, (name, lam)  # capped at lambda = 0: none
 
 
 def _tiny(T):

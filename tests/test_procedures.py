@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -7,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sure_omt import procedures
 from sure_omt.core import IDENTITY_BOUND
 from sure_omt.discrete import support_to_bound
 from sure_omt.procedures import (RULES, AuditReport, OnlineProcedure, ProcedureConfig,
@@ -247,14 +249,24 @@ def _scalar_alord_base(g, alpha, w0, lam, flags, taus, T):
     return (1.0 - lam) * (w0 * g.gamma(clocks[0]) + (alpha - w0) * b1 + alpha * s)
 
 
-@pytest.mark.parametrize("family", ["power", "log", "jm"])
-def test_long_stream_reward_sums_are_exact(family, rng):
+@pytest.mark.parametrize("family,late", [
+    *(pytest.param(family, False, id=family) for family in ("power", "log", "jm")),
+    pytest.param("power", True, id="power-late")])
+def test_long_stream_reward_sums_are_exact(family, late, rng):
     """sure_part and base_part equal their scalar formulas (left-to-right sums)
-    bit for bit, whether gamma' is shared cold or already extended by another run."""
+    bit for bit, whether gamma' is shared cold or already extended by another
+    run.  The stream runs past step 3073, so the buffered reward sums are
+    rebuilt twice after the first buffer (at steps 1025 and 3073).  Its
+    p-values at steps 2901-3300 lie below lambda, so an adaptive rule collects
+    no reward across the second rebuild; a late stream has identity bounds,
+    which leave no reward, up to step 1100, past the first."""
     make_gp = {"power": lambda: make_power_law(1.6), "log": lambda: make_log_family(1.5),
                "jm": make_jm_family}[family]
-    T = 3000
+    T = 3500
     pvals, bounds = _signal_stream(rng, T)
+    pvals[2900:3300] = [0.25] * 400
+    if late:
+        bounds[:1100] = [None] * 1100
     warm = make_gp()
     make_procedure("rho-ob", _cfg(gamma_prime=warm)).run(zip(pvals, bounds))
     oracle_gp = make_gp()
@@ -267,6 +279,8 @@ def test_long_stream_reward_sums_are_exact(family, rng):
         want = _scalar_sure_parts(decisions, oracle_gp, lam)
         assert [d.sure_part for d in decisions] == want, name
         assert sum(1 for d in decisions if d.sure_part > 0.0) > T // 2
+        assert all(d.sure_part > 0.0 for d in decisions[3000:3300])
+        assert min(d.t for d in decisions if d.rho > 0.0) == (1101 if late else 1)
         flags = [d.p >= lam for d in decisions]
         taus = []
         n_eligible = 0
@@ -288,6 +302,33 @@ def test_long_stream_reward_sums_are_exact(family, rng):
             assert len(taus) > 50
         rerun = make_procedure(name, replace(cfg, gamma_prime=warm)).run(zip(pvals, bounds))
         assert rerun == decisions, name
+
+
+def test_scalar_reward_sums_need_no_convolution_and_few_rebuilds(monkeypatch):
+    """A power gamma' stream never calls the batch's O(t) ``_reward_part``, and
+    each buffer of per-clock sums is rebuilt at most ceil(log2(T / 1024)) + 1
+    times over T = 20,000 steps."""
+    def convolve(*args):
+        raise AssertionError("the scalar machine called _reward_part")
+
+    rebuilds = collections.Counter()
+    rebuild = procedures._ClockSums._rebuild
+
+    def counted(self, c, events):
+        rebuilds[id(self)] += 1
+        rebuild(self, c, events)
+
+    monkeypatch.setattr(procedures, "_reward_part", convolve)
+    monkeypatch.setattr(procedures._ClockSums, "_rebuild", counted)
+    T = 20_000
+    bound = support_to_bound((0.01, 0.3, 1.0))
+    proc = make_procedure("rho-lord", _cfg(w0=0.1, gamma_prime=make_power_law(1.6)))
+    for p in itertools.islice(itertools.cycle((0.3, 1.0, 0.01, 1.0)), T):
+        proc.step(p, bound)
+    assert proc.r_count > 1000
+    # the base sums and the reward sums
+    assert len(rebuilds) == 2
+    assert max(rebuilds.values()) <= math.ceil(math.log2(T / 1024)) + 1, rebuilds
 
 
 @pytest.mark.parametrize("name", [name for name, rule in RULES.items() if rule.investing])
