@@ -3,9 +3,11 @@
 - ``simulate``: each case runs all 9 procedures on their standard configs and
   hashes the report CSV and JSON.
 - ``analyze``: each case runs one procedure over the same seeded table CSV
-  (``write_tables``) and hashes the trace and the summary.  Every adaptive
-  procedure runs at each lambda of ``LAMBDAS``, the others at lambda = 0; a
-  rewarded one runs with each gamma' of ``GAMMA_PRIMES``.
+  (``write_tables``) and hashes the trace and the summary.  Every procedure
+  runs at each lambda of ``LAMBDAS``; a rewarded one runs with each gamma' of
+  ``GAMMA_PRIMES``.  An adaptive procedure is given lambda as a key of its
+  config; the others take no such key, and get lambda as analyze's default,
+  which they ignore (see ``DEFAULT_LAMBDA``).
 - ``plotdata``: the raw and loglog plot data of one analyze trace.
 - ``stream``: each case steps one rewarded procedure with a power, log or jm
   gamma' (no reward window) over one seeded ``STREAM_STEPS``-step
@@ -33,9 +35,11 @@ import platform
 import random
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 
+from sure_omt import cli
 from sure_omt.cli import main
 from sure_omt.procedures import RULES, ProcedureConfig, make_procedure
 from sure_omt.simulate import ScenarioConfig, generate_trial
@@ -77,6 +81,10 @@ GAMMA_PRIMES = {
 }
 
 
+# the case key, not passed to analyze, that sets analyze's default lambda
+DEFAULT_LAMBDA = "default_lambda"
+
+
 def _lambdas(rule):
     """LAMBDAS for an adaptive rule; the others take no lambda and run at 0."""
     return LAMBDAS if rule.adaptive else (0.0,)
@@ -86,6 +94,9 @@ def _analyze_case(name, lam, gamma_prime=None):
     config = {"procedure": name}
     if RULES[name].adaptive:
         config["lambda"] = lam
+    elif lam:
+        # a lambda key on this rule is a config error; the default is not
+        config[DEFAULT_LAMBDA] = lam
     if RULES[name].investing:
         config["w0"] = 0.1
     if gamma_prime is not None:
@@ -97,7 +108,7 @@ ANALYZE_CASES = {
     f"{name}/{gp}/lambda={lam}" if gp else f"{name}/lambda={lam}": _analyze_case(name, lam, gp)
     for name, rule in RULES.items()
     for gp in (GAMMA_PRIMES if rule.rewarded else [None])
-    for lam in _lambdas(rule)
+    for lam in LAMBDAS
 }
 # the analyze case whose trace the plotdata digests are made from
 PLOT_CASE = "rho-alord/power/lambda=0.5"
@@ -157,9 +168,14 @@ def simulate_digests(case: dict) -> dict[str, str]:
 
 
 def _analyze(config: dict, tables, root: pathlib.Path) -> None:
+    config = dict(config)
+    defaults = dict(cli.ANALYZE_DEFAULTS)
+    if DEFAULT_LAMBDA in config:
+        defaults["lambda"] = config.pop(DEFAULT_LAMBDA)
     (root / "config.json").write_text(json.dumps(config))
-    _run(["analyze", "--config", str(root / "config.json"), "--input", str(tables),
-          "--out-trace", str(root / "trace.csv"), "--out-summary", str(root / "summary.json")])
+    with mock.patch.object(cli, "ANALYZE_DEFAULTS", defaults):
+        _run(["analyze", "--config", str(root / "config.json"), "--input", str(tables),
+              "--out-trace", str(root / "trace.csv"), "--out-summary", str(root / "summary.json")])
 
 
 def analyze_digests(config: dict, tables) -> dict[str, str]:
