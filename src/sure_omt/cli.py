@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -158,7 +159,8 @@ def cmd_analyze(args) -> int:
     [(name, proc_config)] = parse_procedures([config], "procedure", ANALYZE_DEFAULTS).items()
     proc = make_procedure(name, proc_config)
     try:
-        with (open(args.input, newline="", encoding="utf-8") as fh,
+        # utf-8-sig drops the byte order mark a spreadsheet may write first
+        with (open(args.input, newline="", encoding="utf-8-sig") as fh,
               open_atomic(args.out_trace, newline="") as out):
             writer = csv.writer(out)
             writer.writerow(["t", "id", "p", "alpha", "rho", "epsilon", "reject"])
@@ -194,8 +196,17 @@ def cmd_simulate(args) -> int:
                          f"{', '.join(SIMULATE_KEYS)}")
     configs = parse_procedures(config.get("procedures", [{"name": "rho-ob"}, {"name": "rho-lord"}]))
     sweep = config.get("sweep", {"axis": None, "values": None})
+    scenario = config.get("scenario", {})
+    takes = [f.name for f in dataclasses.fields(ScenarioConfig)]
+    if not isinstance(scenario, dict):
+        raise InputError(f"scenario must be an object, got {scenario!r}; scenario takes "
+                         f"{', '.join(takes)}")
+    unknown = sorted(set(scenario) - set(takes))
+    if unknown:
+        raise InputError(f"unknown scenario key(s) {', '.join(unknown)}; scenario takes "
+                         f"{', '.join(takes)}")
     try:
-        scenario = ScenarioConfig(**config.get("scenario", {}))
+        scenario = ScenarioConfig(**scenario)
         if not isinstance(sweep, dict) or sorted(sweep) != ["axis", "values"]:
             raise ValueError(f"a sweep has exactly the keys axis and values, got {sweep!r}")
         points = sweep_points(scenario, configs, sweep["axis"], sweep["values"])
@@ -217,7 +228,7 @@ def _loglog(y: float) -> str:
 def cmd_plotdata(args) -> int:
     transform = args.transform
     try:
-        with (open(args.trace, newline="", encoding="utf-8") as fh,
+        with (open(args.trace, newline="", encoding="utf-8-sig") as fh,
               open_atomic(args.out, newline="") as out):
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or not {"t", "p", "alpha"} <= set(reader.fieldnames):

@@ -115,16 +115,6 @@ class EvalReport:
         row.update(keys)
         self.rows.append(row)
 
-    def filter(self, **keys) -> list[dict]:
-        return [r for r in self.rows
-                if all(r.get(k) == v for k, v in keys.items())]
-
-    def value(self, procedure: str, metric: str, **keys) -> float:
-        rows = self.filter(procedure=procedure, metric=metric, **keys)
-        if len(rows) != 1:
-            raise KeyError(f"expected one row for {procedure}/{metric}/{keys}, got {len(rows)}")
-        return rows[0]["estimate"]
-
     def write(self, csv_path, json_path=None):
         """Write the report as CSV and, given ``json_path``, as JSON too.
 

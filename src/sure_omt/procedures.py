@@ -14,12 +14,12 @@ spent level, which the budget audits read, is F_t(alpha_t) for a rewarded rule
 (its reward is alpha_t - F_t(alpha_t)) and alpha_t for a base rule.
 
 LORD/ALORD pay gamma at one re-indexation clock per past rejection, and a
-gamma' with no window (power, log, jm) pays gamma'_{T-t} rho_t for every past
-reward.  Both engines keep such sums per clock ahead: a rejection adds its
-gamma row, a reward its gamma' row times rho, to every later clock's sum, in
-order, so a step reads each sum from one entry.  The scalar machine buffers
-the clocks ahead (``_ClockSums``) and rebuilds the buffer, twice as long, from
-the recorded rejections or rewards when the clock runs past it.
+rewarded rule pays gamma'_{T-t} rho_t for every past reward.  The scalar
+machine keeps each such sum in one object that records its own events
+(``add(start, weight)``, ``read(clock)``).  ``_ClockSums`` (gamma, and gamma'
+with no window) adds each event's row to the sums of the clocks ahead, which
+it buffers and rebuilds from its events, twice as long, when a read runs past
+them; ``_WindowSums`` (kernel, explicit) sums the window left to right.
 
 ``run_batch`` runs every procedure of a simulator batch over K streams in
 lockstep, as numpy arrays; ``OnlineProcedure`` stays the streaming API and its
@@ -40,10 +40,11 @@ time-major rewards.
 from __future__ import annotations
 
 import copy
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -127,13 +128,14 @@ class _ClockSums:
 
     The sums of the clocks ahead are buffered, at least 1024 and then twice as
     many as before.  Read past the buffer, they are rebuilt for the clocks
-    ahead from the events the caller recorded, one add per event in the same
-    order, so every sum keeps its bits and T clocks rebuild O(log T) times.
-    A row of weight 1.0 is added as it is: multiplying it by 1.0 is exact.
+    ahead from the recorded events, one add per event in the same order, so
+    every sum keeps its bits and T clocks rebuild O(log T) times.  A row of
+    weight 1.0 is added as it is: multiplying it by 1.0 is exact.
     """
 
     def __init__(self, g: SpendingSequence):
         self._g = g
+        self._starts, self._weights = array("q"), array("d")
         self._lo = 1             # _sums[c - _lo] is the sum at clock c
         self._sums = np.zeros(0)
         self._tab = np.zeros(0)  # g_0 .. g_n at least, for the buffered clocks
@@ -141,24 +143,58 @@ class _ClockSums:
     def add(self, start: int, weight: float) -> None:
         """An event at clock ``start``, not below the last clock read: the
         clocks above it read g_1, g_2, ... times ``weight`` more."""
+        self._starts.append(start)
+        self._weights.append(weight)
         k = start + 1 - self._lo
         row = self._tab[1:len(self._sums) - k + 1]
         self._sums[k:] += row if weight == 1.0 else row * weight
 
-    def read(self, c: int, events: Callable[[], Iterable[tuple[int, float]]]) -> float:
-        """The sum at clock c, not below the last clock read; ``events()``
-        gives every event so far, in order, for a rebuild."""
+    def read(self, c: int) -> float:
+        """The sum at clock c, not below the last clock read."""
         if c - self._lo >= len(self._sums):
-            self._rebuild(c, events())
+            self._rebuild(c)
         return self._sums.item(c - self._lo)
 
-    def _rebuild(self, c: int, events: Iterable[tuple[int, float]]) -> None:
+    def _rebuild(self, c: int) -> None:
         n = max(1024, 2 * len(self._sums))
         self._tab = tab = self._g.table(c + n)
         self._lo, self._sums = c, np.zeros(n)
-        for start, weight in events:
+        for start, weight in zip(self._starts, self._weights):
             row = tab[c - start:c - start + n]
             self._sums += row if weight == 1.0 else row * weight
+
+
+class _WindowSums:
+    """The sum at clock c of w * g_{c - s} over the events (s, w) in g's window,
+    c - window <= s, added left to right from 0.0 (a kernel's weights after the
+    sum, as a division by h): builtin sum() is compensated from Python 3.12."""
+
+    def __init__(self, g: SpendingSequence):
+        self._window, self._h = g.window, g.h
+        self._kernel = g.kind == "kernel"
+        self._table = None if self._kernel else g.table(self._window)
+        self._starts: deque[int] = deque()
+        self._weights: deque[float] = deque()
+
+    def add(self, start: int, weight: float) -> None:
+        self._starts.append(start)
+        self._weights.append(weight)
+
+    def read(self, c: int) -> float:
+        starts, weights = self._starts, self._weights
+        cutoff = c - self._window
+        while starts and starts[0] < cutoff:
+            starts.popleft()
+            weights.popleft()
+        s = 0.0
+        if self._kernel:
+            for w in weights:
+                s += w
+            return s / self._h
+        table = self._table
+        for start, w in zip(starts, weights):
+            s += table.item(c - start) * w
+        return s
 
 
 class OnlineProcedure:
@@ -178,7 +214,6 @@ class OnlineProcedure:
         self._alpha = config.alpha
         self._w0 = config.w0
         self._g = config.gamma
-        self._gp = config.gamma_prime
         self._capped = rule.capped
         # history, appended once per step
         self.lam_flags: list[bool] = []       # p_t >= lambda
@@ -193,15 +228,11 @@ class OnlineProcedure:
         # the sum at clock c of gamma at c minus starts[j], over the rejections j >= 2
         self._later = _ClockSums(self._g)
         self._gtab = np.zeros(0)
-        # eligible positive rewards: the last gamma'.window steps if gamma' has a
-        # window (kernel, explicit), else every step's (0.0 where none was
-        # collected, grown by doubling) and their gamma' sums at each step ahead
-        self._window = None if self._gp is None else self._gp.window
-        self._win_t: deque[int] = deque()
-        self._win_rho: deque[float] = deque()
-        self._rewards = np.zeros(0)
-        self._reward_sums = (_ClockSums(self._gp) if self.rewarded and self._window is None
-                             else None)
+        # the sum at step T of gamma'_{T - t} rho_t over the eligible positive rewards
+        gp = config.gamma_prime
+        self._reward_sums = None
+        if self.rewarded:
+            self._reward_sums = (_ClockSums if gp.window is None else _WindowSums)(gp)
         self._t_next = 1
         self._eps = 0.0                       # carry: alpha - base after p < lambda
         self._pending: tuple[float, float, float, float] | None = None
@@ -220,45 +251,15 @@ class OnlineProcedure:
         alpha, w0 = self._alpha, self._w0
         starts = self._starts
         b1 = gtab.item(c0 - starts[1]) if len(starts) > 1 else 0.0
-        s = self._later.read(c0, self._rejection_events)
+        s = self._later.read(c0)
         val = (1.0 - self._lam) * (w0 * gtab.item(c0) + (alpha - w0) * b1 + alpha * s)
         if self._capped:
             val = min(self._lam, val)
         return val
 
-    def _rejection_events(self):
-        return ((start, 1.0) for start in self._starts[2:])
-
     def _clock(self, j: int) -> int:
         """Value of re-indexation clock j (0 <= j <= rejections) at the next step."""
         return 1 + self._n_eligible - self._starts[j]
-
-    # -- reward convolution -------------------------------------------------
-
-    def _reward_events(self):
-        ts = self._rewards.nonzero()[0]
-        return zip((ts + 1).tolist(), self._rewards[ts].tolist())
-
-    def _sure_part(self, T: int) -> float:
-        gp = self._gp
-        if self._window is None:
-            return self._reward_sums.read(T, self._reward_events)
-        wt, wr = self._win_t, self._win_rho
-        cutoff = T - self._window
-        while wt and wt[0] < cutoff:
-            wt.popleft()
-            wr.popleft()
-        if gp.kind == "kernel":
-            # left to right: builtin sum() is compensated from Python 3.12
-            s = 0.0
-            for rho in wr:
-                s += rho
-            return s / gp.h
-        weights = gp.table(self._window)
-        s = 0.0
-        for t, rho in zip(wt, wr):
-            s += weights.item(T - t) * rho
-        return s
 
     # -- step API ------------------------------------------------------------
 
@@ -268,7 +269,7 @@ class OnlineProcedure:
             raise RuntimeError("observe() must be called before the next emit_alpha()")
         base = self._base_alpha()
         if self.rewarded:
-            sure = self._sure_part(self._t_next)
+            sure = self._reward_sums.read(self._t_next)
             eps = self._eps
             alpha = base + sure + eps
         else:
@@ -296,15 +297,7 @@ class OnlineProcedure:
         self.rejects.append(reject)
         self.spent.append(f if self.rewarded else alpha)
         if self.rewarded and eligible and rho > 0.0:
-            if self._window is not None:
-                self._win_t.append(t)
-                self._win_rho.append(rho)
-            else:
-                if t > len(self._rewards):  # grown geometrically
-                    self._rewards = np.concatenate((self._rewards,
-                                                    np.zeros(2 * t - len(self._rewards))))
-                self._rewards[t - 1] = rho
-                self._reward_sums.add(t, rho)
+            self._reward_sums.add(t, rho)
         if eligible:
             self._n_eligible += 1
         self._eps = 0.0 if eligible else alpha - base

@@ -53,6 +53,19 @@ def resummed_base(rule, config, n_eligible, starts):
     return min(lam, val) if rule.capped else val
 
 
+def report_rows(report, **keys) -> list[dict]:
+    """The rows of an ``EvalReport`` that have every given key and value."""
+    return [r for r in report.rows if all(r.get(k) == v for k, v in keys.items())]
+
+
+def report_value(report, procedure: str, metric: str, **keys) -> float:
+    """The estimate of the one row of ``report`` for the procedure, metric and keys."""
+    rows = report_rows(report, procedure=procedure, metric=metric, **keys)
+    if len(rows) != 1:
+        raise KeyError(f"expected one row for {procedure}/{metric}/{keys}, got {len(rows)}")
+    return rows[0]["estimate"]
+
+
 @pytest.fixture
 def rng():
     return random.Random(20230823)

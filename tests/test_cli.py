@@ -131,6 +131,28 @@ def test_analyze_rejects_non_utf8_input(tmp_path, capsys):
     _assert_one_error_line(capsys, "cannot read config")
 
 
+def test_inputs_may_start_with_a_byte_order_mark(tmp_path):
+    """A table CSV or trace saved with a UTF-8 byte order mark (as spreadsheets
+    save them) reads as the same file without it."""
+    cfg = _write_config(tmp_path, ANALYZE_CFG)
+    tables = Path(_write_tables(tmp_path, ["a,3,1,0,4", "b,2,2,2,2", "c,4,0,1,3"]))
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + tables.read_bytes())
+    out = {}
+    for name, path in (("plain", tables), ("marked", marked)):
+        trace = tmp_path / f"{name}-trace.csv"
+        assert main(["analyze", "--config", cfg, "--input", str(path),
+                     "--out-trace", str(trace)]) == 0, name
+        out[name] = trace.read_bytes()
+    assert out["marked"] == out["plain"]
+    marked.write_bytes(b"\xef\xbb\xbf" + out["plain"])
+    for name, trace in (("plain", tmp_path / "plain-trace.csv"), ("marked", marked)):
+        plot = tmp_path / f"{name}-plot.csv"
+        assert main(["plotdata", "--trace", str(trace), "--out", str(plot)]) == 0, name
+        out[name] = plot.read_bytes()
+    assert out["marked"] == out["plain"]
+
+
 def test_analyze_large_groups(tmp_path, capsys):
     """Groups of 600-800 subjects underflow tail pmfs; analyze still runs."""
     from scipy.stats import fisher_exact
@@ -448,6 +470,18 @@ def test_analyze_does_not_import_numpy_ma(tmp_path):
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("scenario,fragment", [
+    ({"m": 10, "foo": 1}, "unknown scenario key(s) foo"),
+    (5, "scenario must be an object, got 5")], ids=["unknown-key", "not-an-object"])
+def test_bad_scenario_names_its_key(tmp_path, capsys, scenario, fragment):
+    """An unknown scenario key, or a scenario that is not an object, exits 2
+    with a message that names it and lists the keys a scenario takes."""
+    cfg = _write_config(tmp_path, {"scenario": scenario, "procedures": [{"name": "ob"}]})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+    _assert_one_error_line(capsys, fragment, "; scenario takes m, pi_a, n_subjects, p3, "
+                           "p_null_low, p_null_mid, placement, seed, n_trials")
 
 
 def test_simulate_bad_config(tmp_path, capsys):

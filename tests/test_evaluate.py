@@ -10,6 +10,7 @@ from sure_omt.evaluate import (Estimate, EvalReport, TrialOutcome, estimate_fwer
                                estimate_mfdr, estimate_power)
 from sure_omt.spending import make_power_law
 
+from conftest import report_rows, report_value
 from oracles import wealth_curves
 
 
@@ -178,10 +179,10 @@ def test_report_round_trip(tmp_path):
     rep = EvalReport()
     rep.add("rho-ob", "fwer", Estimate(0.1, 0.01, 100), 500, axis="pi_a", value=0.3)
     rep.add("ob", "power", Estimate(0.4, 0.02, 100), 500, axis="pi_a", value=0.3)
-    assert rep.value("rho-ob", "fwer") == 0.1
-    assert len(rep.filter(metric="power")) == 1
+    assert report_value(rep, "rho-ob", "fwer") == 0.1
+    assert len(report_rows(rep, metric="power")) == 1
     with pytest.raises(KeyError):
-        rep.value("nope", "fwer")
+        report_value(rep, "nope", "fwer")
 
     csv_path = tmp_path / "r.csv"
     json_path = tmp_path / "r.json"

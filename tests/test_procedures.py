@@ -314,9 +314,9 @@ def test_scalar_reward_sums_need_no_convolution_and_few_rebuilds(monkeypatch):
     rebuilds = collections.Counter()
     rebuild = procedures._ClockSums._rebuild
 
-    def counted(self, c, events):
+    def counted(self, c):
         rebuilds[id(self)] += 1
-        rebuild(self, c, events)
+        rebuild(self, c)
 
     monkeypatch.setattr(procedures, "_reward_part", convolve)
     monkeypatch.setattr(procedures._ClockSums, "_rebuild", counted)
@@ -362,24 +362,28 @@ def test_investing_base_matches_the_resummed_loop(name, rng):
 
 @pytest.mark.parametrize("name", ["rho-ob", "rho-aob", "rho-lord", "rho-alord"])
 def test_kernel_sure_part_is_a_left_to_right_sum(name, rng):
-    """The kernel reward part is its window summed left to right, then divided
-    by h, on every Python version (builtin sum() is compensated from 3.12)."""
-    h = 100
-    pvals, bounds = _signal_stream(rng, 1500)
-    proc = make_procedure(name, _cfg(lam=0.5, w0=0.1, gamma_prime=make_kernel(h)))
-    decisions = proc.run(zip(pvals, bounds))
+    """The reward part of a gamma' with a window (kernel, explicit, greedy) is
+    its window's terms summed left to right, the kernel's then divided by h,
+    on every Python version (builtin sum() is compensated from 3.12)."""
     lam = 0.5 if name in ("rho-aob", "rho-alord") else 0.0
-    differs = 0
-    for d in decisions:
-        # rewards of the eligible steps t with T - h <= t < T
-        window = [e.rho for e in decisions[max(0, d.t - 1 - h):d.t - 1]
-                  if e.p >= lam and e.rho > 0.0]
-        s = 0.0
-        for rho in window:
-            s += rho
-        assert d.sure_part == s / h, d.t
-        differs += s != math.fsum(window)
-    assert differs > 0
+    pvals, bounds = _signal_stream(rng, 1500)
+    explicit = make_explicit([0.4 * 0.6 ** k for k in range(60)])
+    for gp in (make_kernel(100), explicit, make_greedy()):
+        h = gp.window
+        proc = make_procedure(name, _cfg(lam=0.5, w0=0.1, gamma_prime=gp))
+        decisions = proc.run(zip(pvals, bounds))
+        differs = 0
+        for d in decisions:
+            # the terms of the eligible rewards at steps t with T - h <= t < T
+            window = [e.rho if gp.kind == "kernel" else gp.gamma(d.t - e.t) * e.rho
+                      for e in decisions[max(0, d.t - 1 - h):d.t - 1]
+                      if e.p >= lam and e.rho > 0.0]
+            s = 0.0
+            for term in window:
+                s += term
+            assert d.sure_part == (s / h if gp.kind == "kernel" else s), (gp, d.t)
+            differs += s != math.fsum(window)
+        assert differs > 0 or h == 1, gp
 
 
 # -- budget audits ------------------------------------------------------------

@@ -6,6 +6,8 @@ from sure_omt.discrete import ContingencyTable2x2, fisher_two_sided
 from sure_omt.simulate import (PLACEMENTS, ScenarioConfig, _exact_tests, generate_trial,
                                place_signal, run_sweep, run_trials, sweep_points)
 
+from conftest import report_value
+
 
 def _standard_configs(*names):
     return parse_procedures([{"name": n} for n in names])
@@ -152,7 +154,7 @@ def test_run_sweep_reports_each_value():
     sc = ScenarioConfig(m=40, n_subjects=10, n_trials=3)
     configs = _standard_configs("rho-ob")
     rep = run_sweep(sweep_points(sc, configs, "pi_a", [0.1, 0.5]))
-    assert rep.value("rho-ob", "power", value=0.1) >= 0.0
+    assert report_value(rep, "rho-ob", "power", value=0.1) >= 0.0
     assert len(rep.rows) == 6  # 2 grid points x 3 metrics
     with pytest.raises(ValueError):
         sweep_points(sc, configs, "bogus", [1])
@@ -170,4 +172,5 @@ def test_run_sweep_lambda_axis_changes_results():
     assert [p.configs["rho-alord"].lam for p in points] == [0.0, 0.8]
     rep = run_sweep(points)
     assert len(rep.rows) == 6
-    assert rep.value("rho-alord", "power", value=0.0) != rep.value("rho-alord", "power", value=0.8)
+    assert (report_value(rep, "rho-alord", "power", value=0.0)
+            != report_value(rep, "rho-alord", "power", value=0.8))
