@@ -5,7 +5,8 @@ Input tables are CSV rows ``id,a,b,c,d`` processed strictly in file order
 significant digits so traces replay bit-faithfully.
 
 Exit codes: 0 success with audits passing, 1 audit violation, 2 input or
-configuration error.
+configuration error, told in one line that names the table line or the key
+path of the config object (KEYS and spending.SPEC_KEYS list their keys).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -24,11 +24,17 @@ from .evaluate import open_atomic
 from .procedures import (FWER_NAMES, ProcedureConfig, audit_fwer_budget,
                          audit_mfdr_budget, make_procedure, parse_name)
 from .simulate import ScenarioConfig, run_sweep, sweep_points
-from .spending import _spec_number, parse_sequence_spec
+from .spending import check_keys, json_number, parse_sequence_spec
 
 CONFIG_ENV_VAR = "SURE_OMT_CONFIG"
 
 PROCEDURE_KEYS = ("alpha", "lambda", "w0", "gamma", "gamma_prime")
+# the (required, optional) keys of each JSON object of a config, by its path
+KEYS = {"analyze": (("procedure",), (*PROCEDURE_KEYS, "max_rows")),
+        "simulate": ((), ("scenario", "procedures", "sweep")),
+        "procedures[i]": (("name",), PROCEDURE_KEYS),
+        "scenario": ((), tuple(f.name for f in dataclasses.fields(ScenarioConfig))),
+        "sweep": (("axis", "values"), ())}
 DEFAULT_GAMMA = {"family": "power", "q": 1.6}
 # analyze fills in only alpha and lambda; w0 and gamma_prime must be given
 ANALYZE_DEFAULTS = {"alpha": 0.2, "lambda": 0.0}
@@ -36,7 +42,6 @@ ANALYZE_DEFAULTS = {"alpha": 0.2, "lambda": 0.0}
 # investing rules and a kernel gamma' of bandwidth 100 (FWER) or 10 (mFDR)
 STANDARD_DEFAULTS = {"alpha": 0.2, "lambda": 0.5, "w0_share": 0.5,
                      "kernel_h": {"fwer": 100, "mfdr": 10}}
-SIMULATE_KEYS = ("scenario", "procedures", "sweep")
 
 
 class InputError(Exception):
@@ -47,8 +52,24 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _apply_overrides(config: dict, overrides: list[str]) -> dict:
-    for item in overrides:
+def _at(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; an error it raises is prefixed with ``path``."""
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{path}: {exc}" if path else str(exc)) from None
+
+
+def _load_config(path: str | None, overrides: list[str]):
+    config = {}
+    if path is not None:
+        try:
+            # utf-8-sig drops the byte order mark an editor may write first
+            with open(path, encoding="utf-8-sig") as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+            raise InputError(f"cannot read config {path}: {exc}")
+    for item in overrides if isinstance(config, dict) else ():  # else its key check fails
         if "=" not in item:
             raise InputError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
@@ -57,77 +78,62 @@ def _apply_overrides(config: dict, overrides: list[str]) -> dict:
         except json.JSONDecodeError:
             value = raw
         node = config
-        parts = key.split(".")
-        for part in parts[:-1]:
+        *parents, leaf = key.split(".")
+        for part in parents:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
                 raise InputError(f"--set {key}: {part} is not an object")
-        node[parts[-1]] = value
+        node[leaf] = value
     return config
 
 
-def _load_config(path: str | None, overrides: list[str]) -> dict:
-    if path is None:
-        config = {}
-    else:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                config = json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
-            raise InputError(f"cannot read config {path}: {exc}")
-        if not isinstance(config, dict):
-            raise InputError(f"config {path} must be a JSON object")
-    return _apply_overrides(config, overrides)
+def _procedure(path: str, spec: dict, defaults: dict, default_gamma, configs: dict) -> None:
+    """Add to ``configs`` the config of the entry ``spec`` at ``path`` (the root: analyze's)."""
+    name = spec.pop("name" if path else "procedure")
+    rule = parse_name(name)
+    if name in configs:
+        raise ValueError(f"{name} is listed twice")
+    alpha = float(json_number(spec.get("alpha", defaults["alpha"]), "alpha"))
+    if rule.investing and "w0_share" in defaults:
+        spec.setdefault("w0", defaults["w0_share"] * alpha)
+    if rule.rewarded and "kernel_h" in defaults:
+        h = defaults["kernel_h"]["mfdr" if rule.investing else "fwer"]
+        spec.setdefault("gamma_prime", {"family": "kernel", "h": h})
+    for key, group in (("w0", "investing"), ("gamma_prime", "rewarded")):
+        if (key in spec) != getattr(rule, group):
+            raise ValueError(f"{key} is required by the {group} rules and taken by no other")
+    if "lambda" in spec and not rule.adaptive:
+        raise ValueError("lambda is taken only by the adaptive rules")
+    gammas = {key: _at(f"{path}.{key}".lstrip("."), parse_sequence_spec, spec[key])
+              for key in ("gamma", "gamma_prime") if key in spec}
+    configs[name] = ProcedureConfig(
+        alpha=alpha,
+        gamma=gammas.get("gamma", default_gamma),
+        lam=float(json_number(spec.get("lambda", defaults["lambda"]), "lambda")),
+        w0=float(json_number(spec["w0"], "w0")) if rule.investing else None,
+        gamma_prime=gammas.get("gamma_prime"),
+    )
 
 
-def parse_procedures(entries, name_key: str = "name",
+def parse_procedures(entries, kind: str = "procedures[i]",
                      defaults: dict = STANDARD_DEFAULTS) -> dict[str, ProcedureConfig]:
     """Turn a nonempty list of procedure entries into configs keyed by public name.
 
-    An entry has its name under ``name_key`` and any of PROCEDURE_KEYS;
-    ``defaults`` fills in the keys left out (see ANALYZE_DEFAULTS and
-    STANDARD_DEFAULTS), and the default gamma is built at most once and
-    shared.  A config has w0 if and only if the rule is investing, and
-    gamma_prime if and only if it is rewarded; an entry gives lambda only for
-    an adaptive rule.
+    An entry of ``kind`` (a simulate entry, or the analyze root) has a name
+    and any of PROCEDURE_KEYS; ``defaults`` fills in the keys left out (see
+    ANALYZE_DEFAULTS and STANDARD_DEFAULTS), and the default gamma is built
+    once and shared.  A config has w0 if and only if the rule is investing,
+    and gamma_prime if and only if it is rewarded; an entry gives lambda only
+    for an adaptive rule.
     """
     if not isinstance(entries, list) or not entries:
         raise InputError("procedures must be a nonempty list")
-    default_gamma = functools.cache(lambda: parse_sequence_spec(DEFAULT_GAMMA))
+    default_gamma = parse_sequence_spec(DEFAULT_GAMMA)
     configs = {}
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise InputError(f"a procedure entry must be an object, got {entry!r}")
-        spec = dict(entry)
-        name = spec.pop(name_key, None)
-        try:
-            rule = parse_name(name)
-            if name in configs:
-                raise ValueError("listed twice")
-            unknown = sorted(set(spec) - set(PROCEDURE_KEYS))
-            if unknown:
-                raise ValueError(f"unknown key(s) {', '.join(unknown)}")
-            alpha = float(_spec_number(spec.get("alpha", defaults["alpha"]), "alpha"))
-            if rule.investing and "w0_share" in defaults:
-                spec.setdefault("w0", defaults["w0_share"] * alpha)
-            if rule.rewarded and "kernel_h" in defaults:
-                h = defaults["kernel_h"]["mfdr" if rule.investing else "fwer"]
-                spec.setdefault("gamma_prime", {"family": "kernel", "h": h})
-            if ("w0" in spec) != rule.investing:
-                raise ValueError("w0 is required by the investing rules and taken by no other")
-            if "lambda" in spec and not rule.adaptive:
-                raise ValueError("lambda is taken only by the adaptive rules")
-            if ("gamma_prime" in spec) != rule.rewarded:
-                raise ValueError("gamma_prime is required by the rewarded rules and taken by no other")
-            configs[name] = ProcedureConfig(
-                alpha=alpha,
-                gamma=parse_sequence_spec(spec["gamma"]) if "gamma" in spec else default_gamma(),
-                lam=float(_spec_number(spec.get("lambda", defaults["lambda"]), "lambda")),
-                w0=float(_spec_number(spec["w0"], "w0")) if rule.investing else None,
-                gamma_prime=parse_sequence_spec(spec["gamma_prime"]) if rule.rewarded else None,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"procedure {name!r}: {exc}") from None
+    for i, entry in enumerate(entries):
+        path = "" if kind == "analyze" else f"procedures[{i}]"
+        spec = dict(_at(path, check_keys, entry, kind, *KEYS[kind]))
+        _at(path, _procedure, path, spec, defaults, default_gamma, configs)
     return configs
 
 
@@ -153,10 +159,10 @@ def _test_rows(fh, max_rows: int | None):
 
 def cmd_analyze(args) -> int:
     config = _load_config(args.config, args.set or [])
-    max_rows = config.pop("max_rows", None)
+    [(name, proc_config)] = parse_procedures([config], "analyze", ANALYZE_DEFAULTS).items()
+    max_rows = config.get("max_rows")
     if max_rows is not None and (type(max_rows) is not int or max_rows < 0):
         raise InputError(f"max_rows must be a nonnegative integer, got {max_rows!r}")
-    [(name, proc_config)] = parse_procedures([config], "procedure", ANALYZE_DEFAULTS).items()
     proc = make_procedure(name, proc_config)
     try:
         # utf-8-sig drops the byte order mark a spreadsheet may write first
@@ -189,29 +195,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config, args.set or [])
-    unknown = sorted(set(config) - set(SIMULATE_KEYS))
-    if unknown:
-        raise InputError(f"unknown key(s) {', '.join(unknown)}; simulate takes "
-                         f"{', '.join(SIMULATE_KEYS)}")
-    configs = parse_procedures(config.get("procedures", [{"name": "rho-ob"}, {"name": "rho-lord"}]))
-    sweep = config.get("sweep", {"axis": None, "values": None})
-    scenario = config.get("scenario", {})
-    takes = [f.name for f in dataclasses.fields(ScenarioConfig)]
-    if not isinstance(scenario, dict):
-        raise InputError(f"scenario must be an object, got {scenario!r}; scenario takes "
-                         f"{', '.join(takes)}")
-    unknown = sorted(set(scenario) - set(takes))
-    if unknown:
-        raise InputError(f"unknown scenario key(s) {', '.join(unknown)}; scenario takes "
-                         f"{', '.join(takes)}")
-    try:
-        scenario = ScenarioConfig(**scenario)
-        if not isinstance(sweep, dict) or sorted(sweep) != ["axis", "values"]:
-            raise ValueError(f"a sweep has exactly the keys axis and values, got {sweep!r}")
-        points = sweep_points(scenario, configs, sweep["axis"], sweep["values"])
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"scenario or sweep: {exc}") from None
+    root = _load_config(args.config, args.set or [])
+    _at("", check_keys, root, "simulate", *KEYS["simulate"])
+    configs = parse_procedures(root.get("procedures", [{"name": "rho-ob"}, {"name": "rho-lord"}]))
+    scenario = _at("scenario", check_keys, root.get("scenario", {}), "scenario", *KEYS["scenario"])
+    scenario = _at("scenario", ScenarioConfig, **scenario)
+    sweep = root.get("sweep", {"axis": None, "values": None})
+    _at("sweep", check_keys, sweep, "sweep", *KEYS["sweep"])
+    points = _at("sweep", sweep_points, scenario, configs, **sweep)
     report = run_sweep(points)
     report.write(args.out, args.out_json)
     print(json.dumps({"rows": len(report.rows), "audits_ok": report.audits_ok}))
@@ -270,21 +261,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="run one procedure over a table CSV")
-    pa.add_argument("--config", default=os.environ.get(CONFIG_ENV_VAR),
-                    help=f"JSON config (default ${CONFIG_ENV_VAR})")
     pa.add_argument("--input", required=True, help="CSV with header id,a,b,c,d")
     pa.add_argument("--out-trace", required=True)
     pa.add_argument("--out-summary")
-    pa.add_argument("--set", action="append", metavar="KEY=VALUE")
     pa.set_defaults(func=cmd_analyze, files=("config", "input", "out_trace", "out_summary"))
 
     ps = sub.add_parser("simulate", help="Monte-Carlo evaluation run")
-    ps.add_argument("--config", default=os.environ.get(CONFIG_ENV_VAR),
-                    help=f"JSON config (default ${CONFIG_ENV_VAR})")
     ps.add_argument("--out", required=True, help="report CSV path")
     ps.add_argument("--out-json")
-    ps.add_argument("--set", action="append", metavar="KEY=VALUE")
     ps.set_defaults(func=cmd_simulate, files=("config", "out", "out_json"))
+    for command in (pa, ps):
+        command.add_argument("--config", default=os.environ.get(CONFIG_ENV_VAR),
+                             help=f"JSON config (default ${CONFIG_ENV_VAR})")
+        command.add_argument("--set", action="append", metavar="KEY=VALUE")
 
     pp = sub.add_parser("plotdata", help="trace to plot-ready long format")
     pp.add_argument("--trace", required=True)
@@ -300,7 +289,7 @@ def main(argv=None) -> int:
     try:
         _check_distinct_files(args)
         return args.func(args)
-    except (InputError, OSError) as exc:
+    except (InputError, OSError, MemoryError) as exc:  # MemoryError: an input too large
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,6 +19,8 @@ import numpy as np
 from .core import StepCdf
 
 TIE_REL_TOL = 1e-7
+# the largest smallest margin (row or column sum) of a table; the test's cost grows with it
+MAX_MARGIN = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,8 @@ def _log_pmf(r1: int, r2: int, c1: int, lo: int, hi: int) -> np.ndarray:
 def _check_margins(r1: int, r2: int, c1: int) -> None:
     if min(r1, r2, c1) < 0 or c1 > r1 + r2:
         raise ValueError(f"inconsistent margins {(r1, r2, c1)}")
+    if min(r1, r2, c1, r1 + r2 - c1) > MAX_MARGIN:  # before any array is made
+        raise ValueError(f"a table's smallest margin must be at most {MAX_MARGIN}")
 
 
 @lru_cache(maxsize=4096)

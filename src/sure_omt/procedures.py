@@ -221,11 +221,11 @@ class OnlineProcedure:
         self.rejects: list[bool] = []
         self.spent: list[float] = []          # F_t(alpha_t) if rewarded, else alpha_t
         self.r_count = 0
-        # re-indexation clocks: clock j reads 1 + E - starts[j], where E counts
-        # the eligible steps so far and starts[j] is E at the j-th rejection
+        # re-indexation clocks: clock j reads 1 + E - s_j, where E counts the
+        # eligible steps so far and s_j is E at the j-th rejection (s_0 = 0)
         self._n_eligible = 0
-        self._starts: list[int] = [0]
-        # the sum at clock c of gamma at c minus starts[j], over the rejections j >= 2
+        self._first = 0  # s_1
+        # the sum at clock c of gamma at c - s_j over the rejections j >= 2 (investing rules)
         self._later = _ClockSums(self._g)
         self._gtab = np.zeros(0)
         # the sum at step T of gamma'_{T - t} rho_t over the eligible positive rewards
@@ -249,8 +249,7 @@ class OnlineProcedure:
         if not self._investing:
             return self._alpha * (1.0 - self._lam) * gtab.item(c0)
         alpha, w0 = self._alpha, self._w0
-        starts = self._starts
-        b1 = gtab.item(c0 - starts[1]) if len(starts) > 1 else 0.0
+        b1 = gtab.item(c0 - self._first) if self.r_count else 0.0
         s = self._later.read(c0)
         val = (1.0 - self._lam) * (w0 * gtab.item(c0) + (alpha - w0) * b1 + alpha * s)
         if self._capped:
@@ -258,8 +257,8 @@ class OnlineProcedure:
         return val
 
     def _clock(self, j: int) -> int:
-        """Value of re-indexation clock j (0 <= j <= rejections) at the next step."""
-        return 1 + self._n_eligible - self._starts[j]
+        """Value of re-indexation clock j at the next step (j >= 2: investing rules only)."""
+        return 1 + self._n_eligible - (0, self._first, *self._later._starts)[j]
 
     # -- step API ------------------------------------------------------------
 
@@ -302,9 +301,10 @@ class OnlineProcedure:
             self._n_eligible += 1
         self._eps = 0.0 if eligible else alpha - base
         if reject:
-            self._starts.append(self._n_eligible)
             self.r_count += 1
-            if self._investing and self.r_count >= 2:
+            if self.r_count == 1:
+                self._first = self._n_eligible
+            elif self._investing:
                 self._later.add(self._n_eligible, 1.0)
         self._t_next = t + 1
         return Decision(t=t, p=p, alpha=alpha, reject=reject, rho=rho,

@@ -18,16 +18,20 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import StepCdf
-from .discrete import fisher_margins
+from .discrete import MAX_MARGIN, fisher_margins
 from .evaluate import (EvalReport, TrialOutcome, estimate_fwer, estimate_mfdr,
                        estimate_power)
 from .procedures import NullBounds, ProcedureConfig, run_batch
-from .spending import _spec_number, make_kernel
+from .spending import json_number, make_kernel
 
 PLACEMENTS = ("B", "E", "BM", "BE", "ME", "Random")
 # sweep axis -> the ScenarioConfig field it sets; the other axes set lambda and h
 SCENARIO_AXES = {"placement": "placement", "pi_a": "pi_a", "N": "n_subjects", "p3": "p3"}
 SWEEP_AXES = (*SCENARIO_AXES, "lambda", "h")
+# the range of each numeric field; a field with integer bounds takes integers only
+RANGES = {"m": (1, np.iinfo(np.intp).max), "n_trials": (1, np.iinfo(np.intp).max),
+          "n_subjects": (0, MAX_MARGIN), "seed": (0, float("inf")), "pi_a": (0.0, 1.0),
+          "p3": (0.0, 1.0), "p_null_low": (0.0, 1.0), "p_null_mid": (0.0, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -45,16 +49,12 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.placement not in PLACEMENTS:
             raise ValueError(f"unknown placement {self.placement!r}")
-        for name in ("m", "n_trials", "n_subjects", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int:
+        for name, (lo, hi) in RANGES.items():
+            value = json_number(getattr(self, name), name)
+            if type(lo) is int and type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.m < 1 or self.n_trials < 1 or self.n_subjects < 0 or self.seed < 0:
-            raise ValueError("need m >= 1, n_trials >= 1, n_subjects >= 0 and seed >= 0")
-        for name in ("pi_a", "p3", "p_null_low", "p_null_mid"):
-            value = _spec_number(getattr(self, name), name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+            if not lo <= value <= hi:
+                raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value!r}")
 
     @property
     def m3(self) -> int:
@@ -241,7 +241,7 @@ def sweep_points(scenario: ScenarioConfig, configs: dict[str, ProcedureConfig],
         if axis in SCENARIO_AXES:
             point_scenario = replace(scenario, **{SCENARIO_AXES[axis]: value})
         elif axis == "lambda":
-            lam = _spec_number(value, "lambda")
+            lam = json_number(value, "lambda")
             point_configs = {name: replace(c, lam=lam) for name, c in configs.items()}
         else:
             kernel = make_kernel(value)

@@ -184,27 +184,19 @@ SPEC_KEYS = {"power": ("q",), "log": ("q",), "jm": (), "kernel": ("h",), "greedy
 
 
 def parse_sequence_spec(spec: dict) -> SpendingSequence:
-    """Build a sequence from its config-file form.
+    """Build a sequence from its config-file form, such as {"family": "power", "q": 1.6}.
 
-    Grammar: {"family": "power", "q": 1.6} | {"family": "log", "q": q}
-           | {"family": "jm"} | {"family": "kernel", "h": 100}
-           | {"family": "greedy"} | {"family": "explicit", "values": [...]}
-    A spec has exactly its family's keys; q is a number and values a list of
-    numbers, neither a string nor a bool.
+    A spec has exactly its family's keys (SPEC_KEYS); q is a number and values
+    a list of numbers, neither a string nor a bool.
     """
-    if not isinstance(spec, dict):
-        raise ValueError(f"a spending spec must be an object, got {spec!r}")
-    family = spec.get("family")
+    args = dict.fromkeys(k for keys in SPEC_KEYS.values() for k in keys)
+    family = check_keys(spec, "a spending spec", ("family",), args)["family"]
     if not isinstance(family, str) or family not in SPEC_KEYS:
         raise ValueError(f"unknown spending family {family!r}")
-    keys = {"family", *SPEC_KEYS[family]}
-    if set(spec) != keys:
-        raise ValueError(f"a {family} spending spec takes exactly the keys "
-                         f"{', '.join(sorted(keys))}, got {', '.join(map(str, spec))}")
-    if family == "power":
-        return make_power_law(float(_spec_number(spec["q"], "power spending q")))
-    if family == "log":
-        return make_log_family(float(_spec_number(spec["q"], "log spending q")))
+    check_keys(spec, f"a {family} spending spec", ("family", *SPEC_KEYS[family]))
+    if family in ("power", "log"):
+        q = float(json_number(spec["q"], "q"))
+        return make_power_law(q) if family == "power" else make_log_family(q)
     if family == "jm":
         return make_jm_family()
     if family == "kernel":
@@ -213,12 +205,27 @@ def parse_sequence_spec(spec: dict) -> SpendingSequence:
         return make_greedy()
     values = spec["values"]
     if not isinstance(values, (list, tuple)):
-        raise ValueError(f"explicit spending values must be a list of numbers, got {values!r}")
-    return make_explicit([_spec_number(v, "each explicit spending value") for v in values])
+        raise ValueError(f"values must be a list of numbers, got {values!r}")
+    return make_explicit([json_number(v, f"values[{i}]") for i, v in enumerate(values)])
 
 
-def _spec_number(x, what: str):
-    """``x`` if it is a number: float() would also read a string or a bool."""
+def check_keys(obj, what: str, required=(), optional=()) -> dict:
+    """``obj`` if it is a JSON object with every key of ``required`` and no key
+    besides those and ``optional``; ``what`` names the object in the error."""
+    takes = (*required, *optional)
+    if not isinstance(obj, dict):
+        problem = f"must be an object, got {obj!r}"
+    elif unknown := set(obj) - set(takes):
+        problem = f"unknown key(s) {', '.join(sorted(map(str, unknown)))}"
+    elif missing := [key for key in required if key not in obj]:
+        problem = f"missing key(s) {', '.join(missing)}"
+    else:
+        return obj
+    raise ValueError(f"{problem}; {what} takes {', '.join(takes)}")
+
+
+def json_number(x, what: str):
+    """``x`` if it is a JSON number: float() would also read a string or a bool."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise ValueError(f"{what} must be a number, got {x!r}")
     return x

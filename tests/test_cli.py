@@ -153,6 +153,56 @@ def test_inputs_may_start_with_a_byte_order_mark(tmp_path):
     assert out["marked"] == out["plain"]
 
 
+def test_config_may_start_with_a_byte_order_mark(tmp_path):
+    """A config saved with a UTF-8 byte order mark (as some editors save it)
+    reads as the same config without it; it used to exit 2 with "Unexpected
+    UTF-8 BOM"."""
+    tables = _write_tables(tmp_path, ["a,3,1,0,4", "b,2,2,2,2", "c,4,0,1,3"])
+    out = {}
+    for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_bytes(mark + json.dumps(ANALYZE_CFG).encode())
+        trace = tmp_path / f"{name}-trace.csv"
+        assert main(["analyze", "--config", str(cfg), "--input", tables,
+                     "--out-trace", str(trace)]) == 0, name
+        out[name] = trace.read_bytes()
+    assert out["marked"] == out["plain"]
+    cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"scenario": {"m": 10, "n_trials": 1}}).encode())
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 0
+
+
+BIG = 10**20
+
+
+@pytest.mark.parametrize("payload,fragment", [
+    ({"scenario": {"m": BIG, "n_trials": 1}}, "scenario: m must lie in"),
+    ({"scenario": {"m": 10, "n_subjects": BIG, "n_trials": 1}}, "scenario: n_subjects must lie in"),
+    ({"scenario": {"m": 10, "n_trials": 1}, "sweep": {"axis": "N", "values": [5, BIG]}},
+     "sweep: n_subjects must lie in"),
+], ids=["m", "n_subjects", "N-sweep"])
+def test_oversized_scenario_is_a_config_error(tmp_path, capsys, payload, fragment):
+    """A scenario size numpy cannot hold, or a group too large for the exact
+    test, exits 2 with one error line that names the key; m and n_subjects of
+    10^20 used to end in an OverflowError traceback (exit 1)."""
+    out = tmp_path / "r.csv"
+    assert main(["simulate", "--config", _write_config(tmp_path, payload),
+                 "--out", str(out)]) == 2
+    _assert_one_error_line(capsys, fragment)
+    assert not out.exists()
+
+
+def test_oversized_table_row_is_an_input_error(tmp_path, capsys):
+    """A row whose smallest margin exceeds the exact test's bound exits 2 and
+    names its line, before any array is made; a row of 10^20 in each cell used
+    to end in an OverflowError traceback (exit 1)."""
+    tables = _write_tables(tmp_path, ["a,1,2,3,4", ",".join(["x", *[str(BIG)] * 4])])
+    trace = tmp_path / "t.csv"
+    assert main(["analyze", "--config", _write_config(tmp_path, ANALYZE_CFG),
+                 "--input", tables, "--out-trace", str(trace)]) == 2
+    _assert_one_error_line(capsys, "line 3: a table's smallest margin must be at most 1048576")
+    assert not trace.exists()
+
+
 def test_analyze_large_groups(tmp_path, capsys):
     """Groups of 600-800 subjects underflow tail pmfs; analyze still runs."""
     from scipy.stats import fisher_exact
@@ -384,21 +434,35 @@ def test_explicit_gamma_out_of_range_is_a_config_error(tmp_path, capsys, values)
 
 
 @pytest.mark.parametrize("key", ["gamma", "gamma_prime"])
-@pytest.mark.parametrize("spec,fragment", [
-    ({"family": "kernel", "h": 5, "q": 3}, "takes exactly the keys family, h"),
-    ({"family": "jm", "q": 2}, "takes exactly the keys family, got"),
-    ({"family": "greedy", "values": [0.5]}, "takes exactly the keys family, got"),
-    ({"family": "log", "q": 300}, "too large"),
-    ({"family": "log", "q": 1e5}, "too large"),
-    ({"family": "power", "q": "2"}, "power spending q must be a number"),
-    ({"family": "explicit", "values": "1"}, "must be a list of numbers"),
-    ({"family": "explicit", "values": [0.5, "0.25"]}, "value must be a number"),
+@pytest.mark.parametrize("spec,fragment", [  # the ids keep the test names stable as messages change
+    pytest.param({"family": "kernel", "h": 5, "q": 3},
+                 "{key}: unknown key(s) q; a kernel spending spec takes family, h",
+                 id="spec0-takes exactly the keys family, h"),
+    pytest.param({"family": "jm", "q": 2},
+                 "{key}: unknown key(s) q; a jm spending spec takes family",
+                 id="spec1-takes exactly the keys family, got"),
+    pytest.param({"family": "greedy", "values": [0.5]},
+                 "{key}: unknown key(s) values; a greedy spending spec takes family",
+                 id="spec2-takes exactly the keys family, got"),
+    pytest.param({"family": "log", "q": 300}, "too large", id="spec3-too large"),
+    pytest.param({"family": "log", "q": 1e5}, "too large", id="spec4-too large"),
+    pytest.param({"family": "power", "q": "2"}, "{key}: q must be a number",
+                 id="spec5-power spending q must be a number"),
+    pytest.param({"family": "explicit", "values": "1"}, "must be a list of numbers",
+                 id="spec6-must be a list of numbers"),
+    pytest.param({"family": "explicit", "values": [0.5, "0.25"]},
+                 "{key}: values[1] must be a number", id="spec7-value must be a number"),
+    pytest.param({"family": "kernel"},
+                 "{key}: missing key(s) h; a kernel spending spec takes family, h",
+                 id="spec8-missing key"),
 ])
 def test_bad_spending_spec_is_a_config_error(tmp_path, capsys, key, spec, fragment):
     """A spending spec with a key of another family, a log q whose normalizing
     constant overflows, or a string for a number exits 2 with one error line in
     both commands and writes nothing; the key used to be ignored, the q to end
-    in a traceback, and a string q or values to run."""
+    in a traceback, and a string q or values to run.  The message names the
+    key path of the spec."""
+    fragment = fragment.format(key=key)
     cfg = _write_config(tmp_path, {**ANALYZE_CFG, key: spec})
     tables = _write_tables(tmp_path, ["a,3,0,0,3", "b,1,1,1,1", "c,5,0,0,5"])
     trace, summary = tmp_path / "trace.csv", tmp_path / "summary.json"
@@ -412,6 +476,17 @@ def test_bad_spending_spec_is_a_config_error(tmp_path, capsys, key, spec, fragme
                  "--out-json", str(out_json)]) == 2
     _assert_one_error_line(capsys, fragment)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "tables.csv"]
+
+
+@pytest.mark.parametrize("key", ["gamma", "gamma_prime"])
+def test_bad_spec_of_a_later_entry_names_its_key_path(tmp_path, capsys, key):
+    """An error in the spec of the second procedure entry names the entry by
+    its index and the spec by its key."""
+    cfg = _write_config(tmp_path, {"scenario": {"m": 10, "n_trials": 1}, "procedures": [
+        {"name": "ob"}, {"name": "rho-ob", key: {"family": "kernel", "h": 5, "q": 2}}]})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+    _assert_one_error_line(capsys, f"error: procedures[1].{key}: unknown key(s) q; a kernel "
+                           "spending spec takes family, h")
 
 
 def _strict_json(text):
@@ -473,8 +548,8 @@ def test_analyze_does_not_import_numpy_ma(tmp_path):
 
 
 @pytest.mark.parametrize("scenario,fragment", [
-    ({"m": 10, "foo": 1}, "unknown scenario key(s) foo"),
-    (5, "scenario must be an object, got 5")], ids=["unknown-key", "not-an-object"])
+    ({"m": 10, "foo": 1}, "scenario: unknown key(s) foo"),
+    (5, "scenario: must be an object, got 5")], ids=["unknown-key", "not-an-object"])
 def test_bad_scenario_names_its_key(tmp_path, capsys, scenario, fragment):
     """An unknown scenario key, or a scenario that is not an object, exits 2
     with a message that names it and lists the keys a scenario takes."""

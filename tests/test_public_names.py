@@ -56,3 +56,23 @@ def test_src_defines_no_unused_public_name():
     assert unused == sorted(KEPT), (
         f"public names nothing in src/ uses: {sorted(set(unused) - set(KEPT))} (move test-only "
         f"code to tests/); kept names now used: {sorted(set(KEPT) - set(unused))}")
+
+
+def _private_imports() -> list[str]:
+    """``module: name`` for each private name a module of src/ imports from
+    another module of the package."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            own = isinstance(node, ast.ImportFrom) and (node.level or node.module == "sure_omt"
+                                                        or node.module.startswith("sure_omt."))
+            if own:
+                found += [f"{path.name}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_") and not alias.name.startswith("__")]
+    return found
+
+
+def test_src_imports_no_private_name_of_another_module():
+    """A name one module shares with another is public: a private import ties the
+    importer to what the owner may change without notice."""
+    assert _private_imports() == []
