@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,15 @@ class StepCdf:
         if self.support[-1] != 1.0:
             raise ValueError("support must end at 1")
 
+    @classmethod
+    def _unchecked(cls, support: tuple[float, ...]) -> StepCdf:
+        """The bound of a support its caller built valid (strictly increasing,
+        in (0, 1], ending at 1), without the check's loop over it."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "exact_identity", False)
+        return self
+
     def __call__(self, u: float) -> float:
         """Evaluate F(u) for u >= 0 (u > 1 is treated as u = 1)."""
         if u < 0:
@@ -53,9 +63,10 @@ class StepCdf:
 IDENTITY_BOUND = StepCdf(support=(1.0,), exact_identity=True)
 
 
-@dataclass(frozen=True)
-class Decision:
-    """Outcome of one online test: critical value, its breakdown, and the reward."""
+class Decision(NamedTuple):
+    """Outcome of one online test: critical value, its breakdown, and the reward.
+
+    A named tuple: it unpacks and compares equal as the tuple of its fields."""
 
     t: int
     p: float

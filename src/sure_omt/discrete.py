@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ class ContingencyTable2x2:
             raise ValueError("cell counts must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ExactTestResult:
+class ExactTestResult(NamedTuple):
     p_value: float
     support: tuple[float, ...]
     null_bound: StepCdf
@@ -75,11 +74,15 @@ def _log_pmf(r1: int, r2: int, c1: int, lo: int, hi: int) -> np.ndarray:
     being (lgamma(n + 1) - lgamma(k + 1)) - lgamma(n - k + 1)."""
     lg, seg = math.lgamma, _lgamma_range(max(r1, r2) + 2)
     base = (lg(r1 + r2 + 1) - lg(c1 + 1)) - lg(r1 + r2 - c1 + 1)
-    # lgamma at k + 1, r1 - k + 1, c1 - k + 1 and r2 - c1 + k + 1 for k = lo..hi
-    comb1 = (lg(r1 + 1) - seg(lo + 1, hi + 2)) - seg(r1 - hi + 1, r1 - lo + 2)[::-1]
-    comb2 = ((lg(r2 + 1) - seg(c1 - hi + 1, c1 - lo + 2)[::-1])
-             - seg(r2 - c1 + lo + 1, r2 - c1 + hi + 2))
-    return (comb1 + comb2) - base
+    # lgamma at k + 1, r1 - k + 1, c1 - k + 1 and r2 - c1 + k + 1 for k = lo..hi;
+    # in place after the first subtraction of each term, operands in the same order
+    comb1 = np.subtract(lg(r1 + 1), seg(lo + 1, hi + 2))
+    comb1 -= seg(r1 - hi + 1, r1 - lo + 2)[::-1]
+    comb2 = np.subtract(lg(r2 + 1), seg(c1 - hi + 1, c1 - lo + 2)[::-1])
+    comb2 -= seg(r2 - c1 + lo + 1, r2 - c1 + hi + 2)
+    comb1 += comb2
+    comb1 -= base
+    return comb1
 
 
 def _check_margins(r1: int, r2: int, c1: int) -> None:
@@ -89,14 +92,19 @@ def _check_margins(r1: int, r2: int, c1: int) -> None:
         raise ValueError(f"a table's smallest margin must be at most {MAX_MARGIN}")
 
 
+# the p-values of a margin with one feasible table
+_ONE = np.ones(1)
+_ONE.flags.writeable = False
+
+
 @lru_cache(maxsize=4096)
-def fisher_margins(r1: int, r2: int, c1: int) -> tuple[tuple[float, ...], int, StepCdf]:
+def fisher_margins(r1: int, r2: int, c1: int) -> tuple[np.ndarray, int, StepCdf]:
     """p-values and null bound for all feasible first cells given the margins.
 
-    Returns (pvals, lo, bound), cached per margin: entry pvals[k - lo] is
-    the two-sided p-value when the first cell equals k, and bound jumps at
-    the achievable p-values.  Margins with one feasible table (an empty row
-    or column) give p = 1 with support (1.0,).
+    Returns (pvals, lo, bound), cached per margin: pvals is a read-only float
+    array whose entry k - lo is the two-sided p-value when the first cell
+    equals k, and bound jumps at the achievable p-values.  Margins with one
+    feasible table (an empty row or column) give p = 1 with support (1.0,).
 
     The pmf is computed in log space with a single exponentiation pass, and
     tail sums are accumulated in ascending pmf order (a stable sort, then a
@@ -107,7 +115,7 @@ def fisher_margins(r1: int, r2: int, c1: int) -> tuple[tuple[float, ...], int, S
     _check_margins(r1, r2, c1)
     lo, hi = max(0, c1 - r2), min(r1, c1)
     if lo == hi:
-        return (1.0,), lo, StepCdf(support=(1.0,))
+        return _ONE, lo, StepCdf(support=(1.0,))
     n = hi - lo + 1
     # math.exp, not np.exp: the two differ in the last bit on some inputs
     pmf = np.fromiter(map(math.exp, _log_pmf(r1, r2, c1, lo, hi).tolist()), float, n)
@@ -126,13 +134,11 @@ def fisher_margins(r1: int, r2: int, c1: int) -> tuple[tuple[float, ...], int, S
     first = np.empty(n, dtype=bool)
     first[0] = True
     np.not_equal(sorted_p[1:], sorted_p[:-1], out=first[1:])
-    support = tuple(sorted_p[first].tolist())
-    # the p-values reuse the support's float objects: one object per value,
-    # which keeps the cache's memory at one float per distinct p-value
-    # (n >= 2 here, so itemgetter returns a tuple)
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = first.cumsum() - 1
-    return itemgetter(*rank.tolist())(support), lo, StepCdf(support=support)
+    pvals = np.empty(n)
+    pvals[order] = sorted_p
+    pvals.flags.writeable = False  # shared by every caller of the cache
+    # increasing, in (0, 1] and ending at tail[-1] = 1.0 by construction
+    return pvals, lo, StepCdf._unchecked(tuple(sorted_p[first].tolist()))
 
 
 def support_to_bound(support) -> StepCdf:
@@ -150,4 +156,4 @@ def support_to_bound(support) -> StepCdf:
 def fisher_two_sided(table: ContingencyTable2x2) -> ExactTestResult:
     """Two-sided Fisher exact test with the achievable p-value support."""
     pvals, lo, bound = fisher_margins(table.a + table.b, table.c + table.d, table.a + table.c)
-    return ExactTestResult(pvals[table.a - lo], bound.support, bound)
+    return ExactTestResult(pvals.item(table.a - lo), bound.support, bound)

@@ -11,7 +11,9 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -104,8 +106,6 @@ class SpendingSequence:
         return len(self.values) if self.kind == "explicit" else None
 
     def _raw(self, t: int) -> float:
-        if self.kind == "power":
-            return t ** (-self.q) / self.norm
         if self.kind == "log":
             return _log_family_term(float(t), self.q) / self.norm
         if self.kind == "jm":
@@ -126,7 +126,13 @@ class SpendingSequence:
         read earlier stays a correct prefix."""
         if self._table is None or len(self._table) <= n:
             old = np.zeros(1) if self._table is None else self._table
-            new = np.fromiter(map(self._raw, range(len(old), 2 * n + 1)), float)
+            ts = range(len(old), 2 * n + 1)
+            if self.kind == "power":
+                # t ** -q / norm per value, the division as one numpy pass: the same bits
+                new = np.fromiter(map(math.pow, map(float, ts), repeat(-self.q)), float,
+                                  len(ts)) / self.norm
+            else:
+                new = np.fromiter(map(self._raw, ts), float, len(ts))
             self._table = np.concatenate((old, new))
             self._table.flags.writeable = False
         return self._table
@@ -225,7 +231,10 @@ def check_keys(obj, what: str, required=(), optional=()) -> dict:
 
 
 def json_number(x, what: str):
-    """``x`` if it is a JSON number: float() would also read a string or a bool."""
+    """``x`` if it is a JSON number that float() can hold: float() would also
+    read a string or a bool, and fails on an integer past the largest float."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise ValueError(f"{what} must be a number, got {x!r}")
+    if not isinstance(x, float) and abs(x) > sys.float_info.max:
+        raise ValueError(f"{what} must be at most {sys.float_info.max:g} in magnitude")
     return x

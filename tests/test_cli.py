@@ -191,6 +191,33 @@ def test_oversized_scenario_is_a_config_error(tmp_path, capsys, payload, fragmen
     assert not out.exists()
 
 
+HUGE = 10**400  # a JSON integer float() cannot hold
+
+
+@pytest.mark.parametrize("command,payload,fragment", [
+    ("analyze", {"procedure": "ob", "alpha": HUGE}, "alpha must be at most"),
+    ("analyze", {"procedure": "ob", "gamma": {"family": "power", "q": HUGE}},
+     "gamma: q must be at most"),
+    ("analyze", {"procedure": "aob", "lambda": -HUGE}, "lambda must be at most"),
+    ("simulate", {"procedures": [{"name": "rho-lord", "w0": HUGE}]},
+     "procedures[0]: w0 must be at most"),
+    ("simulate", {"procedures": [{"name": "rho-ob", "gamma_prime": {
+        "family": "explicit", "values": [0.5, HUGE]}}]}, "gamma_prime: values[1] must be at most"),
+    ("simulate", {"scenario": {"m": 10, "seed": HUGE}}, "scenario: seed must be at most"),
+], ids=["alpha", "spec-q", "lambda", "w0", "values", "seed"])
+def test_integer_too_large_for_a_float_names_its_key(tmp_path, capsys, command, payload,
+                                                     fragment):
+    """A JSON integer past the largest float exits 2 with one error line that
+    names its key.  At the analyze root it used to say only "int too large to
+    convert to float", and in a spec it named only the spec."""
+    out = tmp_path / "out.csv"
+    args = (["--input", _write_tables(tmp_path, ["a,1,2,3,4"]), "--out-trace", str(out)]
+            if command == "analyze" else ["--out", str(out)])
+    assert main([command, "--config", _write_config(tmp_path, payload), *args]) == 2
+    _assert_one_error_line(capsys, fragment)
+    assert not out.exists()
+
+
 def test_oversized_table_row_is_an_input_error(tmp_path, capsys):
     """A row whose smallest margin exceeds the exact test's bound exits 2 and
     names its line, before any array is made; a row of 10^20 in each cell used

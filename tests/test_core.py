@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from sure_omt.core import IDENTITY_BOUND, StepCdf
+from sure_omt.core import IDENTITY_BOUND, Decision, StepCdf
 from sure_omt.procedures import ProcedureConfig, make_procedure
 from sure_omt.spending import make_greedy
 
@@ -75,3 +75,14 @@ def test_step_cdf_hashable_and_frozen():
     assert hash(f) == hash(StepCdf(support=(0.5, 1.0)))
     with pytest.raises(AttributeError):
         f.support = (1.0,)
+
+
+def test_decision_is_an_immutable_named_tuple():
+    d = Decision(3, 0.5, 0.1, False, 0.02, 0.06, 0.04, 0.0, 1)
+    assert d.alpha == 0.1 and d.r_count == 1
+    assert d == (3, 0.5, 0.1, False, 0.02, 0.06, 0.04, 0.0, 1)
+    t, p, *_ = d
+    assert (t, p) == (3, 0.5)
+    for field in Decision._fields:
+        with pytest.raises(AttributeError):
+            setattr(d, field, 0)

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from sure_omt import discrete
-from sure_omt.discrete import (ContingencyTable2x2, TIE_REL_TOL, fisher_margins,
-                               fisher_two_sided, support_to_bound)
+from sure_omt.core import StepCdf
+from sure_omt.discrete import (ContingencyTable2x2, ExactTestResult, TIE_REL_TOL,
+                               fisher_margins, fisher_two_sided, support_to_bound)
 
 from oracles import hypergeom_pmf
 
@@ -46,7 +47,7 @@ def test_fisher_degenerate_margins():
         assert r.p_value == 1.0
         assert r.support == (1.0,)
         a, b, c, d = tab
-        assert fisher_margins(a + b, c + d, a + c)[0] == (1.0,)
+        assert fisher_margins(a + b, c + d, a + c)[0].tolist() == [1.0]
 
 
 def test_negative_cells_rejected():
@@ -145,6 +146,28 @@ def test_margins_cache_consistency_with_table_api():
             assert bound.support == (1.0,)
 
 
+@pytest.mark.parametrize("margins", [(8, 7, 5), (0, 3, 2), (400, 350, 300)])
+def test_cached_p_values_are_read_only_and_a_result_holds_a_float(margins):
+    """The cache hands every caller the same p-value array, so none may write it;
+    a result's p-value is a Python float, not a numpy scalar."""
+    pvals, lo, _ = fisher_margins(*margins)
+    assert pvals is fisher_margins(*margins)[0]
+    with pytest.raises(ValueError):
+        pvals[0] = 0.5
+    r1, r2, c1 = margins
+    r = fisher_two_sided(ContingencyTable2x2(lo, r1 - lo, c1 - lo, r2 - c1 + lo))
+    assert type(r.p_value) is float and r.p_value == pvals[0]
+
+
+def test_exact_test_result_is_an_immutable_named_tuple():
+    r = fisher_two_sided(ContingencyTable2x2(3, 5, 2, 5))
+    p_value, support, bound = r
+    assert r == (p_value, support, bound) and bound.support == support
+    for field in ExactTestResult._fields:
+        with pytest.raises(AttributeError):
+            setattr(r, field, None)
+
+
 @pytest.mark.parametrize("table", [(300, 300, 305, 295), (500, 500, 505, 495),
                                    (450, 350, 470, 330)])
 def test_underflowed_tails_keep_a_valid_bound(table):
@@ -207,7 +230,10 @@ def _fisher_margins_reference(r1, r2, c1):
 def _assert_identical(margins):
     for r1, r2, c1 in margins:
         pvals, lo, bound = fisher_margins.__wrapped__(r1, r2, c1)
-        assert (pvals, lo, bound.support) == _fisher_margins_reference(r1, r2, c1), (r1, r2, c1)
+        got = (tuple(pvals.tolist()), lo, bound.support)
+        assert got == _fisher_margins_reference(r1, r2, c1), (r1, r2, c1)
+        # the bound is built without the public constructor's check, which passes
+        assert StepCdf(support=bound.support) == bound
 
 
 def test_fisher_margins_is_bit_identical_to_the_list_reference_small():

@@ -212,6 +212,33 @@ def test_greedy_reward_equals_base_plus_last_rho(rng):
         assert d.alpha == d.base_part + prev.rho
 
 
+@pytest.mark.parametrize("name", list(RULES))
+def test_each_decision_field_holds_its_own_value(name, rng):
+    """Every field of every Decision is the value it names, exactly, so a field
+    swapped in observe()'s positional build fails here: the trace goldens see
+    neither base_part nor sure_part.  A greedy gamma' makes the reward part the
+    previous step's rho, when that step collected one."""
+    rule = RULES[name]
+    lam = rule.lam(_cfg(lam=0.5))
+    proc = make_procedure(name, _cfg(lam=0.5, w0=0.1 if rule.investing else None,
+                                     gamma_prime=make_greedy() if rule.rewarded else None))
+    pvals, bounds = _signal_stream(rng, 150)
+    prev, r_count = None, 0
+    for t, (p, bound) in enumerate(zip(pvals, bounds), 1):
+        d = proc.step(p, bound)
+        r_count += p <= d.alpha
+        assert (d.t, d.p, d.reject, d.r_count) == (t, p, p <= d.alpha, r_count)
+        assert d.alpha == (d.base_part + d.sure_part) + d.eps_part
+        assert d.rho == d.alpha - bound(d.alpha)
+        eligible = prev is not None and prev.p >= lam
+        assert d.sure_part == (prev.rho if rule.rewarded and eligible and prev.rho > 0.0 else 0.0)
+        carried = rule.rewarded and prev is not None and not eligible
+        assert d.eps_part == (prev.alpha - prev.base_part if carried else 0.0)
+        assert d.base_part > 0.0
+        prev = d
+    assert 0 < r_count < len(pvals)
+
+
 def _signal_stream(rng, T):
     """A random stream with a tiny p-value at about 4% of the steps."""
     pvals, bounds = random_stream(rng, T)

@@ -325,3 +325,16 @@ def test_table_holds_the_closed_form_bits(factory, closed_form, gamma_first):
     assert big.item(0) == 0.0
     for k in range(1, len(big)):
         assert big.item(k) == closed_form(k, g), k
+
+
+@pytest.mark.parametrize("q", [1.01, 1.6, 2, 3])
+def test_power_table_holds_the_per_value_bits_across_regrowth(q):
+    """The power table, filled by math.pow and one numpy division, holds the
+    bytes of the per-value t ** -q / norm at every index, through regrowths
+    up to 1.2e5 values; an old table stays a prefix of the new one."""
+    g = make_power_law(q)
+    tables = [g.table(n) for n in (5, 300, 60_000)]
+    want = np.array([0.0] + [t ** -q / g.norm for t in range(1, len(tables[-1]))])
+    assert len(want) > 100_000
+    for table in tables:
+        assert table.tobytes() == want[:len(table)].tobytes()
