@@ -12,7 +12,8 @@ alternating (base first in even pairs, head first in odd ones).
 
 The file, ``BENCH_<label>.json`` at the root of the checkout, keeps for
 each run the run record (``{"run": ...}``) and the result line that
-``bench/run.py`` printed, and per side and workload the median of each
+``bench/run.py`` printed, and per side ("head" for ``--rev``, "base" for
+``--base``) and workload the median of each
 end-to-end metric and the spread of the host calibration loop.  A pair run
 adds, for each metric, the ratio of the medians (head / base) and the
 number of pairs in which head was better.
