@@ -24,7 +24,7 @@ from .evaluate import open_atomic
 from .procedures import (FWER_NAMES, ProcedureConfig, audit_fwer_budget,
                          audit_mfdr_budget, make_procedure, parse_name)
 from .simulate import ScenarioConfig, run_sweep, sweep_points
-from .spending import check_keys, json_number, parse_sequence_spec
+from .spending import check_keys, json_float, parse_sequence_spec
 
 CONFIG_ENV_VAR = "SURE_OMT_CONFIG"
 
@@ -93,7 +93,7 @@ def _procedure(path: str, spec: dict, defaults: dict, default_gamma, configs: di
     rule = parse_name(name)
     if name in configs:
         raise ValueError(f"{name} is listed twice")
-    alpha = float(json_number(spec.get("alpha", defaults["alpha"]), "alpha"))
+    alpha = json_float(spec.get("alpha", defaults["alpha"]), "alpha")
     if rule.investing and "w0_share" in defaults:
         spec.setdefault("w0", defaults["w0_share"] * alpha)
     if rule.rewarded and "kernel_h" in defaults:
@@ -109,8 +109,8 @@ def _procedure(path: str, spec: dict, defaults: dict, default_gamma, configs: di
     configs[name] = ProcedureConfig(
         alpha=alpha,
         gamma=gammas.get("gamma", default_gamma),
-        lam=float(json_number(spec.get("lambda", defaults["lambda"]), "lambda")),
-        w0=float(json_number(spec["w0"], "w0")) if rule.investing else None,
+        lam=json_float(spec.get("lambda", defaults["lambda"]), "lambda"),
+        w0=json_float(spec["w0"], "w0") if rule.investing else None,
         gamma_prime=gammas.get("gamma_prime"),
     )
 

@@ -51,10 +51,6 @@ import numpy as np
 from .core import Decision, IDENTITY_BOUND, StepCdf
 from .spending import SpendingSequence
 
-# builds a Decision from its fields in order, skipping the Python-level __new__
-# of a NamedTuple: a third of a microsecond a step
-_tuple_new = tuple.__new__
-
 
 class Rule(NamedTuple):
     """What a public procedure name means: a base rule, rewarded or capped."""
@@ -311,7 +307,7 @@ class OnlineProcedure:
             elif self._investing:
                 self._later.add(self._n_eligible, 1.0)
         self._t_next = t + 1
-        return _tuple_new(Decision, (t, p, alpha, reject, rho, base, sure, eps, self.r_count))
+        return Decision(t, p, alpha, reject, rho, base, sure, eps, self.r_count)
 
     def step(self, p: float, bound: StepCdf | None = None) -> Decision:
         self.emit_alpha()

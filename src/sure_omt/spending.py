@@ -201,7 +201,7 @@ def parse_sequence_spec(spec: dict) -> SpendingSequence:
         raise ValueError(f"unknown spending family {family!r}")
     check_keys(spec, f"a {family} spending spec", ("family", *SPEC_KEYS[family]))
     if family in ("power", "log"):
-        q = float(json_number(spec["q"], "q"))
+        q = json_float(spec["q"], "q")
         return make_power_law(q) if family == "power" else make_log_family(q)
     if family == "jm":
         return make_jm_family()
@@ -212,7 +212,7 @@ def parse_sequence_spec(spec: dict) -> SpendingSequence:
     values = spec["values"]
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"values must be a list of numbers, got {values!r}")
-    return make_explicit([json_number(v, f"values[{i}]") for i, v in enumerate(values)])
+    return make_explicit([json_float(v, f"values[{i}]") for i, v in enumerate(values)])
 
 
 def check_keys(obj, what: str, required=(), optional=()) -> dict:
@@ -231,10 +231,15 @@ def check_keys(obj, what: str, required=(), optional=()) -> dict:
 
 
 def json_number(x, what: str):
-    """``x`` if it is a JSON number that float() can hold: float() would also
-    read a string or a bool, and fails on an integer past the largest float."""
+    """``x`` if it is a JSON number: float() would also read a string or a bool."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise ValueError(f"{what} must be a number, got {x!r}")
-    if not isinstance(x, float) and abs(x) > sys.float_info.max:
-        raise ValueError(f"{what} must be at most {sys.float_info.max:g} in magnitude")
     return x
+
+
+def json_float(x, what: str) -> float:
+    """``float(x)`` of a JSON number; an integer past the largest float names
+    ``what`` instead of ending in float()'s OverflowError."""
+    if not isinstance(json_number(x, what), float) and abs(x) > sys.float_info.max:
+        raise ValueError(f"{what} must be at most {sys.float_info.max:g} in magnitude")
+    return float(x)

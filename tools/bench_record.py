@@ -6,9 +6,10 @@
 
 Each side is a committed revision, exported with ``git archive`` into a
 scratch directory, and measured by that revision's own ``bench/run.py``,
-unchanged (``--trace 0``).  Every workload of ``BENCHMARK.json`` runs
-``--runs`` times; with ``--base``, in ``--runs`` pairs, the two sides
-alternating (base first in even pairs, head first in odd ones).
+unchanged (``--seed 1 --trace 0`` and ``BENCHMARK.json``'s ``run_seconds``).
+Every workload of ``BENCHMARK.json`` runs ``--runs`` times; with ``--base``,
+in ``--runs`` pairs, the two sides alternating (base first in even pairs,
+head first in odd ones).
 
 The file, ``BENCH_<label>.json`` at the root of the checkout, keeps for
 each run the run record (``{"run": ...}``) and the result line that
@@ -48,10 +49,9 @@ def export(rev: str, tree: Path) -> Path:
     return tree
 
 
-def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``bench/run.py --trace 0`` run: its run record, result line and exit code."""
-    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed",
-                           str(seed), "--seconds", str(seconds), "--trace", "0"],
+def bench_once(tree: Path, command: list, workload: str) -> dict:
+    """One run of ``command`` on ``workload``: its run record, result line and exit code."""
+    proc = subprocess.run([sys.executable, *command[1:], "--workload", workload],
                           cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     record = next((json.loads(line)["run"] for line in lines if line.startswith('{"run"')), None)
@@ -104,33 +104,28 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
     parser.add_argument("--rev", default="HEAD", help="the revision measured (default HEAD)")
     parser.add_argument("--base", help="a revision to measure in pairs against --rev")
-    parser.add_argument("--workload", action="append",
-                        help="a workload to run (repeatable; default: all of BENCHMARK.json)")
     parser.add_argument("--runs", type=int, default=3, help="runs per workload and side")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30)
     opts = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = opts.workload or [w["name"] for w in spec["workloads"]]
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     sides = {"head": git("rev-parse", opts.rev)}
     if opts.base:
         sides = {"base": git("rev-parse", opts.base), **sides}
     record = {"label": opts.label, "git_sha": sides["head"],
-              "command": [*spec["command"], "--seed", str(opts.seed), "--seconds",
-                          str(opts.seconds), "--trace", "0"],
+              "command": [*spec["command"], "--seed", "1", "--seconds",
+                          str(spec["run_seconds"]), "--trace", "0"],
               "python": platform.python_version(), "machine": platform.machine(),
               "workloads": {}}
     if opts.base:
         record["base_sha"] = sides["base"]
     with tempfile.TemporaryDirectory(prefix="bench_record_") as tmp:
         trees = {side: export(sha, Path(tmp) / side) for side, sha in sides.items()}
-        for workload in workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             runs = {side: [] for side in sides}
             for i in range(opts.runs):
                 order = list(sides) if i % 2 == 0 else list(reversed(sides))
                 for side in order:
-                    run = bench_once(trees[side], workload, opts.seed, opts.seconds)
+                    run = bench_once(trees[side], record["command"], workload)
                     runs[side].append(run)
                     print(f"{workload} {side} {i}: exit {run['exit_code']} "
                           f"{ {k: metric(run, k) for k in metrics} }", file=sys.stderr)
