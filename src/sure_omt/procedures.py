@@ -23,11 +23,11 @@ them; ``_WindowSums`` (kernel, explicit) sums the window left to right.
 
 ``run_batch`` runs every procedure of a simulator batch over K streams in
 lockstep, as numpy arrays; ``OnlineProcedure`` stays the streaming API and its
-reference.  The procedures that step through time share one loop over time
-per chunk of streams: each step is one numpy operation per quantity over a
-block of P procedures x K streams, so a chunk's working set is about P times
-one procedure's K x m arrays, and chunks of at most ``BATCH_COLUMNS`` columns
-bound it.  Every column keeps the scalar machine's order of every
+reference.  The procedures that step through time share one loop over time:
+each step is one numpy operation per quantity over a block of P procedures x
+K streams, so the working set is about P times one procedure's K x m arrays;
+the caller bounds it through K (``simulate`` passes a chunk of trials at a
+time).  Every column keeps the scalar machine's order of every
 floating-point operation, so its alphas and reject flags are the scalar ones
 bit for bit: sums run left to right (row after row down a time-major array,
 and a running row to which each rejection adds its term in rejection order).
@@ -39,7 +39,6 @@ time-major rewards.
 
 from __future__ import annotations
 
-import copy
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -330,12 +329,6 @@ def make_procedure(name: str, config: ProcedureConfig) -> OnlineProcedure:
 
 # -- lockstep batch: K streams of every procedure at once ----------------------
 
-# The most columns (procedures x streams) a chunk of the lockstep block steps at
-# once: it caps the chunk's working set, which grows with its columns times the
-# stream length.  Picked from a sweep of 32-4096 columns (README "Performance").
-BATCH_COLUMNS = 1024
-
-
 class NullBounds:
     """The null bounds of K streams of m steps, evaluated as arrays.
 
@@ -377,16 +370,9 @@ class NullBounds:
             out = np.where(self._identity[:, i], np.minimum(u, 1.0), out)
         return out
 
-    def rows(self, rows: slice) -> NullBounds:
-        """The bounds of the streams ``rows``, as views; the lookup keys are shared."""
-        part = copy.copy(self)
-        part.ids, part._start = self.ids[rows], self._start[rows]
-        if self._identity is not None:
-            part._identity = self._identity[rows]
-        return part
 
-
-def _clock0_part(rule: Rule, config: ProcedureConfig, clock0: np.ndarray, out: np.ndarray):
+def _clock0_part(rule: Rule, config: ProcedureConfig, clock0: np.ndarray,
+                 out: np.ndarray | None = None):
     """The base part read at clock 0 (K x m): the whole base of OB/AOB, alpha
     times 1 - lambda times gamma, and w0 times gamma for LORD/ALORD."""
     coef = config.w0 if rule.investing else config.alpha * (1.0 - rule.lam(config))
@@ -404,7 +390,8 @@ class _BlockBases:
     clock 0, plus alpha - w0 times gamma at clock 1 from the first rejection
     on, and ``s`` the per-step sums of gamma at the later clocks.  So the
     values of a step, read once the rejections before it are in, are bit for
-    bit ``OnlineProcedure._base_alpha``.  The investing rows come first.
+    bit ``OnlineProcedure._base_alpha``.  The investing rows come first, and
+    only they keep ``s`` and ``alpha_j``.
     """
 
     def __init__(self, rows: Sequence[tuple[Rule, ProcedureConfig]], lam_index: np.ndarray,
@@ -413,15 +400,15 @@ class _BlockBases:
         self._head = np.empty((len(rows), K, m))
         for j, (rule, c) in enumerate(rows):
             _clock0_part(rule, c, clock0[lam_index[j]], out=self._head[j])
-        self._s = np.zeros(self._head.shape)
-        self._alpha = np.array([[c.alpha if rule.investing else 0.0] for rule, c in rows])
+        investing = [c for rule, c in rows if rule.investing]
+        n = len(investing)
+        self._s = np.zeros((n, K, m))
+        self._alpha = np.array([c.alpha for c in investing]).reshape(n, 1)
         self._keep = np.array([[1.0 - rule.lam(c) if rule.investing else 1.0]
                                for rule, c in rows])
         capped = [[rule.lam(c) if rule.capped else np.inf] for rule, c in rows]
         self._cap = np.array(capped) if any(rule.capped for rule, _ in rows) else None
         # investing row r = j * K + k of head and s: procedure j on stream k
-        investing = [c for rule, c in rows if rule.investing]
-        n = len(investing)
         self._head_rows, self._s_rows = self._head.reshape(-1, m), self._s.reshape(-1, m)
         self._clock0 = clock0.reshape(-1, m)
         self._clock_of = (lam_index[:n, None] * K + np.arange(K)).reshape(-1)
@@ -439,8 +426,8 @@ class _BlockBases:
 
     def values(self, i: int) -> np.ndarray:
         """The base values of step i (0-based), P x K."""
-        val = self._alpha * self._s[:, :, i]
-        val += self._head[:, :, i]
+        val = self._head[:, :, i].copy()
+        val[:len(self._s)] += self._alpha * self._s[:, :, i]
         val *= self._keep
         return val if self._cap is None else np.minimum(self._cap, val, out=val)
 
@@ -511,10 +498,11 @@ def run_batch(configs: dict[str, ProcedureConfig], pvals,
     ``pvals`` is K x m, step (k, t) has null bound ``bounds.table[bounds.ids[k, t]]``.
 
     OB/AOB have no step loop: they read gamma at clock 0.  The other rules
-    step through time in one loop, as a block of (procedures x streams)
-    columns cut into chunks of at most ``BATCH_COLUMNS`` columns; LORD/ALORD
-    rebuild a stream's base values after each of its rejections.  The
-    procedures with one lambda share their eligibility flags.
+    step through time in one loop, as one block of (procedures x streams)
+    columns; LORD/ALORD rebuild a stream's base values after each of its
+    rejections.  The procedures with one lambda share their eligibility flags.
+    Every array, the outputs included, is K x m per procedure, so a caller
+    with many streams passes them a chunk at a time.
     """
     rules = {name: _checked_rule(name, config) for name, config in configs.items()}
     p = np.asarray(pvals, dtype=float)
@@ -525,7 +513,10 @@ def run_batch(configs: dict[str, ProcedureConfig], pvals,
     K, m = p.shape
     lams = sorted({rule.lam(configs[name]) for name, rule in rules.items()})
     lam_of = {name: lams.index(rule.lam(configs[name])) for name, rule in rules.items()}
-    flags = np.empty((len(lams), K, m), dtype=bool)  # p >= lambda, by distinct lambda
+    flags = np.greater_equal(p, np.array(lams)[:, None, None])  # by distinct lambda
+    clock0 = np.ones(flags.shape, dtype=np.intp)  # 1 + E before each step
+    np.cumsum(flags[:, :, :-1], axis=2, out=clock0[:, :, 1:])
+    clock0[:, :, 1:] += 1
     # the block: investing rows first, rewarded rows last, equal gamma' adjacent
     gammas = [c.gamma_prime for c in configs.values()]
     block = sorted((name for name, rule in rules.items() if rule.investing or rule.rewarded),
@@ -535,25 +526,15 @@ def run_batch(configs: dict[str, ProcedureConfig], pvals,
     alphas = np.empty((len(block), K, m))
     rejects = np.empty(alphas.shape, dtype=bool)
     spent = np.empty((len(block) - r0, K, m))
-    loop_free = {name: (np.empty((K, m)), np.empty((K, m), dtype=bool))
-                 for name in rules if name not in block}
-    chunk = max(1, BATCH_COLUMNS // max(1, len(block)))
-    for lo in range(0, K, chunk):
-        rows = slice(lo, lo + chunk)
-        p_rows, flag_rows = p[rows], flags[:, rows]
-        np.greater_equal(p_rows, np.array(lams)[:, None, None], out=flag_rows)
-        clock0 = np.ones(flag_rows.shape, dtype=np.intp)  # 1 + E before each step
-        np.cumsum(flag_rows[:, :, :-1], axis=2, out=clock0[:, :, 1:])
-        clock0[:, :, 1:] += 1
-        for name, (a, r) in loop_free.items():
-            _clock0_part(rules[name], configs[name], clock0[lam_of[name]], out=a[rows])
-            np.less_equal(p_rows, a[rows], out=r[rows])
-        if block:
-            _step_block([(rules[name], configs[name]) for name in block],
-                        np.array([lam_of[name] for name in block]), p_rows, flag_rows, clock0,
-                        bounds.rows(rows), alphas[:, rows], rejects[:, rows], spent[:, rows])
-    runs = {name: BatchRun(configs[name], rules[name], a, r, flags[lam_of[name]], a)
-            for name, (a, r) in loop_free.items()}
+    runs = {}
+    for name in rules:
+        if name not in block:
+            a = _clock0_part(rules[name], configs[name], clock0[lam_of[name]])
+            runs[name] = BatchRun(configs[name], rules[name], a, p <= a, flags[lam_of[name]], a)
+    if block:
+        _step_block([(rules[name], configs[name]) for name in block],
+                    np.array([lam_of[name] for name in block]), p, flags, clock0, bounds,
+                    alphas, rejects, spent)
     for j, name in enumerate(block):
         runs[name] = BatchRun(configs[name], rules[name], alphas[j], rejects[j],
                               flags[lam_of[name]], spent[j - r0] if j >= r0 else alphas[j])

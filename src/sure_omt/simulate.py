@@ -5,14 +5,18 @@ summarized as a 2x2 table and tested with the two-sided Fisher exact test.
 Null positions use equal success probabilities (a low and a mid level);
 alternative positions give one group an elevated probability.
 
-The sweep runs every trial of the points that share their procedures as one
-batch of all procedures (``procedures.run_batch``); each trial keeps its own
-seeded draws, so the results do not depend on how trials are batched.
+The sweep runs the trials of the points that share their procedures a chunk
+at a time: each chunk is drawn, tested, run as one batch of all procedures
+(``procedures.run_batch``) and audited, and only its reject flags, labels and
+audit verdicts are kept, so memory stays flat in the number of trials.  Each
+trial keeps its own seeded draws, so the results do not depend on the chunks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -32,6 +36,10 @@ SWEEP_AXES = (*SCENARIO_AXES, "lambda", "h")
 RANGES = {"m": (1, np.iinfo(np.intp).max), "n_trials": (1, np.iinfo(np.intp).max),
           "n_subjects": (0, MAX_MARGIN), "seed": (0, float("inf")), "pi_a": (0.0, 1.0),
           "p3": (0.0, 1.0), "p_null_low": (0.0, 1.0), "p_null_mid": (0.0, 1.0)}
+# The most columns (procedures x trials) one run_batch call steps: it caps a
+# chunk's working set, which grows with its columns times the stream length.
+# Picked from a sweep of 32-4096 columns (README "Performance").
+BATCH_COLUMNS = 1024
 
 
 @dataclass(frozen=True)
@@ -171,33 +179,39 @@ class TrialResults:
     audit_failures: list[tuple[str, int]] = field(default_factory=list)
 
 
-def _stacked_tests(scenarios: Sequence[ScenarioConfig], table: list[StepCdf]):
-    """The labels of each scenario's trials, and the p-values and bound ids
-    (into ``table``) of all their steps, stacked in scenario order.  The draws
-    are dropped on return, before any procedure runs."""
-    labels, tests = [], []
-    for scenario in scenarios:
-        scenario_labels, succ_a, succ_b = map(np.array, zip(
-            *(_draw(scenario, i) for i in range(scenario.n_trials))))
-        labels.append(scenario_labels)
-        tests.append(_exact_tests(scenario.n_subjects, succ_a, succ_b, table))
-    pvals, ids = (np.concatenate(arrays) for arrays in zip(*tests))
-    return labels, pvals, ids
-
-
 def _run_stacked(scenarios: Sequence[ScenarioConfig],
                  configs: dict[str, ProcedureConfig]) -> list[TrialResults]:
-    """Every trial of every scenario (all of one stream length) in one audited batch."""
-    table: list[StepCdf] = []
-    labels, pvals, ids = _stacked_tests(scenarios, table)
-    runs = run_batch(configs, pvals, NullBounds(table, ids))
-    rejects = {name: run.rejects for name, run in runs.items()}
-    passed = {name: [rep.ok for rep in run.audit()] for name, run in runs.items()}
+    """Every trial of every scenario (all of one stream length), in chunks of at
+    most ``BATCH_COLUMNS // len(configs)`` trials; a chunk may span scenarios.
+
+    Each chunk is drawn, gets one exact-test table per run of one scenario and
+    one ``NullBounds``, runs as one batch and is audited; only its reject
+    flags, labels and audit verdicts outlive it.
+    """
+    trials = [(scenario, i) for scenario in scenarios for i in range(scenario.n_trials)]
+    labels = np.empty((len(trials), scenarios[0].m), dtype=bool)
+    rejects = {name: np.empty(labels.shape, dtype=bool) for name in configs}
+    passed: dict[str, list[bool]] = {name: [] for name in configs}
+    size = max(1, BATCH_COLUMNS // max(1, len(configs)))
+    for lo in range(0, len(trials), size):
+        rows = slice(lo, lo + size)
+        table: list[StepCdf] = []
+        chunk_labels, tests = [], []
+        for scenario, run in groupby(trials[rows], key=itemgetter(0)):
+            run_labels, succ_a, succ_b = map(np.array, zip(
+                *(_draw(scenario, i) for _, i in run)))
+            chunk_labels.append(run_labels)
+            tests.append(_exact_tests(scenario.n_subjects, succ_a, succ_b, table))
+        labels[rows] = np.concatenate(chunk_labels)
+        pvals, ids = (np.concatenate(arrays) for arrays in zip(*tests))
+        for name, run in run_batch(configs, pvals, NullBounds(table, ids)).items():
+            rejects[name][rows] = run.rejects
+            passed[name].extend(rep.ok for rep in run.audit())
     results = []
     start = 0
-    for scenario, scenario_labels in zip(scenarios, labels):
+    for scenario in scenarios:
         rows = slice(start, start + scenario.n_trials)
-        outcomes = {name: TrialOutcome(rej[rows], scenario_labels) for name, rej in rejects.items()}
+        outcomes = {name: TrialOutcome(rej[rows], labels[rows]) for name, rej in rejects.items()}
         # trial by trial, in procedure order
         failures = [(name, i) for i in range(scenario.n_trials) for name in configs
                     if not passed[name][start + i]]

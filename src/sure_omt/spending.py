@@ -106,10 +106,6 @@ class SpendingSequence:
         return len(self.values) if self.kind == "explicit" else None
 
     def _raw(self, t: int) -> float:
-        if self.kind == "log":
-            return _log_family_term(float(t), self.q) / self.norm
-        if self.kind == "jm":
-            return _jm_term(float(t)) / self.norm
         if self.kind == "kernel":
             return 1.0 / self.h if t <= self.h else 0.0
         if self.kind == "explicit":
@@ -127,10 +123,15 @@ class SpendingSequence:
         if self._table is None or len(self._table) <= n:
             old = np.zeros(1) if self._table is None else self._table
             ts = range(len(old), 2 * n + 1)
-            if self.kind == "power":
-                # t ** -q / norm per value, the division as one numpy pass: the same bits
-                new = np.fromiter(map(math.pow, map(float, ts), repeat(-self.q)), float,
-                                  len(ts)) / self.norm
+            if self.kind in ("power", "log", "jm"):
+                # term(t) / norm per value, the division as one numpy pass: the same bits
+                if self.kind == "power":
+                    terms = map(math.pow, map(float, ts), repeat(-self.q))
+                elif self.kind == "log":
+                    terms = map(_log_family_term, map(float, ts), repeat(self.q))
+                else:
+                    terms = map(_jm_term, map(float, ts))
+                new = np.fromiter(terms, float, len(ts)) / self.norm
             else:
                 new = np.fromiter(map(self._raw, ts), float, len(ts))
             self._table = np.concatenate((old, new))

@@ -3,13 +3,14 @@ built on it against the per-trial loop it replaced."""
 
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sure_omt import procedures
+from sure_omt import simulate
 from sure_omt.cli import parse_procedures
 from sure_omt.core import IDENTITY_BOUND
 from sure_omt.discrete import fisher_margins, support_to_bound
@@ -18,8 +19,9 @@ from sure_omt.evaluate import (EvalReport, TrialOutcome, estimate_fwer, estimate
 from sure_omt.procedures import (FWER_NAMES, RULES, AuditReport, NullBounds, ProcedureConfig,
                                  _reward_part, audit_fwer_budget, audit_mfdr_budget,
                                  make_procedure, run_batch)
-from sure_omt.simulate import (ScenarioConfig, TrialResults, TrialStream, generate_trial,
-                               place_signal, run_sweep, run_trials, sweep_points)
+from sure_omt.simulate import (BATCH_COLUMNS, ScenarioConfig, TrialResults, TrialStream,
+                               generate_trial, place_signal, run_sweep, run_trials,
+                               sweep_points)
 from sure_omt.spending import (SpendingSequence, make_explicit, make_greedy, make_jm_family,
                                make_kernel, make_log_family, make_power_law)
 
@@ -329,35 +331,38 @@ def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
-@pytest.mark.parametrize("columns", [None, 1, 3])
+@pytest.mark.parametrize("streams", [None, 1, 3])
 @settings(max_examples=40)
 @given(batch=_mixed_batches())
-def test_mixed_batch_matches_each_rule_alone_and_the_scalar_machine(columns, batch):
+def test_mixed_batch_matches_each_rule_alone_and_the_scalar_machine(streams, batch):
     """Every rule of a fused batch equals the same rule run alone and the scalar
     machine, bit for bit, on alphas, reject and eligibility flags, spent levels
-    and audit verdicts; also with the block cut into chunks of 1 or 3 columns."""
+    and audit verdicts; also with the K streams passed to run_batch in chunks
+    of 1 or 3 streams, as the simulator passes its trials."""
     configs, pvals, bound_rows = batch
-    bounds = _bounds_of(bound_rows)
-    with pytest.MonkeyPatch.context() as patch:
-        if columns is not None:
-            patch.setattr(procedures, "BATCH_COLUMNS", columns)
-        fused = run_batch(configs, pvals, bounds)
-        assert list(fused) == list(configs)
-        for name, config in configs.items():
-            alone = run_batch({name: config}, pvals, bounds)[name]
-            controlled = audit_mfdr_budget if RULES[name].investing else audit_fwer_budget
-            want_audits = []
-            for k, (row, bound_row) in enumerate(zip(pvals, bound_rows)):
-                proc = make_procedure(name, config)
-                for p, b in zip(row, bound_row):
-                    proc.step(p, b)
-                want_audits.append(controlled(proc))
+    size = streams or len(pvals)
+    for name, config in configs.items():
+        controlled = audit_mfdr_budget if RULES[name].investing else audit_fwer_budget
+        procs = []
+        for row, bound_row in zip(pvals, bound_rows):
+            procs.append(make_procedure(name, config))
+            for p, b in zip(row, bound_row):
+                procs[-1].step(p, b)
+        got_fused, got_alone = [], []
+        for lo in range(0, len(pvals), size):
+            bounds = _bounds_of(bound_rows[lo:lo + size])
+            fused = run_batch(configs, pvals[lo:lo + size], bounds)
+            assert list(fused) == list(configs)
+            alone = run_batch({name: config}, pvals[lo:lo + size], bounds)[name]
+            for k, proc in enumerate(procs[lo:lo + size], start=lo):
                 for run in (fused[name], alone):
-                    assert _bits(run.alphas[k]) == _bits(proc.alphas), (name, k)
-                    assert run.rejects[k].tolist() == proc.rejects, (name, k)
-                    assert run.lam_flags[k].tolist() == proc.lam_flags, (name, k)
-                    assert _bits(run.spent[k]) == _bits(proc.spent), (name, k)
-            assert fused[name].audit() == alone.audit() == want_audits, name
+                    assert _bits(run.alphas[k - lo]) == _bits(proc.alphas), (name, k)
+                    assert run.rejects[k - lo].tolist() == proc.rejects, (name, k)
+                    assert run.lam_flags[k - lo].tolist() == proc.lam_flags, (name, k)
+                    assert _bits(run.spent[k - lo]) == _bits(proc.spent), (name, k)
+            got_fused += fused[name].audit()
+            got_alone += alone.audit()
+        assert got_fused == got_alone == [controlled(proc) for proc in procs], name
 
 
 # -- the simulator ---------------------------------------------------------------
@@ -448,6 +453,40 @@ def test_run_sweep_matches_per_trial_loop(axis, values, tmp_path):
     run_sweep(points).write(got)
     _loop_run_sweep(points).write(want)
     assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("columns", [1, 3, 27, 1024])
+def test_run_sweep_does_not_depend_on_its_chunks(columns, tmp_path, monkeypatch):
+    """The CSV and JSON report of an N sweep are byte for byte those of one
+    chunk per sweep, with chunks of 1 or 3 trials (1 and 3 columns cut the 9
+    procedures to 1 trial, 27 to 3), so that a chunk spans two points."""
+    points = sweep_points(ScenarioConfig(m=50, n_trials=5, seed=9), ALL_STANDARD, "N", [10, 25])
+    assert BATCH_COLUMNS // len(ALL_STANDARD) >= 10  # the default runs one chunk
+
+    def report(label):
+        paths = tmp_path / f"{label}.csv", tmp_path / f"{label}.json"
+        run_sweep(points).write(*paths)
+        return [path.read_bytes() for path in paths]
+
+    one = report("one")
+    monkeypatch.setattr(simulate, "BATCH_COLUMNS", columns)
+    assert report("cut") == one
+
+
+def test_run_trials_memory_is_flat_in_the_number_of_trials():
+    """The traced peak of 904 trials (8 chunks of the 9 procedures) stays
+    below twice that of 113 (one chunk): the chunks are dropped once their
+    reject flags, labels and verdicts are kept."""
+    run_trials(ScenarioConfig(m=100, seed=1, n_trials=10), ALL_STANDARD)  # warm the caches
+    peaks = []
+    for n_trials in (113, 904):
+        tracemalloc.start()
+        try:
+            run_trials(ScenarioConfig(m=100, seed=1, n_trials=n_trials), ALL_STANDARD)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0], peaks
 
 
 def test_run_trials_reports_audit_failures_in_trial_order():

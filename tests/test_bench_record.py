@@ -3,6 +3,8 @@
 import importlib.util
 import pathlib
 
+import pytest
+
 SPEC = importlib.util.spec_from_file_location(
     "bench_record", pathlib.Path(__file__).resolve().parent.parent / "tools" / "bench_record.py")
 bench_record = importlib.util.module_from_spec(SPEC)
@@ -37,3 +39,13 @@ def test_compare_counts_the_pairs_head_wins_in_each_metrics_direction():
     assert got["step_p50_us"]["ratio"] == 3.5 / 4.0
     # a run without a result line counts in no pair
     assert bench_record.compare(base, [{"result": None}] * 3, METRICS) == {}
+
+
+@pytest.mark.parametrize("runs", ["0", "-2"])
+def test_fewer_than_one_run_is_a_usage_error(runs, capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)  # where a BENCH file would go
+    with pytest.raises(SystemExit) as exit_info:
+        bench_record.main(["--label", "none", "--runs", runs])
+    assert exit_info.value.code == 2
+    assert f"--runs must be at least 1, got {runs}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

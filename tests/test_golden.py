@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sure_omt.procedures import BATCH_COLUMNS, RULES
+from sure_omt.simulate import BATCH_COLUMNS
 
 from golden import (ANALYZE_CASES, CASES, GOLDEN_PATH, STREAM_CASES, WIDE_CASE,
                     analyze_digests, plotdata_digests, simulate_digests, stream_digests,
@@ -33,9 +33,9 @@ def test_golden_covers_every_case():
 
 
 def test_wide_case_spans_several_chunks():
-    """Its trials do not fit in one chunk of the batch engine's column block."""
-    stepped = sum(rule.investing or rule.rewarded for rule in RULES.values())
-    assert CASES[WIDE_CASE]["scenario"]["n_trials"] > BATCH_COLUMNS // stepped
+    """Its trials do not fit in one of the simulator's chunks of trials."""
+    case = CASES[WIDE_CASE]
+    assert case["scenario"]["n_trials"] > BATCH_COLUMNS // len(case["procedures"])
 
 
 def test_tables_hold_groups_of_10_to_500(tables):

@@ -226,7 +226,7 @@ def test_log_gamma_whose_denominator_overflows_reads_zero():
     """From about t = 1e6 a q just below the limit overflows log(t+1)**q; gamma_t
     used to raise OverflowError there, and reads 0."""
     g = make_log_family(270.0)
-    assert g._raw(1_100_000) == 0.0  # what table() extends by
+    assert _log_family_term(1_100_000.0, g.q) == 0.0  # what table() extends by
     assert g.gamma(1) > 0.0
 
 
@@ -327,14 +327,31 @@ def test_table_holds_the_closed_form_bits(factory, closed_form, gamma_first):
         assert big.item(k) == closed_form(k, g), k
 
 
-@pytest.mark.parametrize("q", [1.01, 1.6, 2, 3])
-def test_power_table_holds_the_per_value_bits_across_regrowth(q):
-    """The power table, filled by math.pow and one numpy division, holds the
-    bytes of the per-value t ** -q / norm at every index, through regrowths
-    up to 1.2e5 values; an old table stays a prefix of the new one."""
-    g = make_power_law(q)
+def _assert_per_value_bits(g, value):
+    """Through regrowths up to 1.2e5 values, the table holds the bytes of
+    ``value(t)`` at every index t >= 1; an old table stays a prefix of the new one."""
     tables = [g.table(n) for n in (5, 300, 60_000)]
-    want = np.array([0.0] + [t ** -q / g.norm for t in range(1, len(tables[-1]))])
+    want = np.array([0.0] + [value(t) for t in range(1, len(tables[-1]))])
     assert len(want) > 100_000
     for table in tables:
         assert table.tobytes() == want[:len(table)].tobytes()
+
+
+@pytest.mark.parametrize("q", [1.01, 1.6, 2, 3])
+def test_power_table_holds_the_per_value_bits_across_regrowth(q):
+    """The power table, filled by math.pow and one numpy division, holds the
+    per-value t ** -q / norm."""
+    g = make_power_law(q)
+    _assert_per_value_bits(g, lambda t: t ** -q / g.norm)
+
+
+@pytest.mark.parametrize("factory,term", [
+    (lambda: make_log_family(1.6), lambda t: _log_family_term(float(t), 1.6)),
+    (lambda: make_log_family(3), lambda t: _log_family_term(float(t), 3)),
+    (make_jm_family, lambda t: _jm_term(float(t))),
+], ids=["log-1.6", "log-3", "jm"])
+def test_log_and_jm_tables_hold_the_per_value_bits_across_regrowth(factory, term):
+    """The log and jm tables, filled by their term and one numpy division, hold
+    the per-value term(t) / norm."""
+    g = factory()
+    _assert_per_value_bits(g, lambda t: term(t) / g.norm)

@@ -106,6 +106,8 @@ def main(argv=None) -> int:
     parser.add_argument("--base", help="a revision to measure in pairs against --rev")
     parser.add_argument("--runs", type=int, default=3, help="runs per workload and side")
     opts = parser.parse_args(argv)
+    if opts.runs < 1:
+        parser.error(f"--runs must be at least 1, got {opts.runs}")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     sides = {"head": git("rev-parse", opts.rev)}
