@@ -10,7 +10,6 @@ tolerance of 1e-7 for probability ties.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -23,18 +22,14 @@ TIE_REL_TOL = 1e-7
 MAX_MARGIN = 1 << 20
 
 
-@dataclass(frozen=True)
-class ContingencyTable2x2:
-    """Cell counts: row 1 = group A success/failure, row 2 = group B."""
+class ContingencyTable2x2(NamedTuple):
+    """Cell counts: row 1 = group A success/failure, row 2 = group B.  The
+    counts are checked when the table is tested, not when it is built."""
 
     a: int
     b: int
     c: int
     d: int
-
-    def __post_init__(self):
-        if min(self.a, self.b, self.c, self.d) < 0:
-            raise ValueError("cell counts must be nonnegative")
 
 
 class ExactTestResult(NamedTuple):
@@ -155,5 +150,8 @@ def support_to_bound(support) -> StepCdf:
 
 def fisher_two_sided(table: ContingencyTable2x2) -> ExactTestResult:
     """Two-sided Fisher exact test with the achievable p-value support."""
-    pvals, lo, bound = fisher_margins(table.a + table.b, table.c + table.d, table.a + table.c)
-    return ExactTestResult(pvals.item(table.a - lo), bound.support, bound)
+    a, b, c, d = table
+    if min(a, b, c, d) < 0:
+        raise ValueError("cell counts must be nonnegative")
+    pvals, lo, bound = fisher_margins(a + b, c + d, a + c)
+    return ExactTestResult(pvals.item(a - lo), bound.support, bound)

@@ -118,9 +118,11 @@ class EvalReport:
     def write(self, csv_path, json_path=None):
         """Write the report as CSV and, given ``json_path``, as JSON too.
 
-        Both are written to temporary files first, so neither file is replaced
-        if either cannot be opened or written.  The two renames that follow
-        are separate steps: the JSON file is renamed first.
+        A non-finite float is written as ``nan`` or ``inf`` in the CSV and as
+        null in the JSON.  Both are written to temporary files first, so
+        neither file is replaced if either cannot be opened or written.  The
+        two renames that follow are separate steps: the JSON file is renamed
+        first.
         """
         fields = sorted({k for r in self.rows for k in r})
         with ExitStack() as stack:
@@ -134,7 +136,11 @@ class EvalReport:
                         out[k] = format(v, ".17g")
                 writer.writerow(out)
             if json_path:
-                json.dump(self.rows, stack.enter_context(open_atomic(json_path)), indent=2)
+                # NaN and inf are not JSON: a standard error of one trial is NaN
+                rows = [{k: None if isinstance(v, float) and not math.isfinite(v) else v
+                         for k, v in r.items()} for r in self.rows]
+                json.dump(rows, stack.enter_context(open_atomic(json_path)), indent=2,
+                          allow_nan=False)
 
     def to_csv(self, path):
         """The CSV alone (kept for ``bench/worker.py``; ``write`` does this)."""

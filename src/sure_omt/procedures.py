@@ -29,12 +29,12 @@ K streams, so the working set is about P times one procedure's K x m arrays;
 the caller bounds it through K (``simulate`` passes a chunk of trials at a
 time).  Every column keeps the scalar machine's order of every
 floating-point operation, so its alphas and reject flags are the scalar ones
-bit for bit: sums run left to right (row after row down a time-major array,
-and a running row to which each rejection adds its term in rejection order).
-Both engines read gamma tables and reward windows from the spending sequence
-(``table(n)``, ``window``), record the spent levels, and share one array
-budget audit; the batch computes every reward part with ``_reward_part`` over
-time-major rewards.
+bit for bit: every sum gets its terms in event order from 0.0, as in
+``_ClockSums``.  A rejection adds its term to a running row of base sums, and
+a step's collected rewards, times gamma', to the reward parts kept for the
+steps ahead in a time-major array.  Both engines read gamma tables and reward
+windows from the spending sequence (``table(n)``, ``window``), record the
+spent levels, and share one array budget audit.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -453,22 +453,6 @@ class _BlockBases:
         self._s_rows[rows, cols] += term
 
 
-def _reward_part(gp: SpendingSequence, rewards: np.ndarray, i: int) -> np.ndarray:
-    """Reward part of step i (0-based) of each stream, from the time-major
-    rewards of steps 0..i-1 (0.0 where none was collected) in gamma'.window,
-    weighted by gamma'_{i-t} (the kernel's sum is divided by h), added left to right."""
-    lo = 0 if gp.window is None else max(0, i - gp.window)
-    if gp.kind == "kernel":
-        terms = rewards[lo:i]
-    else:
-        terms = gp.table(i - lo)[i - lo:0:-1, None] * rewards[lo:i]
-    if not len(terms):
-        return np.zeros(rewards.shape[1])
-    # reduce adds row after row over two or more columns, but one column pairwise
-    total = np.add.reduce(terms, axis=0) if terms.shape[1] > 1 else terms.cumsum(axis=0)[-1]
-    return total / gp.h if gp.kind == "kernel" else total
-
-
 @dataclass
 class BatchRun:
     """One procedure run over K streams in lockstep.
@@ -551,25 +535,31 @@ def _step_block(rows: Sequence[tuple[Rule, ProcedureConfig]], lam_index: np.ndar
     ``flags`` and ``clock0`` hold the eligibility flags and clock 0 for each
     distinct lambda, and ``lam_index`` each row's.  A rewarded row adds its
     reward part and carry to the base and spends F(alpha); the other rows add
-    zeros.  Each run of rows with one gamma' reads its reward parts at once.
+    zeros.  Each run of rows with one gamma' keeps the reward parts of all
+    steps in one time-major array, rows x K per step: the rewards collected
+    at a step are added to the parts of the later steps in gamma'.window, each
+    weighted by gamma'_{t' - t} (a kernel's part is divided by h when read).
     """
     P, K, m = alphas.shape
     r0 = P - len(spent)
     n_investing = sum(rule.investing for rule, _ in rows)
     bases = _BlockBases(rows, lam_index, clock0)
-    runs = []  # (gamma', first column, end column) of the time-major rewards
-    for j, (_, c) in enumerate(rows[r0:]):
-        if runs and runs[-1][0] == c.gamma_prime:
-            runs[-1][2] += K
-        else:
-            runs.append([c.gamma_prime, j * K, (j + 1) * K])
-    rewards = np.zeros((m, (P - r0) * K))  # time-major: step i's collected rewards
+    runs = []  # (gamma', first row, end row, span, weights, reward parts ahead)
+    for gp, run in groupby(range(r0, P), key=lambda j: rows[j][1].gamma_prime):
+        a, *rest = run
+        b = a + 1 + len(rest)
+        span = m if gp.window is None else gp.window
+        weights = None if gp.kind == "kernel" else gp.table(span)[1:span + 1, None, None]
+        runs.append((gp, a, b, span, weights, np.zeros((m, b - a, K))))
     sure, eps = np.zeros((P, K)), np.zeros((P, K))  # reward part and carry
-    sure_r, eps_r = sure[r0:].reshape(-1), eps[r0:]
+    eps_r = eps[r0:]
     flag_index = lam_index[r0:]
     for i in range(m):
-        for gp, a, b in runs:
-            sure_r[a:b] = _reward_part(gp, rewards[:, a:b], i)
+        for gp, a, b, _, weights, ahead in runs:
+            if weights is None:
+                np.divide(ahead[i], gp.h, out=sure[a:b])
+            else:
+                sure[a:b] = ahead[i]
         base = bases.values(i)
         alpha = np.add(base, sure, out=alphas[:, :, i])
         alpha += eps
@@ -579,8 +569,12 @@ def _step_block(rows: Sequence[tuple[Rule, ProcedureConfig]], lam_index: np.ndar
             f = spent[:, :, i] = bounds.cdf(alpha_r, i)
             eligible = flags[flag_index, :, i]
             # rho >= 0, so rho times the eligibility flag is the collected reward
-            collected = np.subtract(alpha_r, f, out=rewards[i].reshape(P - r0, K))
+            collected = np.subtract(alpha_r, f)
             collected *= eligible
+            for _, a, b, span, weights, ahead in runs:
+                end = min(m, i + 1 + span)
+                rho = collected[a - r0:b - r0]
+                ahead[i + 1:end] += rho if weights is None else weights[:end - i - 1] * rho
             np.subtract(alpha_r, base[r0:], out=eps_r)
             eps_r[eligible] = 0.0
         if n_investing:

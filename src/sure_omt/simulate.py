@@ -97,28 +97,18 @@ def place_signal(m: int, m3: int, scheme: str, rng: np.random.Generator | None =
         raise ValueError("m3 must not exceed m")
     if m3 == 0:
         return tuple()
-    b1 = m3 - m3 // 2
-    b2 = m3 // 2
-    mid = m // 2
-    if scheme == "B":
-        idx = range(1, m3 + 1)
-    elif scheme == "E":
-        idx = range(m - m3 + 1, m + 1)
-    elif scheme == "BM":
-        start2 = max(mid, b1 + 1)
-        idx = list(range(1, b1 + 1)) + list(range(start2, start2 + b2))
-    elif scheme == "BE":
-        idx = list(range(1, b1 + 1)) + list(range(m - b2 + 1, m + 1))
-    elif scheme == "ME":
-        start1 = min(mid, m - b2 - b1 + 1)
-        idx = list(range(start1, start1 + b1)) + list(range(m - b2 + 1, m + 1))
-    elif scheme == "Random":
+    if scheme == "Random":
         if rng is None:
             raise ValueError("Random placement needs an rng")
-        idx = (np.sort(rng.choice(m, size=m3, replace=False)) + 1).tolist()
-    else:
+        return tuple((np.sort(rng.choice(m, size=m3, replace=False)) + 1).tolist())
+    b1, b2 = m3 - m3 // 2, m3 // 2
+    # the starts of the first and the second block
+    starts = {"B": (1, 1 + b1), "E": (m - m3 + 1, m - b2 + 1), "BM": (1, max(m // 2, b1 + 1)),
+              "BE": (1, m - b2 + 1), "ME": (min(m // 2, m - m3 + 1), m - b2 + 1)}
+    if scheme not in starts:
         raise ValueError(f"unknown placement {scheme!r}")
-    return tuple(idx)
+    first, second = starts[scheme]
+    return (*range(first, first + b1), *range(second, second + b2))
 
 
 def _draw(config: ScenarioConfig, trial_index: int):

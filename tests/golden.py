@@ -47,7 +47,7 @@ from sure_omt.spending import make_power_law, parse_sequence_spec
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden.json")
 PROCEDURES = [{"name": name} for name in RULES]
-# the case run wide enough that the batch engine cuts its trials into chunks
+# the case run wide enough that `simulate._run_stacked` cuts its trials into chunks
 WIDE_CASE = "wide"
 
 

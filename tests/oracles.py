@@ -90,3 +90,33 @@ def wealth_curves(gamma: SpendingSequence, alpha: float, cdfs: Sequence[StepCdf]
         nominal[i] = nom
         effective[i] = eff
     return nominal, effective
+
+
+def place_signal_oracle(m: int, m3: int, scheme: str, rng: np.random.Generator | None = None):
+    """``simulate.place_signal`` written out one branch per scheme."""
+    if m3 > m:
+        raise ValueError("m3 must not exceed m")
+    if m3 == 0:
+        return tuple()
+    b1 = m3 - m3 // 2
+    b2 = m3 // 2
+    mid = m // 2
+    if scheme == "B":
+        idx = range(1, m3 + 1)
+    elif scheme == "E":
+        idx = range(m - m3 + 1, m + 1)
+    elif scheme == "BM":
+        start2 = max(mid, b1 + 1)
+        idx = list(range(1, b1 + 1)) + list(range(start2, start2 + b2))
+    elif scheme == "BE":
+        idx = list(range(1, b1 + 1)) + list(range(m - b2 + 1, m + 1))
+    elif scheme == "ME":
+        start1 = min(mid, m - b2 - b1 + 1)
+        idx = list(range(start1, start1 + b1)) + list(range(m - b2 + 1, m + 1))
+    elif scheme == "Random":
+        if rng is None:
+            raise ValueError("Random placement needs an rng")
+        idx = (np.sort(rng.choice(m, size=m3, replace=False)) + 1).tolist()
+    else:
+        raise ValueError(f"unknown placement {scheme!r}")
+    return tuple(idx)

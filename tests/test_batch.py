@@ -17,8 +17,8 @@ from sure_omt.discrete import fisher_margins, support_to_bound
 from sure_omt.evaluate import (EvalReport, TrialOutcome, estimate_fwer, estimate_mfdr,
                                estimate_power)
 from sure_omt.procedures import (FWER_NAMES, RULES, AuditReport, NullBounds, ProcedureConfig,
-                                 _reward_part, audit_fwer_budget, audit_mfdr_budget,
-                                 make_procedure, run_batch)
+                                 audit_fwer_budget, audit_mfdr_budget, make_procedure,
+                                 run_batch)
 from sure_omt.simulate import (BATCH_COLUMNS, ScenarioConfig, TrialResults, TrialStream,
                                generate_trial, place_signal, run_sweep, run_trials,
                                sweep_points)
@@ -273,25 +273,28 @@ def test_null_bounds_match_step_cdf(rng):
 @pytest.mark.parametrize("gp", ["power", "kernel10", "explicit"])
 @pytest.mark.parametrize("width", [1, 2, 3, 17, 1000])
 def test_reward_part_adds_each_window_left_to_right(width, gp):
-    """Each column's window is summed row after row, as the scalar machine adds
-    it, at every width and on a column slice of wider time-major rewards (the
-    form the block passes).  numpy's reduce over one column adds pairwise."""
+    """The batch adds each collected reward to the reward parts of the steps it
+    reaches, in event order, as the scalar machine sums them: at every width,
+    the alphas and spent levels of rho-ob and rho-aob, one run of two rows
+    sharing one gamma', are the scalar machine's bytes.  The bounds' support
+    points span many orders of magnitude, so the rewards do too, and lambda =
+    0.5 leaves many steps of rho-aob without one, so another order of the sum
+    shows."""
     rng = np.random.default_rng(width)
-    spending = GAMMA_PRIMES[gp]()
-    m = 200
-    # rewards of all magnitudes and many zeros, so another order of the sum shows
-    wide = rng.random((m, width + 5)) * 10.0 ** rng.integers(-12, 3, (m, width + 5))
-    wide[rng.random(wide.shape) < 0.3] = 0.0
-    for rewards in (np.ascontiguousarray(wide[:, :width]), wide[:, 2:2 + width]):
-        for i in (0, 1, 9, 10, 11, 150, m):
-            lo = 0 if spending.window is None else max(0, i - spending.window)
-            kernel = spending.kind == "kernel"
-            want = np.zeros(width)
-            for t in range(lo, i):
-                want = want + (rewards[t] if kernel else spending.gamma(i - t) * rewards[t])
-            if kernel:
-                want = want / spending.h
-            assert _reward_part(spending, rewards, i).tobytes() == want.tobytes(), (i, width)
+    m = 60
+    pool = [support_to_bound(10.0 ** -rng.uniform(0, 12, rng.integers(1, 60)))
+            for _ in range(40)]
+    ids = rng.integers(len(pool), size=(width, m))
+    pvals = rng.random((width, m))
+    config = _cfg(gp, lam=0.5)
+    runs = run_batch({"rho-ob": config, "rho-aob": config}, pvals, NullBounds(pool, ids))
+    for name, run in runs.items():
+        for k, (ps, ks) in enumerate(zip(pvals.tolist(), ids.tolist())):
+            proc = make_procedure(name, config)
+            for p, i in zip(ps, ks):
+                proc.step(p, pool[i])
+            assert run.alphas[k].tobytes() == np.array(proc.alphas).tobytes(), (name, k)
+            assert run.spent[k].tobytes() == np.array(proc.spent).tobytes(), (name, k)
 
 
 SPENDINGS = [lambda: make_power_law(1.6), lambda: make_power_law(3.0),

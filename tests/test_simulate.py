@@ -7,6 +7,7 @@ from sure_omt.simulate import (PLACEMENTS, ScenarioConfig, _exact_tests, generat
                                place_signal, run_sweep, run_trials, sweep_points)
 
 from conftest import report_value
+from oracles import place_signal_oracle
 
 
 def _standard_configs(*names):
@@ -70,6 +71,21 @@ def test_placement_blocks_shift_to_stay_disjoint():
             assert len(idx) == m3
             assert len(set(idx)) == m3
             assert all(1 <= i <= m for i in idx)
+
+
+def test_placement_matches_the_branch_per_scheme_reference():
+    """Every scheme at every m <= 60 and m3 <= m gives the reference's tuple,
+    and Random leaves the generator in the reference's state."""
+    for m in range(1, 61):
+        for m3 in range(m + 1):
+            for scheme in PLACEMENTS:
+                rng, ref_rng = np.random.default_rng(m3), np.random.default_rng(m3)
+                assert place_signal(m, m3, scheme, rng) == \
+                    place_signal_oracle(m, m3, scheme, ref_rng), (m, m3, scheme)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state, (m, m3)
+    with pytest.raises(ValueError, match="unknown placement 'X'"):
+        place_signal(10, 4, "X")
+    assert place_signal(10, 0, "X") == place_signal_oracle(10, 0, "X") == ()
 
 
 def test_random_placement_uses_rng():
