@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 
 from .discrete import ContingencyTable2x2, fisher_two_sided
 from .evaluate import open_atomic
@@ -165,9 +166,12 @@ def cmd_analyze(args) -> int:
         raise InputError(f"max_rows must be a nonnegative integer, got {max_rows!r}")
     proc = make_procedure(name, proc_config)
     try:
-        # utf-8-sig drops the byte order mark a spreadsheet may write first
+        # utf-8-sig drops the byte order mark a spreadsheet may write first; both
+        # outputs are opened before any row is read: both are written or neither
         with (open(args.input, newline="", encoding="utf-8-sig") as fh,
-              open_atomic(args.out_trace, newline="") as out):
+              open_atomic(args.out_trace, newline="") as out,
+              (open_atomic(args.out_summary) if args.out_summary
+               else nullcontext()) as summary_out):
             writer = csv.writer(out)
             writer.writerow(["t", "id", "p", "alpha", "rho", "epsilon", "reject"])
             for row_id, result in _test_rows(fh, max_rows):
@@ -175,21 +179,21 @@ def cmd_analyze(args) -> int:
                 dec = proc.observe(result.p_value, result.null_bound)
                 writer.writerow([dec.t, row_id, _fmt(dec.p), _fmt(dec.alpha),
                                  _fmt(dec.rho), _fmt(dec.eps_part), int(dec.reject)])
+            audit = audit_fwer_budget(proc) if name in FWER_NAMES else audit_mfdr_budget(proc)
+            summary = {
+                "rows": proc.t,
+                "discoveries": proc.r_count,
+                "audit_ok": audit.ok,
+                # strict JSON has no Infinity: a non-finite excess is written as null
+                "audit_worst_excess": (audit.worst_excess if math.isfinite(audit.worst_excess)
+                                       else None),
+                "audit_worst_t": audit.worst_t,
+            }
+            text = json.dumps(summary, indent=2, allow_nan=False)
+            if summary_out is not None:
+                summary_out.write(text + "\n")
     except UnicodeDecodeError as exc:
         raise InputError(f"{args.input} is not UTF-8 text ({exc.reason})") from None
-    audit = audit_fwer_budget(proc) if name in FWER_NAMES else audit_mfdr_budget(proc)
-    summary = {
-        "rows": proc.t,
-        "discoveries": proc.r_count,
-        "audit_ok": audit.ok,
-        # strict JSON has no Infinity: a non-finite excess is written as null
-        "audit_worst_excess": audit.worst_excess if math.isfinite(audit.worst_excess) else None,
-        "audit_worst_t": audit.worst_t,
-    }
-    text = json.dumps(summary, indent=2, allow_nan=False)
-    if args.out_summary:
-        with open_atomic(args.out_summary) as fh:
-            fh.write(text + "\n")
     print(text)
     return 0 if audit.ok else 1
 

@@ -11,7 +11,8 @@ adaptive rules with lambda = 0, whose re-indexation clocks are plain time.
 A procedure keeps four history lists (eligibility flags, alphas, reject
 flags, spent levels); without a reward, the alphas are the base values.  The
 spent level, which the budget audits read, is F_t(alpha_t) for a rewarded rule
-(its reward is alpha_t - F_t(alpha_t)) and alpha_t for a base rule.
+(its reward is alpha_t - F_t(alpha_t)) and alpha_t for a base rule, whose
+``spent`` is its ``alphas`` list itself.
 
 LORD/ALORD pay gamma at one re-indexation clock per past rejection, and a
 rewarded rule pays gamma'_{T-t} rho_t for every past reward.  The scalar
@@ -218,7 +219,7 @@ class OnlineProcedure:
         self.lam_flags: list[bool] = []       # p_t >= lambda
         self.alphas: list[float] = []
         self.rejects: list[bool] = []
-        self.spent: list[float] = []          # F_t(alpha_t) if rewarded, else alpha_t
+        self.spent: list[float] = [] if self.rewarded else self.alphas  # F_t(alpha_t) if rewarded
         self.r_count = 0
         # re-indexation clocks: clock j reads 1 + E - s_j, where E counts the
         # eligible steps so far and s_j is E at the j-th rejection (s_0 = 0)
@@ -293,9 +294,10 @@ class OnlineProcedure:
         self.lam_flags.append(eligible)
         self.alphas.append(alpha)
         self.rejects.append(reject)
-        self.spent.append(f if self.rewarded else alpha)
-        if self.rewarded and eligible and rho > 0.0:
-            self._reward_sums.add(t, rho)
+        if self.rewarded:
+            self.spent.append(f)
+            if eligible and rho > 0.0:
+                self._reward_sums.add(t, rho)
         if eligible:
             self._n_eligible += 1
         self._eps = 0.0 if eligible else alpha - base
@@ -332,21 +334,19 @@ def make_procedure(name: str, config: ProcedureConfig) -> OnlineProcedure:
 class NullBounds:
     """The null bounds of K streams of m steps, evaluated as arrays.
 
-    ``table`` holds the distinct bounds and ``ids`` (K x m) each step's index
-    into it.  F is looked up through the sorted support points of all bounds:
-    each support point of bound b gets the key b * width + its rank, and each
-    bound a key b * width that reads F = 0.  The last key <= b * width plus
-    the number of points <= u is then the largest support point of b that is
-    <= u, as ``StepCdf.__call__`` finds it.
+    Step (k, i) has the bound ``table[ids[k, i]]``; only ``ids`` (K x m) and
+    the arrays ``cdf`` reads are kept.  F is looked up through the sorted
+    support points of all bounds: each support point of bound b gets the key
+    b * width + its rank, and each bound a key b * width that reads F = 0.
+    The last key <= b * width plus the number of points <= u is then the
+    largest support point of b that is <= u, as ``StepCdf.__call__`` finds it.
     """
 
     def __init__(self, table: Sequence[StepCdf], ids):
-        self.table = tuple(table)
         self.ids = np.asarray(ids, dtype=np.intp)
-        n = len(self.table)
-        lens = np.fromiter((len(b.support) for b in self.table), np.intp, n)
-        flat = np.fromiter(chain.from_iterable(b.support for b in self.table), float,
-                           int(lens.sum()))
+        n = len(table)
+        lens = np.fromiter((len(b.support) for b in table), np.intp, n)
+        flat = np.fromiter(chain.from_iterable(b.support for b in table), float, lens.sum())
         points = np.sort(flat)  # np.unique would import numpy.ma
         self._points = points[np.concatenate(([True], points[1:] != points[:-1]))]
         width = len(self._points) + 1
@@ -358,7 +358,7 @@ class NullBounds:
         # F at the last key <= q, which is at searchsorted(keys, q, "right") - 1
         self._vals_before = np.concatenate(([0.0], np.concatenate((np.zeros(n), flat))[order]))
         self._start = self.ids * width
-        identity = np.fromiter((b.exact_identity for b in self.table), bool, n)
+        identity = np.fromiter((b.exact_identity for b in table), bool, n)
         self._identity = identity[self.ids] if identity.any() else None
 
     def cdf(self, u, i: int) -> np.ndarray:
@@ -479,7 +479,8 @@ class BatchRun:
 def run_batch(configs: dict[str, ProcedureConfig], pvals,
               bounds: NullBounds) -> dict[str, BatchRun]:
     """Run every procedure of ``configs``, keyed by name, over K streams:
-    ``pvals`` is K x m, step (k, t) has null bound ``bounds.table[bounds.ids[k, t]]``.
+    ``pvals`` is K x m, and ``NullBounds(table, ids)`` gives step (k, t) its null
+    bound ``table[ids[k, t]]``.
 
     OB/AOB have no step loop: they read gamma at clock 0.  The other rules
     step through time in one loop, as one block of (procedures x streams)
@@ -519,9 +520,9 @@ def run_batch(configs: dict[str, ProcedureConfig], pvals,
         _step_block([(rules[name], configs[name]) for name in block],
                     np.array([lam_of[name] for name in block]), p, flags, clock0, bounds,
                     alphas, rejects, spent)
-    for j, name in enumerate(block):
-        runs[name] = BatchRun(configs[name], rules[name], alphas[j], rejects[j],
-                              flags[lam_of[name]], spent[j - r0] if j >= r0 else alphas[j])
+    for j, (name, a) in enumerate(zip(block, alphas)):
+        runs[name] = BatchRun(configs[name], rules[name], a, rejects[j], flags[lam_of[name]],
+                              spent[j - r0] if j >= r0 else a)
     return {name: runs[name] for name in configs}
 
 

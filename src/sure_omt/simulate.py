@@ -14,7 +14,7 @@ trial keeps its own seeded draws, so the results do not depend on the chunks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -164,9 +164,14 @@ def generate_trial(config: ScenarioConfig, trial_index: int) -> TrialStream:
 
 @dataclass
 class TrialResults:
+    """Each procedure's trial outcomes and the (procedure, trial) audit failures."""
+
     outcomes: dict[str, TrialOutcome]  # one row per trial
-    audits_ok: bool
-    audit_failures: list[tuple[str, int]] = field(default_factory=list)
+    audit_failures: list[tuple[str, int]]
+
+    @property
+    def audits_ok(self) -> bool:
+        return not self.audit_failures
 
 
 def _run_stacked(scenarios: Sequence[ScenarioConfig],
@@ -205,8 +210,7 @@ def _run_stacked(scenarios: Sequence[ScenarioConfig],
         # trial by trial, in procedure order
         failures = [(name, i) for i in range(scenario.n_trials) for name in configs
                     if not passed[name][start + i]]
-        results.append(TrialResults(outcomes=outcomes, audits_ok=not failures,
-                                    audit_failures=failures))
+        results.append(TrialResults(outcomes=outcomes, audit_failures=failures))
         start = rows.stop
     return results
 
@@ -259,18 +263,12 @@ def run_sweep(points: Sequence[SweepPoint]) -> EvalReport:
     """FWER, mFDR and power of each procedure at each point, checked at the stream
     end, and whether every trial passed its budget audit.
 
-    Consecutive points that share their procedure configs (the points of a
-    scenario axis) and stream length run as one batch.
+    Consecutive points that share their procedure configs object (the points
+    of a scenario axis) and stream length run as one batch.
     """
     report = EvalReport()
-    groups: list[list[SweepPoint]] = []
-    for point in points:
-        if (groups and point.configs is groups[-1][0].configs
-                and point.scenario.m == groups[-1][0].scenario.m):
-            groups[-1].append(point)
-        else:
-            groups.append([point])
-    for group in groups:
+    for _, run in groupby(points, key=lambda point: (id(point.configs), point.scenario.m)):
+        group = list(run)
         stacked = _run_stacked([point.scenario for point in group], group[0].configs)
         for point, results in zip(group, stacked):
             report.audits_ok = report.audits_ok and results.audits_ok

@@ -133,6 +133,28 @@ def test_batch_matches_online_procedure(name, gp):
                 assert max(p.r_count for p in procs) >= 3  # capped at lambda = 0: none
 
 
+def test_a_base_rule_spends_its_alphas_themselves():
+    """A base rule keeps no copy of its levels: its ``spent`` is its ``alphas``
+    object, in the scalar machine and in the batch; a rewarded rule keeps a
+    list and a matrix of its own, of F_t(alpha_t)."""
+    pvals, bounds = _signal_stream(random.Random(11), 80)
+    configs = {name: _cfg("kernel10" if rule.rewarded else None, lam=0.5)
+               for name, rule in RULES.items()}
+    runs = run_batch(configs, [pvals], _bounds_of([bounds]))
+    for name, config in configs.items():
+        proc = make_procedure(name, config)
+        proc.run(zip(pvals, bounds))
+        run = runs[name]
+        if RULES[name].rewarded:
+            assert proc.spent is not proc.alphas, name
+            assert proc.spent == [b(a) for b, a in zip(bounds, proc.alphas)], name
+            assert not np.shares_memory(run.spent, run.alphas), name
+        else:
+            assert proc.spent is proc.alphas, name
+            assert run.spent is run.alphas, name
+        assert len(proc.spent) == len(proc.alphas) == proc.t == 80, name
+
+
 def _dense_signal_stream(rng, T):
     """A stream with a tiny p-value at about 40% of the steps; half of the
     steps have p >= 0.5, and the other nulls lie below it."""
@@ -427,7 +449,7 @@ def _loop_run_trials(scenario, configs):
             rep = audit_fwer_budget(proc) if name in FWER_NAMES else audit_mfdr_budget(proc)
             if not rep.ok:
                 failures.append((name, i))
-    return TrialResults(outcomes=outcomes, audits_ok=not failures, audit_failures=failures)
+    return TrialResults(outcomes=outcomes, audit_failures=failures)
 
 
 def _loop_run_sweep(points):

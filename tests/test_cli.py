@@ -443,6 +443,33 @@ def test_simulate_outputs_are_all_or_nothing(tmp_path, capsys):
     assert out.read_text().startswith("checkpoint,") and json.loads(out_json.read_text())
 
 
+def test_analyze_outputs_are_all_or_nothing(tmp_path, capsys):
+    cfg = _write_config(tmp_path, ANALYZE_CFG)
+    tables = _write_tables(tmp_path, ["a,3,0,0,3", "b,1,1,1,1"])
+    trace, summary = tmp_path / "trace.csv", tmp_path / "summary.json"
+    trace.write_text("old trace\n")
+    summary.write_text("old summary\n")
+    (tmp_path / "d").mkdir()
+    # a summary path that cannot be opened, in a missing directory or being a
+    # directory, leaves the trace as it was
+    for bad in (tmp_path / "missing" / "s.json", tmp_path / "d"):
+        assert main(["analyze", "--config", cfg, "--input", tables, "--out-trace", str(trace),
+                     "--out-summary", str(bad)]) == 2
+        _assert_one_error_line(capsys)
+        assert trace.read_text() == "old trace\n"
+    # a trace path that is a directory leaves the summary as it was
+    assert main(["analyze", "--config", cfg, "--input", tables, "--out-trace",
+                 str(tmp_path / "d"), "--out-summary", str(summary)]) == 2
+    _assert_one_error_line(capsys)
+    assert summary.read_text() == "old summary\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cfg.json", "d", "summary.json", "tables.csv", "trace.csv"]
+    assert list((tmp_path / "d").iterdir()) == []
+    assert main(["analyze", "--config", cfg, "--input", tables, "--out-trace", str(trace),
+                 "--out-summary", str(summary)]) == 0
+    assert trace.read_text().startswith("t,id,") and json.loads(summary.read_text())["rows"] == 2
+
+
 def test_simulate_standard_defaults():
     configs = parse_procedures([{"name": n} for n in ("ob", "rho-aob", "lord", "rho-alord")])
     assert all(c.alpha == 0.2 and c.lam == 0.5 for c in configs.values())
@@ -647,11 +674,24 @@ def test_simulate_bad_config(tmp_path, capsys):
         {"sweep": {"axis": "N", "values": [5], "step": 1}, "scenario": small},
         {"sweep": [], "scenario": small},
     ]
+    out = tmp_path / "r.csv"
     for payload in bad:
         cfg = _write_config(tmp_path, payload)
-        out = tmp_path / "r.csv"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2, payload
         _assert_one_error_line(capsys)
+        assert not out.exists()
+    # a procedure listed twice, and --set items that are not key=value or that
+    # set a key under a number: the message names the cause
+    for payload, sets, fragment in [
+            ({"procedures": [{"name": "ob"}, {"name": "ob"}]}, [],
+             "procedures[1]: ob is listed twice"),
+            ({}, ["foo"], "--set expects key=value, got 'foo'"),
+            ({}, ["gamma_prime=5", "gamma_prime.h=3"],
+             "--set gamma_prime.h: gamma_prime is not an object")]:
+        cfg = _write_config(tmp_path, {"scenario": small, **payload})
+        argv = ["simulate", "--config", cfg, "--out", str(out)]
+        assert main([*argv, *(arg for item in sets for arg in ("--set", item))]) == 2, sets
+        _assert_one_error_line(capsys, fragment)
         assert not out.exists()
 
 

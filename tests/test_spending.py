@@ -154,6 +154,8 @@ def test_invalid_parameters_rejected():
                 factory(q)
     with pytest.raises(ValueError):
         make_kernel(0)
+    with pytest.raises(ValueError, match="unknown spending sequence kind 'bogus'"):
+        SpendingSequence(kind="bogus").table(1)
 
 
 def test_kernel_bandwidth_must_be_an_integer():
