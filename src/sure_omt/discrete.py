@@ -87,15 +87,19 @@ def _check_margins(r1: int, r2: int, c1: int) -> None:
         raise ValueError(f"a table's smallest margin must be at most {MAX_MARGIN}")
 
 
+# the p-values of a margin with one feasible table
+_ONE = np.ones(1)
+_ONE.flags.writeable = False
+
+
 @lru_cache(maxsize=4096)
 def fisher_margins(r1: int, r2: int, c1: int) -> tuple[np.ndarray, int, StepCdf]:
     """p-values and null bound for all feasible first cells given the margins.
 
     Returns (pvals, lo, bound), cached per margin: pvals is a read-only float
     array whose entry k - lo is the two-sided p-value when the first cell
-    equals k, and bound jumps at the achievable p-values.  A margin with one
-    feasible table (an empty row or column) takes the same pass: its tail of
-    all tables is 1.0, so it gives p = 1 with support (1.0,).
+    equals k, and bound jumps at the achievable p-values.  Margins with one
+    feasible table (an empty row or column) give p = 1 with support (1.0,).
 
     The pmf is computed in log space with a single exponentiation pass, and
     tail sums are accumulated in ascending pmf order (a stable sort, then a
@@ -105,6 +109,8 @@ def fisher_margins(r1: int, r2: int, c1: int) -> tuple[np.ndarray, int, StepCdf]
     """
     _check_margins(r1, r2, c1)
     lo, hi = max(0, c1 - r2), min(r1, c1)
+    if lo == hi:
+        return _ONE, lo, StepCdf(support=(1.0,))
     n = hi - lo + 1
     # math.exp, not np.exp: the two differ in the last bit on some inputs
     pmf = np.fromiter(map(math.exp, _log_pmf(r1, r2, c1, lo, hi).tolist()), float, n)

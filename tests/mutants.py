@@ -138,9 +138,8 @@ MUTANTS = (
            "spent[j - r0] if j >= r0 else a)", "spent[j - r0] if j >= r0 else a.copy())",
            ("tests/test_batch.py::test_a_base_rule_spends_its_alphas_themselves",)),
     Mutant("fisher-tail-not-one", "discrete.py", "    tail[-1] = 1.0\n", "",
-           ("tests/test_discrete.py::test_fisher_degenerate_margins",
-            "tests/test_discrete.py::"
-            "test_fisher_margins_is_bit_identical_to_the_list_reference_small")),
+           ("tests/test_discrete.py::"
+            "test_fisher_margins_is_bit_identical_to_the_list_reference_small",)),
     Mutant("trial-audits-always-ok", "simulate.py", "return not self.audit_failures",
            "return True",
            ("tests/test_batch.py::test_run_trials_reports_audit_failures_in_trial_order",)),
