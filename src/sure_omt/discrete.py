@@ -45,21 +45,24 @@ _LGAMMA = np.array([math.inf])
 _LGAMMA_CAP = 1 << 20
 
 
-def _lgamma_range(top: int):
-    """A function (a, b) -> math.lgamma over range(a, b), for any b <= top.
+def _lgamma_range(top: int, n: int):
+    """A function (a, b) -> math.lgamma over range(a, b), for any b <= top, for
+    a pass that reads four slices of n values each.
 
-    It slices the shared table, grown to cover ``top``; past the table's cap
-    (a group of a million subjects and more) it computes each value on the
-    spot instead, so memory stays bounded.  The values are the same either
-    way.
+    It slices the shared table, grown to cover ``top`` when the growth adds at
+    most the 4n values the pass reads; otherwise (a few tables of a large
+    group, or a group past the table's cap) it computes each value on the
+    spot, so a pass costs what it reads and memory stays bounded.  The values
+    are the same either way.
     """
     global _LGAMMA
     table = _LGAMMA
     if top > len(table):
-        if top > _LGAMMA_CAP:
-            return lambda a, b: np.fromiter(map(math.lgamma, range(a, b)), float, b - a)
         size = min(max(2 * len(table), top), _LGAMMA_CAP)
-        table = _LGAMMA = np.concatenate([table, [math.lgamma(i) for i in range(len(table), size)]])
+        if top > _LGAMMA_CAP or size - len(table) > 4 * n:
+            return lambda a, b: np.fromiter(map(math.lgamma, range(a, b)), float, b - a)
+        grown = np.fromiter(map(math.lgamma, range(len(table), size)), float, size - len(table))
+        table = _LGAMMA = np.concatenate([table, grown])
     return lambda a, b: table[a:b]
 
 
@@ -67,7 +70,7 @@ def _log_pmf(r1: int, r2: int, c1: int, lo: int, hi: int) -> np.ndarray:
     """log P(first cell = k | margins) for k = lo..hi, with the terms grouped as
     log C(r1, k) + log C(r2, c1 - k) - log C(r1 + r2, c1), each log C(n, k)
     being (lgamma(n + 1) - lgamma(k + 1)) - lgamma(n - k + 1)."""
-    lg, seg = math.lgamma, _lgamma_range(max(r1, r2) + 2)
+    lg, seg = math.lgamma, _lgamma_range(max(r1, r2) + 2, hi - lo + 1)
     base = (lg(r1 + r2 + 1) - lg(c1 + 1)) - lg(r1 + r2 - c1 + 1)
     # lgamma at k + 1, r1 - k + 1, c1 - k + 1 and r2 - c1 + k + 1 for k = lo..hi;
     # in place after the first subtraction of each term, operands in the same order
@@ -87,11 +90,6 @@ def _check_margins(r1: int, r2: int, c1: int) -> None:
         raise ValueError(f"a table's smallest margin must be at most {MAX_MARGIN}")
 
 
-# the p-values of a margin with one feasible table
-_ONE = np.ones(1)
-_ONE.flags.writeable = False
-
-
 @lru_cache(maxsize=4096)
 def fisher_margins(r1: int, r2: int, c1: int) -> tuple[np.ndarray, int, StepCdf]:
     """p-values and null bound for all feasible first cells given the margins.
@@ -109,8 +107,6 @@ def fisher_margins(r1: int, r2: int, c1: int) -> tuple[np.ndarray, int, StepCdf]
     """
     _check_margins(r1, r2, c1)
     lo, hi = max(0, c1 - r2), min(r1, c1)
-    if lo == hi:
-        return _ONE, lo, StepCdf(support=(1.0,))
     n = hi - lo + 1
     # math.exp, not np.exp: the two differ in the last bit on some inputs
     pmf = np.fromiter(map(math.exp, _log_pmf(r1, r2, c1, lo, hi).tolist()), float, n)
@@ -137,13 +133,10 @@ def fisher_margins(r1: int, r2: int, c1: int) -> tuple[np.ndarray, int, StepCdf]
 
 
 def support_to_bound(support) -> StepCdf:
-    """Step CDF jumping exactly at the support points (1 appended if absent)."""
+    """Step CDF jumping exactly at the support points (1 appended if absent);
+    the points must lie in (0, 1]."""
     vals = sorted(set(float(s) for s in support))
-    if any(not 0.0 < s <= 1.0 for s in vals):
-        raise ValueError("support values must lie in (0, 1]")
-    if not vals:
-        vals = [1.0]
-    if vals[-1] != 1.0:
+    if not vals or vals[-1] != 1.0:
         vals.append(1.0)
     return StepCdf(support=tuple(vals))
 

@@ -256,10 +256,6 @@ class OnlineProcedure:
             val = min(self._lam, val)
         return val
 
-    def _clock(self, j: int) -> int:
-        """Value of re-indexation clock j at the next step (j >= 2: investing rules only)."""
-        return 1 + self._n_eligible - (0, self._first, *self._later._starts)[j]
-
     # -- step API ------------------------------------------------------------
 
     def emit_alpha(self) -> float:

@@ -38,7 +38,7 @@ RANGES = {"m": (1, np.iinfo(np.intp).max), "n_trials": (1, np.iinfo(np.intp).max
           "p3": (0.0, 1.0), "p_null_low": (0.0, 1.0), "p_null_mid": (0.0, 1.0)}
 # The most columns (procedures x trials) one run_batch call steps: it caps a
 # chunk's working set, which grows with its columns times the stream length.
-# Picked from a sweep of 32-4096 columns (README "Performance").
+# Picked from a sweep of 32-4096 columns, recorded in CHANGES.md.
 BATCH_COLUMNS = 1024
 
 

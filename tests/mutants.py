@@ -117,6 +117,10 @@ MUTANTS = (
     # the exact tests
     Mutant("fisher-underflow-not-raised", "discrete.py", "if sorted_p[0] == 0.0:", "if False:",
            ("tests/test_discrete.py::test_underflowed_tails_keep_a_valid_bound",)),
+    Mutant("lgamma-table-always-grows", "discrete.py",
+           "if top > _LGAMMA_CAP or size - len(table) > 4 * n:", "if top > _LGAMMA_CAP:",
+           ("tests/test_discrete.py::"
+            "test_a_few_tables_of_a_large_group_leave_the_lgamma_table_as_it_was",)),
     Mutant("exact-tests-bound-ids-without-offset", "simulate.py",
            "return pvals[row, succ_a - lo[row]], row + offset",
            "return pvals[row, succ_a - lo[row]], row",

@@ -1,7 +1,9 @@
 """Reference semantics the tests compare the package against.
 
 Each oracle computes its result from full histories or from first
-principles, independently of the incremental machinery in ``sure_omt``.
+principles, independently of the incremental machinery in ``sure_omt``;
+``machine_clock`` reads that machinery's clocks, to compare them with
+``reindex_clock``.
 """
 
 from __future__ import annotations
@@ -35,6 +37,12 @@ def reindex_clock(lam_flags: Sequence[bool], taus: Sequence[int], j: int, T: int
         start = tau + 2
     # lam_flags[t-1] holds the eligibility of p_t
     return 1 + sum(1 for t in range(start, T + 1) if lam_flags[t - 2])
+
+
+def machine_clock(proc, j: int) -> int:
+    """Clock j of an ``OnlineProcedure`` at its next step, read off the machine's
+    own counters (j >= 2: investing rules only), to compare with ``reindex_clock``."""
+    return 1 + proc._n_eligible - (0, proc._first, *proc._later._starts)[j]
 
 
 def alpha_tilde_oracle(base_values: Sequence[float], p_values: Sequence[float],

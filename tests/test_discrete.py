@@ -100,8 +100,9 @@ def test_support_to_bound():
     f = support_to_bound((0.3, 0.1))
     assert f.support == (0.1, 0.3, 1.0)
     assert f(0.2) == 0.1
-    with pytest.raises(ValueError):
-        support_to_bound((0.0, 1.0))
+    for bad in [(0.0, 1.0), (0.5, 1.5)]:
+        with pytest.raises(ValueError):
+            support_to_bound(bad)
     assert support_to_bound(()).support == (1.0,)
 
 
@@ -267,13 +268,20 @@ def test_fisher_margins_matches_scipy_on_random_tables():
 
 
 def test_lgamma_table_holds_math_lgamma_and_stops_at_its_cap(monkeypatch):
+    """The table grows (by doubling, within its cap) only when the growth adds
+    at most the 4n values a margin with n feasible tables reads."""
     monkeypatch.setattr(discrete, "_LGAMMA", np.array([math.inf]))
     monkeypatch.setattr(discrete, "_LGAMMA_CAP", 64)
-    _assert_identical([(10, 12, 9)])  # lgamma up to index max(r1, r2) + 1
+    _assert_identical([(10, 12, 9)])  # 10 tables: 13 new values for lgamma up to index 13
     assert len(discrete._LGAMMA) == 14
-    _assert_identical([(30, 5, 5)])
+    table = discrete._LGAMMA
+    _assert_identical([(30, 5, 1)])  # 2 tables read 8 values, the growth to 32 adds 18
+    assert discrete._LGAMMA is table
+    _assert_identical([(30, 5, 5)])  # 6 tables read 24 values
     assert len(discrete._LGAMMA) == 32
-    _assert_identical([(40, 5, 5)])  # doubling, stopped at the cap
+    _assert_identical([(40, 5, 5)])  # the doubling to 64 adds 32 values for 24 read
+    assert len(discrete._LGAMMA) == 32
+    _assert_identical([(40, 30, 20)])  # 21 tables: doubling, stopped at the cap
     table = discrete._LGAMMA
     assert len(table) == 64
     assert table[1:].tolist() == [math.lgamma(i) for i in range(1, 64)]
@@ -282,6 +290,16 @@ def test_lgamma_table_holds_math_lgamma_and_stops_at_its_cap(monkeypatch):
     assert discrete._LGAMMA is table
     assert hypergeom_pmf(50, (100, 100, 100)) == math.exp(
         _log_comb(100, 50) + _log_comb(100, 50) - _log_comb(200, 100))
+
+
+@pytest.mark.parametrize("margins", [(10**6, 5, 3), (10**6, 5, 0), (1_048_000, 1_048_000, 5)])
+def test_a_few_tables_of_a_large_group_leave_the_lgamma_table_as_it_was(monkeypatch, margins):
+    """A margin with a large group and a few feasible tables reads its lgamma
+    values one at a time: it costs what it reads, not a table of a million."""
+    table = np.array([math.inf])
+    monkeypatch.setattr(discrete, "_LGAMMA", table)
+    _assert_identical([margins])
+    assert discrete._LGAMMA is table
 
 
 def test_inconsistent_margins_rejected():

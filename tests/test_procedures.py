@@ -17,7 +17,7 @@ from sure_omt.spending import (make_explicit, make_greedy, make_jm_family, make_
                                make_log_family, make_power_law)
 
 from conftest import corrupted_history, random_stream, resummed_base
-from oracles import alpha_tilde_oracle, reindex_clock
+from oracles import alpha_tilde_oracle, machine_clock, reindex_clock
 
 DYADIC = make_explicit(tuple(0.5 ** k for k in range(1, 64)))
 
@@ -90,7 +90,7 @@ def test_alord_uses_per_rejection_clocks():
     assert taus == [4, 8, 9]
     # clocks recomputed from history match the incremental ones read at T=10
     for j in range(len(taus) + 1):
-        assert proc._clock(j) == reindex_clock(proc.lam_flags, taus, j, 10)
+        assert machine_clock(proc, j) == reindex_clock(proc.lam_flags, taus, j, 10)
 
 
 def test_golden_clock_table():
@@ -121,7 +121,7 @@ def test_incremental_clocks_match_recomputation(rng):
                 # investing rule keeps them all, the others clocks 0 and 1
                 for j in range(len(taus) + 1 if RULES[name].investing else min(len(taus), 1) + 1):
                     want = reindex_clock(proc.lam_flags, taus, j, proc.t + 1)
-                    assert proc._clock(j) == want
+                    assert machine_clock(proc, j) == want
                     checked += 1
     assert checked > 4 * 10 * 120
 
