@@ -22,10 +22,10 @@ from contextlib import nullcontext
 
 from .discrete import ContingencyTable2x2, fisher_two_sided
 from .evaluate import open_atomic
-from .procedures import (FWER_NAMES, ProcedureConfig, audit_fwer_budget,
-                         audit_mfdr_budget, make_procedure, parse_name)
+from .procedures import (ProcedureConfig, audit_fwer_budget, audit_mfdr_budget,
+                         make_procedure, parse_name)
 from .simulate import ScenarioConfig, run_sweep, sweep_points
-from .spending import check_keys, json_float, parse_sequence_spec
+from .spending import check_keys, json_float, make_power_law, parse_sequence_spec
 
 CONFIG_ENV_VAR = "SURE_OMT_CONFIG"
 
@@ -36,7 +36,7 @@ KEYS = {"analyze": (("procedure",), (*PROCEDURE_KEYS, "max_rows")),
         "procedures[i]": (("name",), PROCEDURE_KEYS),
         "scenario": ((), tuple(f.name for f in dataclasses.fields(ScenarioConfig))),
         "sweep": (("axis", "values"), ())}
-DEFAULT_GAMMA = {"family": "power", "q": 1.6}
+DEFAULT_GAMMA = make_power_law(1.6)  # one sequence, shared by every config
 # analyze fills in only alpha and lambda; w0 and gamma_prime must be given
 ANALYZE_DEFAULTS = {"alpha": 0.2, "lambda": 0.0}
 # simulate fills in the standard experimental configuration: w0 = alpha/2 for
@@ -88,16 +88,17 @@ def _load_config(path: str | None, overrides: list[str]):
     return config
 
 
-def _procedure(path: str, spec: dict, defaults: dict, default_gamma, configs: dict) -> None:
+def _procedure(path: str, spec: dict, configs: dict) -> None:
     """Add to ``configs`` the config of the entry ``spec`` at ``path`` (the root: analyze's)."""
+    defaults = STANDARD_DEFAULTS if path else ANALYZE_DEFAULTS
     name = spec.pop("name" if path else "procedure")
     rule = parse_name(name)
     if name in configs:
         raise ValueError(f"{name} is listed twice")
     alpha = json_float(spec.get("alpha", defaults["alpha"]), "alpha")
-    if rule.investing and "w0_share" in defaults:
+    if path and rule.investing:
         spec.setdefault("w0", defaults["w0_share"] * alpha)
-    if rule.rewarded and "kernel_h" in defaults:
+    if path and rule.rewarded:
         h = defaults["kernel_h"]["mfdr" if rule.investing else "fwer"]
         spec.setdefault("gamma_prime", {"family": "kernel", "h": h})
     for key, group in (("w0", "investing"), ("gamma_prime", "rewarded")):
@@ -109,32 +110,30 @@ def _procedure(path: str, spec: dict, defaults: dict, default_gamma, configs: di
               for key in ("gamma", "gamma_prime") if key in spec}
     configs[name] = ProcedureConfig(
         alpha=alpha,
-        gamma=gammas.get("gamma", default_gamma),
+        gamma=gammas.get("gamma", DEFAULT_GAMMA),
         lam=json_float(spec.get("lambda", defaults["lambda"]), "lambda"),
         w0=json_float(spec["w0"], "w0") if rule.investing else None,
         gamma_prime=gammas.get("gamma_prime"),
     )
 
 
-def parse_procedures(entries, kind: str = "procedures[i]",
-                     defaults: dict = STANDARD_DEFAULTS) -> dict[str, ProcedureConfig]:
+def parse_procedures(entries, kind: str = "procedures[i]") -> dict[str, ProcedureConfig]:
     """Turn a nonempty list of procedure entries into configs keyed by public name.
 
     An entry of ``kind`` (a simulate entry, or the analyze root) has a name
-    and any of PROCEDURE_KEYS; ``defaults`` fills in the keys left out (see
-    ANALYZE_DEFAULTS and STANDARD_DEFAULTS), and the default gamma is built
-    once and shared.  A config has w0 if and only if the rule is investing,
-    and gamma_prime if and only if it is rewarded; an entry gives lambda only
-    for an adaptive rule.
+    and any of PROCEDURE_KEYS; its kind's defaults fill in the keys left out
+    (ANALYZE_DEFAULTS or STANDARD_DEFAULTS), and every config without a gamma
+    shares DEFAULT_GAMMA.  A config has w0 if and only if the rule is
+    investing, and gamma_prime if and only if it is rewarded; an entry gives
+    lambda only for an adaptive rule.
     """
     if not isinstance(entries, list) or not entries:
         raise InputError("procedures must be a nonempty list")
-    default_gamma = parse_sequence_spec(DEFAULT_GAMMA)
     configs = {}
     for i, entry in enumerate(entries):
         path = "" if kind == "analyze" else f"procedures[{i}]"
         spec = dict(_at(path, check_keys, entry, kind, *KEYS[kind]))
-        _at(path, _procedure, path, spec, defaults, default_gamma, configs)
+        _at(path, _procedure, path, spec, configs)
     return configs
 
 
@@ -160,7 +159,7 @@ def _test_rows(fh, max_rows: int | None):
 
 def cmd_analyze(args) -> int:
     config = _load_config(args.config, args.set or [])
-    [(name, proc_config)] = parse_procedures([config], "analyze", ANALYZE_DEFAULTS).items()
+    [(name, proc_config)] = parse_procedures([config], "analyze").items()
     max_rows = config.get("max_rows")
     if max_rows is not None and (type(max_rows) is not int or max_rows < 0):
         raise InputError(f"max_rows must be a nonnegative integer, got {max_rows!r}")
@@ -179,7 +178,7 @@ def cmd_analyze(args) -> int:
                 dec = proc.observe(result.p_value, result.null_bound)
                 writer.writerow([dec.t, row_id, _fmt(dec.p), _fmt(dec.alpha),
                                  _fmt(dec.rho), _fmt(dec.eps_part), int(dec.reject)])
-            audit = audit_fwer_budget(proc) if name in FWER_NAMES else audit_mfdr_budget(proc)
+            audit = (audit_mfdr_budget if parse_name(name).investing else audit_fwer_budget)(proc)
             summary = {
                 "rows": proc.t,
                 "discoveries": proc.r_count,

@@ -9,8 +9,9 @@ tolerance of 1e-7 for probability ties.
 
 from __future__ import annotations
 
+import functools
 import math
-from functools import lru_cache
+from collections import OrderedDict
 from typing import NamedTuple
 
 import numpy as np
@@ -20,6 +21,10 @@ from .core import StepCdf
 TIE_REL_TOL = 1e-7
 # the largest smallest margin (row or column sum) of a table; the test's cost grows with it
 MAX_MARGIN = 1 << 20
+# fisher_margins keeps at most this many margins, holding at most this many
+# feasible tables between them (tens of MB)
+_CACHE_MARGINS = 4096
+_CACHE_TABLES = 1 << 20
 
 
 class ContingencyTable2x2(NamedTuple):
@@ -90,14 +95,44 @@ def _check_margins(r1: int, r2: int, c1: int) -> None:
         raise ValueError(f"a table's smallest margin must be at most {MAX_MARGIN}")
 
 
-@lru_cache(maxsize=4096)
+def _cached_per_margin(compute):
+    """``compute(r1, r2, c1)``, cached per margin within _CACHE_MARGINS margins
+    and _CACHE_TABLES feasible tables (the length of a result's p-value
+    array): the least recently used margins are evicted first, and a margin
+    with more tables than that is computed and not kept.  ``__wrapped__`` is
+    ``compute``."""
+    cache = OrderedDict()  # least recently used first
+    held = 0               # the tables of the cached margins
+
+    @functools.wraps(compute)
+    def cached(r1: int, r2: int, c1: int):
+        nonlocal held
+        key = (r1, r2, c1)
+        try:
+            cache.move_to_end(key)
+            return cache[key]
+        except KeyError:
+            pass
+        result = compute(r1, r2, c1)
+        n = len(result[0])
+        if n <= _CACHE_TABLES:
+            held += n
+            while held > _CACHE_TABLES or len(cache) >= _CACHE_MARGINS:
+                held -= len(cache.popitem(last=False)[1][0])
+            cache[key] = result
+        return result
+    return cached
+
+
+@_cached_per_margin
 def fisher_margins(r1: int, r2: int, c1: int) -> tuple[np.ndarray, int, StepCdf]:
     """p-values and null bound for all feasible first cells given the margins.
 
-    Returns (pvals, lo, bound), cached per margin: pvals is a read-only float
-    array whose entry k - lo is the two-sided p-value when the first cell
-    equals k, and bound jumps at the achievable p-values.  Margins with one
-    feasible table (an empty row or column) give p = 1 with support (1.0,).
+    Returns (pvals, lo, bound), cached per margin (``_cached_per_margin``):
+    pvals is a read-only float array whose entry k - lo is the two-sided
+    p-value when the first cell equals k, and bound jumps at the achievable
+    p-values.  Margins with one feasible table (an empty row or column) give
+    p = 1 with support (1.0,).
 
     The pmf is computed in log space with a single exponentiation pass, and
     tail sums are accumulated in ascending pmf order (a stable sort, then a

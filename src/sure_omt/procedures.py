@@ -81,7 +81,6 @@ RULES = {
     "alord": Rule("alord"), "rho-alord": Rule("alord", rewarded=True),
     "saffron-capped": Rule("alord", capped=True),
 }
-FWER_NAMES = tuple(name for name, rule in RULES.items() if not rule.investing)
 
 
 def parse_name(name: str) -> Rule:
@@ -237,9 +236,12 @@ class OnlineProcedure:
         self._eps = 0.0                       # carry: alpha - base after p < lambda
         self._pending: tuple[float, float, float, float] | None = None
 
-    # -- base rules ---------------------------------------------------------
+    # -- step API ------------------------------------------------------------
 
-    def _base_alpha(self) -> float:
+    def emit_alpha(self) -> float:
+        """Critical value for the next time index; must precede observe()."""
+        if self._pending is not None:
+            raise RuntimeError("observe() must be called before the next emit_alpha()")
         # OB and LORD are AOB and ALORD with lambda = 0: every step is eligible,
         # so clock 0 is T and clock j is T minus the j-th rejection time
         c0 = 1 + self._n_eligible
@@ -247,22 +249,14 @@ class OnlineProcedure:
             self._gtab = self._g.table(c0)
         gtab = self._gtab
         if not self._investing:
-            return self._alpha * (1.0 - self._lam) * gtab.item(c0)
-        alpha, w0 = self._alpha, self._w0
-        b1 = gtab.item(c0 - self._first) if self.r_count else 0.0
-        s = self._later.read(c0)
-        val = (1.0 - self._lam) * (w0 * gtab.item(c0) + (alpha - w0) * b1 + alpha * s)
-        if self._capped:
-            val = min(self._lam, val)
-        return val
-
-    # -- step API ------------------------------------------------------------
-
-    def emit_alpha(self) -> float:
-        """Critical value for the next time index; must precede observe()."""
-        if self._pending is not None:
-            raise RuntimeError("observe() must be called before the next emit_alpha()")
-        base = self._base_alpha()
+            base = self._alpha * (1.0 - self._lam) * gtab.item(c0)
+        else:
+            alpha, w0 = self._alpha, self._w0
+            b1 = gtab.item(c0 - self._first) if self.r_count else 0.0
+            s = self._later.read(c0)
+            base = (1.0 - self._lam) * (w0 * gtab.item(c0) + (alpha - w0) * b1 + alpha * s)
+            if self._capped:
+                base = min(self._lam, base)
         if self.rewarded:
             sure = self._reward_sums.read(self._t_next)
             eps = self._eps
@@ -346,13 +340,12 @@ class NullBounds:
         points = np.sort(flat)  # np.unique would import numpy.ma
         self._points = points[np.concatenate(([True], points[1:] != points[:-1]))]
         width = len(self._points) + 1
-        owner = np.repeat(np.arange(n), lens)
-        keys = np.concatenate((np.arange(n) * width,
-                               owner * width + np.searchsorted(self._points, flat) + 1))
-        order = np.argsort(keys, kind="stable")
-        self._keys = keys[order]
+        # each bound's key, then its points' keys, ascending: in order already
+        keys = np.repeat(np.arange(n) * width, lens) + np.searchsorted(self._points, flat) + 1
+        firsts = np.cumsum(lens) - lens
+        self._keys = np.insert(keys, firsts, np.arange(n) * width)
         # F at the last key <= q, which is at searchsorted(keys, q, "right") - 1
-        self._vals_before = np.concatenate(([0.0], np.concatenate((np.zeros(n), flat))[order]))
+        self._vals_before = np.concatenate(([0.0], np.insert(flat, firsts, 0.0)))
         self._start = self.ids * width
         identity = np.fromiter((b.exact_identity for b in table), bool, n)
         self._identity = identity[self.ids] if identity.any() else None
@@ -386,7 +379,7 @@ class _BlockBases:
     clock 0, plus alpha - w0 times gamma at clock 1 from the first rejection
     on, and ``s`` the per-step sums of gamma at the later clocks.  So the
     values of a step, read once the rejections before it are in, are bit for
-    bit ``OnlineProcedure._base_alpha``.  The investing rows come first, and
+    bit the base of ``OnlineProcedure.emit_alpha``.  The investing rows come first, and
     only they keep ``s`` and ``alpha_j``.
     """
 
@@ -431,8 +424,8 @@ class _BlockBases:
         """The investing rows' reject flags (n x K) of step i (0-based): rebuild
         the values after it of the streams that reject."""
         rows = rejects.reshape(-1).nonzero()[0]
-        cols = slice(i + 1, None)
-        if not len(rows) or i + 1 == self._s_rows.shape[1]:
+        cols = slice(i + 1, None)  # empty at the last step: every update below is a no-op
+        if not len(rows):
             return
         clock0 = self._clock0[self._clock_of[rows], cols]
         # the new clock reads 1 at step i + 1, then 1 + clock 0 - clock 0 there

@@ -96,8 +96,8 @@ MUTANTS = (
     Mutant("carry-dropped", "procedures.py", "self._eps = 0.0 if eligible else alpha - base",
            "self._eps = 0.0", (FIELDS,)),
     Mutant("bonferroni-without-one-minus-lambda", "procedures.py",
-           "return self._alpha * (1.0 - self._lam) * gtab.item(c0)",
-           "return self._alpha * gtab.item(c0)",
+           "base = self._alpha * (1.0 - self._lam) * gtab.item(c0)",
+           "base = self._alpha * gtab.item(c0)",
            ("tests/test_procedures.py::test_aob_clock_freezes_on_small_p",)),
     Mutant("later-rejection-a-clock-late", "procedures.py",
            "self._later.add(self._n_eligible, 1.0)", "self._later.add(self._n_eligible + 1, 1.0)",
@@ -151,6 +151,21 @@ MUTANTS = (
            "identity = np.fromiter((b.exact_identity for b in table), bool, n)",
            "identity = np.zeros(n, dtype=bool)",
            ("tests/test_batch.py::test_null_bounds_match_step_cdf",)),
+    # the exact error rates, enumerated: a bound read low, a level that reads p_t
+    Mutant("null-bound-one-point-low", "procedures.py",
+           'out = self._vals_before[self._keys.searchsorted(q, "right")]',
+           'out = self._vals_before[self._keys.searchsorted(q, "right") - 1]',
+           ("tests/test_exact_rates.py::test_exact_error_rates_stay_within_alpha",)),
+    Mutant("level-reads-its-own-p-value", "procedures.py",
+           "np.cumsum(flags[:, :, :-1], axis=2, out=clock0[:, :, 1:])\n"
+           "    clock0[:, :, 1:] += 1\n",
+           "np.cumsum(flags, axis=2, out=clock0)\n    clock0 += 1\n",
+           ("tests/test_exact_rates.py::test_false_rejections_equal_the_null_mass_spent",)),
+    # the exact-test cache keeps its budget
+    Mutant("margin-cache-never-evicts", "discrete.py",
+           "held -= len(cache.popitem(last=False)[1][0])", "break",
+           ("tests/test_discrete.py::"
+            "test_the_cache_keeps_its_tables_within_budget_and_the_recently_used_margins",)),
     Mutant("sweep-grouped-by-size", "simulate.py",
            "key=lambda point: (id(point.configs), point.scenario.m)",
            "key=lambda point: (len(point.configs), point.scenario.m)",

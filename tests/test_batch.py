@@ -16,7 +16,7 @@ from sure_omt.core import IDENTITY_BOUND
 from sure_omt.discrete import fisher_margins, support_to_bound
 from sure_omt.evaluate import (EvalReport, TrialOutcome, estimate_fwer, estimate_mfdr,
                                estimate_power)
-from sure_omt.procedures import (FWER_NAMES, RULES, AuditReport, NullBounds, ProcedureConfig,
+from sure_omt.procedures import (RULES, AuditReport, NullBounds, ProcedureConfig,
                                  audit_fwer_budget, audit_mfdr_budget, make_procedure,
                                  run_batch)
 from sure_omt.simulate import (BATCH_COLUMNS, ScenarioConfig, TrialResults, TrialStream,
@@ -446,7 +446,7 @@ def _loop_run_trials(scenario, configs):
             for p, bound in zip(stream.pvals, stream.bounds):
                 proc.step(p, bound)
             outcomes[name].append(TrialOutcome(proc.rejects, stream.labels))
-            rep = audit_fwer_budget(proc) if name in FWER_NAMES else audit_mfdr_budget(proc)
+            rep = audit_mfdr_budget(proc) if RULES[name].investing else audit_fwer_budget(proc)
             if not rep.ok:
                 failures.append((name, i))
     return TrialResults(outcomes=outcomes, audit_failures=failures)

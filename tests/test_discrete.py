@@ -1,6 +1,7 @@
 import bisect
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -158,6 +159,42 @@ def test_cached_p_values_are_read_only_and_a_result_holds_a_float(margins):
     r1, r2, c1 = margins
     r = fisher_two_sided(ContingencyTable2x2(lo, r1 - lo, c1 - lo, r2 - c1 + lo))
     assert type(r.p_value) is float and r.p_value == pvals[0]
+
+
+def test_the_cache_keeps_its_tables_within_budget_and_the_recently_used_margins(monkeypatch):
+    """Distinct margins with 8x the cache's table budget between them leave at
+    most the budget cached, so memory stays bounded; a small margin read
+    between them stays a hit, since the least recently used margins go first."""
+    budget = 1 << 13
+    monkeypatch.setattr(discrete, "_CACHE_TABLES", budget)
+    small = fisher_margins(3, 3, 3)[0]
+    fisher_margins(1024, 1024, 1024)  # the lgamma table grows before tracing
+    tracemalloc.start()
+    try:
+        for k in range(64):  # 1025 - k tables each: 64k in all
+            fisher_margins(1024, 1024, 1024 + k)
+            assert fisher_margins(3, 3, 3)[0] is small
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a cached table costs at most about 40 bytes (a p-value, a support point
+    # and its slot), and one margin's pass under 256 kB; keeping every margin
+    # would hold about 1.4 MB
+    assert peak < 40 * budget + (256 << 10)
+
+
+def test_the_cache_keeps_at_most_its_margins_and_no_margin_past_its_budget(monkeypatch):
+    """The least recently used margin goes when one more would pass the margin
+    count, and a margin with more tables than the whole budget is not kept."""
+    monkeypatch.setattr(discrete, "_CACHE_MARGINS", 4)
+    monkeypatch.setattr(discrete, "_CACHE_TABLES", 100)
+    margins = [(8, 7, c1) for c1 in range(5)]
+    first = [fisher_margins(*m)[0] for m in margins]
+    assert all(fisher_margins(*m)[0] is p for m, p in zip(margins[1:], first[1:]))
+    assert fisher_margins(*margins[0])[0] is not first[0]  # evicted for the fifth
+    over = fisher_margins(100, 100, 100)[0]  # 101 tables: computed, not kept
+    assert fisher_margins(100, 100, 100)[0] is not over
+    assert fisher_margins(*margins[-1])[0] is first[-1]
 
 
 def test_exact_test_result_is_an_immutable_named_tuple():

@@ -1,9 +1,15 @@
 """``sure-omt`` keeps its recorded output bits (see golden.py)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import sure_omt
 from sure_omt.simulate import BATCH_COLUMNS
 
 from golden import (ANALYZE_CASES, CASES, GOLDEN_PATH, STREAM_CASES, WIDE_CASE,
@@ -68,3 +74,46 @@ def test_plotdata_digests(tables):
 def test_stream_digests(case, stream):
     _check(f"stream case {case!r}", GOLDEN["stream"][case],
            stream_digests(STREAM_CASES[case], stream))
+
+
+# a few cases of each kind, recomputed with numpy's SIMD dispatch off: a
+# simulate case, analyze with a power, log and jm gamma', and a power stream
+DISPATCH_CASES = {
+    "simulate": ["none"],
+    "analyze": ["rho-ob/power/lambda=0.0", "rho-lord/log/lambda=0.0", "rho-aob/jm/lambda=0.5"],
+    "stream": ["rho-ob/power/lambda=0.0"],
+}
+DISPATCH_SCRIPT = """
+import json, pathlib, sys, tempfile
+import numpy._core._multiarray_umath as umath
+import golden
+cases = json.loads(sys.argv[1])
+with tempfile.TemporaryDirectory() as tmp:
+    tables = pathlib.Path(tmp) / "tables.csv"
+    golden.write_tables(tables)
+    out = {"simulate": {c: golden.simulate_digests(golden.CASES[c]) for c in cases["simulate"]},
+           "analyze": {c: golden.analyze_digests(golden.ANALYZE_CASES[c], tables)
+                       for c in cases["analyze"]}}
+stream = golden.stream_trial()
+out["stream"] = {c: golden.stream_digests(golden.STREAM_CASES[c], stream) for c in cases["stream"]}
+out["dispatched"] = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]]
+print(json.dumps(out))
+"""
+
+
+def test_digests_do_not_depend_on_numpy_simd_dispatch():
+    """numpy picks a SIMD kernel for the CPU it runs on, and its pow and exp
+    kernels round differently from each other and from math.pow and math.exp.
+    With every dispatched feature disabled (the baseline cannot be), the
+    digests are the recorded ones: no output reads those kernels."""
+    features = np._core._multiarray_umath.__cpu_dispatch__
+    path = os.pathsep.join([str(Path(sure_omt.__file__).parents[1]), str(Path(__file__).parent)])
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(features), "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", DISPATCH_SCRIPT, json.dumps(DISPATCH_CASES)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    assert got.pop("dispatched") == []
+    for kind, cases in got.items():
+        for case, digests in cases.items():
+            _check(f"{kind} case {case!r} without SIMD dispatch", GOLDEN[kind][case], digests)
