@@ -5,6 +5,10 @@ The two-sided p-value is the minimum-likelihood convention: sum the
 probabilities of all tables (given the margins) whose conditional
 probability does not exceed that of the observed table, with a relative
 tolerance of 1e-7 for probability ties.
+
+Every exact test runs through one pass over many margins
+(``fisher_margins_batch``), bit for bit what each margin gives alone; a
+single margin is a pass of one.
 """
 
 from __future__ import annotations
@@ -25,6 +29,12 @@ MAX_MARGIN = 1 << 20
 # feasible tables between them (tens of MB)
 _CACHE_MARGINS = 4096
 _CACHE_TABLES = 1 << 20
+# a pass of the exact test holds margins with at most this many cells in its
+# (margins x tables) block, or one margin with more tables than that: its
+# temporaries stay under 1 MB
+_PASS_CELLS = 4096
+# the sign of k in the lgamma arguments k + 1, r1 - k + 1, c1 - k + 1, r2 - c1 + k + 1
+_SIGNS = np.array([1, -1, -1, 1])
 
 
 class ContingencyTable2x2(NamedTuple):
@@ -50,89 +60,224 @@ _LGAMMA = np.array([math.inf])
 _LGAMMA_CAP = 1 << 20
 
 
-def _lgamma_range(top: int, n: int):
-    """A function (a, b) -> math.lgamma over range(a, b), for any b <= top, for
-    a pass that reads four slices of n values each.
+def _grown_lgamma(tops: list[int], n: int) -> np.ndarray:
+    """The shared lgamma table, for a pass of n feasible tables in all whose
+    margins read lgamma below ``tops``, four values per table.
 
-    It slices the shared table, grown to cover ``top`` when the growth adds at
-    most the 4n values the pass reads; otherwise (a few tables of a large
-    group, or a group past the table's cap) it computes each value on the
-    spot, so a pass costs what it reads and memory stays bounded.  The values
-    are the same either way.
+    The table grows to cover the largest top within its cap when the growth
+    adds at most the 4n values the pass reads; the margins it does not cover
+    (a few tables of a large group, or a group past the cap) compute their
+    values one at a time, so a pass costs what it reads and memory stays
+    bounded.  The values are the same either way.
     """
     global _LGAMMA
     table = _LGAMMA
-    if top > len(table):
+    if max(tops) > len(table):
+        top = max((t for t in tops if t <= _LGAMMA_CAP), default=0)
         size = min(max(2 * len(table), top), _LGAMMA_CAP)
-        if top > _LGAMMA_CAP or size - len(table) > 4 * n:
-            return lambda a, b: np.fromiter(map(math.lgamma, range(a, b)), float, b - a)
-        grown = np.fromiter(map(math.lgamma, range(len(table), size)), float, size - len(table))
-        table = _LGAMMA = np.concatenate([table, grown])
-    return lambda a, b: table[a:b]
+        if top > len(table) and size - len(table) <= 4 * n:
+            grown = np.fromiter(map(math.lgamma, range(len(table), size)), float,
+                                size - len(table))
+            table = _LGAMMA = np.concatenate([table, grown])
+    return table
 
 
-def _log_pmf(r1: int, r2: int, c1: int, lo: int, hi: int) -> np.ndarray:
-    """log P(first cell = k | margins) for k = lo..hi, with the terms grouped as
-    log C(r1, k) + log C(r2, c1 - k) - log C(r1 + r2, c1), each log C(n, k)
-    being (lgamma(n + 1) - lgamma(k + 1)) - lgamma(n - k + 1)."""
-    lg, seg = math.lgamma, _lgamma_range(max(r1, r2) + 2, hi - lo + 1)
-    base = (lg(r1 + r2 + 1) - lg(c1 + 1)) - lg(r1 + r2 - c1 + 1)
-    # lgamma at k + 1, r1 - k + 1, c1 - k + 1 and r2 - c1 + k + 1 for k = lo..hi;
-    # in place after the first subtraction of each term, operands in the same order
-    comb1 = np.subtract(lg(r1 + 1), seg(lo + 1, hi + 2))
-    comb1 -= seg(r1 - hi + 1, r1 - lo + 2)[::-1]
-    comb2 = np.subtract(lg(r2 + 1), seg(c1 - hi + 1, c1 - lo + 2)[::-1])
-    comb2 -= seg(r2 - c1 + lo + 1, r2 - c1 + hi + 2)
-    comb1 += comb2
-    comb1 -= base
-    return comb1
+def _check_smallest_margin(smallest: int) -> None:
+    # a margin has smallest + 1 feasible tables; checked before any array is made
+    if smallest > MAX_MARGIN:
+        raise ValueError(f"a table's smallest margin must be at most {MAX_MARGIN}")
 
 
 def _check_margins(r1: int, r2: int, c1: int) -> None:
     if min(r1, r2, c1) < 0 or c1 > r1 + r2:
         raise ValueError(f"inconsistent margins {(r1, r2, c1)}")
-    if min(r1, r2, c1, r1 + r2 - c1) > MAX_MARGIN:  # before any array is made
-        raise ValueError(f"a table's smallest margin must be at most {MAX_MARGIN}")
+    _check_smallest_margin(min(r1, r2, c1, r1 + r2 - c1))
+
+
+def table_margins(table: ContingencyTable2x2) -> tuple[int, int, int]:
+    """The margins (r1, r2, c1) of a table: its row sums and first column sum.
+    A negative cell or margins the exact test cannot take raise ValueError."""
+    a, b, c, d = table
+    if min(a, b, c, d) < 0:
+        raise ValueError("cell counts must be nonnegative")
+    _check_smallest_margin(min(a + b, c + d, a + c, b + d))
+    return a + b, c + d, a + c
 
 
 def _cached_per_margin(compute):
-    """``compute(r1, r2, c1)``, cached per margin within _CACHE_MARGINS margins
-    and _CACHE_TABLES feasible tables (the length of a result's p-value
-    array): the least recently used margins are evicted first, and a margin
-    with more tables than that is computed and not kept.  ``__wrapped__`` is
-    ``compute``."""
+    """``compute(margins)`` for a list of margins, cached per margin within
+    _CACHE_MARGINS margins and _CACHE_TABLES feasible tables (the length of a
+    result's p-value array): it computes each distinct margin not cached once,
+    in one call; the least recently used margins are evicted first, and a
+    margin with more tables than that is computed and not kept.
+    ``__wrapped__`` is ``compute``."""
     cache = OrderedDict()  # least recently used first
     held = 0               # the tables of the cached margins
 
     @functools.wraps(compute)
-    def cached(r1: int, r2: int, c1: int):
+    def cached(margins):
         nonlocal held
-        key = (r1, r2, c1)
-        try:
-            cache.move_to_end(key)
-            return cache[key]
-        except KeyError:
-            pass
-        result = compute(r1, r2, c1)
-        n = len(result[0])
-        if n <= _CACHE_TABLES:
-            held += n
-            while held > _CACHE_TABLES or len(cache) >= _CACHE_MARGINS:
-                held -= len(cache.popitem(last=False)[1][0])
-            cache[key] = result
-        return result
+        results = []
+        missing = {}  # each margin not cached, with its places in results
+        for key in margins:
+            try:
+                cache.move_to_end(key)
+                results.append(cache[key])
+            except KeyError:
+                missing.setdefault(key, []).append(len(results))
+                results.append(None)
+        for key, result in zip(missing, compute(list(missing)) if missing else ()):
+            for i in missing[key]:
+                results[i] = result
+            n = len(result[0])
+            if n <= _CACHE_TABLES:
+                held += n
+                while held > _CACHE_TABLES or len(cache) >= _CACHE_MARGINS:
+                    held -= len(cache.popitem(last=False)[1][0])
+                cache[key] = result
+        return results
     return cached
 
 
 @_cached_per_margin
+def fisher_margins_batch(margins: list[tuple[int, int, int]]) -> list[
+        tuple[np.ndarray, int, StepCdf]]:
+    """``fisher_margins`` of each margin (r1, r2, c1), cached per margin
+    (``_cached_per_margin``).
+
+    The margins not cached are tested together, in passes: a pass holds
+    margins with about as many feasible tables each, in a block of at most
+    _PASS_CELLS cells (or one margin with more tables than that), and does
+    every floating-point operation of a margin tested alone, in the same order.
+    """
+    los, ns, tops = [], [], []
+    for r1, r2, c1 in margins:
+        _check_margins(r1, r2, c1)
+        lo = max(0, c1 - r2)
+        los.append(lo)
+        ns.append(min(r1, c1) - lo + 1)
+        tops.append(max(r1, r2) + 2)
+    table = _grown_lgamma(tops, sum(ns))
+    # (not covered by the table, tables, margin): the covered margins first
+    order = sorted(zip([top > len(table) for top in tops], ns, range(len(margins))))
+    results = [None] * len(margins)
+    start = 0
+    while start < len(order):
+        far = order[start][0]
+        stop = start + 1
+        while (stop < len(order) and order[stop][0] == far
+               and (stop - start + 1) * order[stop][1] <= _PASS_CELLS):
+            stop += 1
+        ids = [i for _, _, i in order[start:stop]]
+        done = _exact_pass([margins[i] for i in ids], [los[i] for i in ids],
+                           [ns[i] for i in ids], None if far else table)
+        for i, result in zip(ids, done):
+            results[i] = result
+        start = stop
+    return results
+
+
+def _exact_pass(margins, los, ns, table):
+    """The exact tests of B margins with ns feasible tables (ascending) as one
+    block of B rows and w = ns[-1] columns: row i holds the tables k = lo_i +
+    j of margin i in its first ns[i] columns, and padding after them.
+
+    The lgamma values are read from ``table``, or computed one at a time when
+    it is None.  The log-pmf of a table is grouped as log C(r1, k) + log C(r2,
+    c1 - k) - log C(r1 + r2, c1), each log C(n, k) being (lgamma(n + 1) -
+    lgamma(k + 1)) - lgamma(n - k + 1).
+    """
+    B, w = len(ns), ns[-1]
+    padded = ns[0] < w
+    if padded:
+        n = np.array(ns)
+        valid = np.arange(w) < n[:, None]
+    # lgamma at k + 1, r1 - k + 1, c1 - k + 1 and r2 - c1 + k + 1 for k = lo:
+    # at k = lo + j, each moves by its sign in _SIGNS times j
+    firsts = [(lo + 1, r1 + 1 - lo, c1 + 1 - lo, r2 - c1 + 1 + lo)
+              for (r1, r2, c1), lo in zip(margins, los)]
+    if table is not None:
+        # clipped, the padding reads inf at index 0 or a finite value, so its
+        # log-pmf is -inf or finite, never nan
+        lg = table.take(np.array(firsts)[:, :, None] + _SIGNS[:, None] * np.arange(w),
+                        mode="clip")
+    else:
+        lg = np.zeros((B, 4, w))
+        for row, first, m in zip(lg, firsts, ns):
+            for out, a, sign in zip(row, first, _SIGNS.tolist()):
+                out[:m] = np.fromiter(map(math.lgamma, range(a, a + sign * m, sign)), float, m)
+    # lgamma(r1 + 1), lgamma(r2 + 1) and log C(r1 + r2, c1)
+    f = math.lgamma
+    heads = np.array([(f(r1 + 1), f(r2 + 1), (f(r1 + r2 + 1) - f(c1 + 1)) - f(r1 + r2 - c1 + 1))
+                      for r1, r2, c1 in margins])
+    # in place after the first subtraction of each term, operands in the same order
+    logs = np.subtract(heads[:, 0, None], lg[:, 0])
+    logs -= lg[:, 1]
+    comb2 = np.subtract(heads[:, 1, None], lg[:, 2])
+    comb2 -= lg[:, 3]
+    logs += comb2
+    logs -= heads[:, 2, None]
+    # math.exp, not np.exp: the two differ in the last bit on some inputs
+    if padded:
+        pmf = np.full((B, w), np.inf)  # the padding sorts last in its row
+        pmf[valid] = np.fromiter(map(math.exp, logs[valid].tolist()), float, sum(ns))
+    else:
+        pmf = np.fromiter(map(math.exp, logs.ravel().tolist()), float, B * w).reshape(B, w)
+    # each margin's stable argsort, as indices into the block
+    order = pmf.argsort(axis=1, kind="stable")
+    if B > 1:
+        order += np.arange(0, B * w, w)[:, None]
+    sorted_pmf = pmf.take(order)
+    # tail[i, j]: the mass of the j + 1 least likely tables of margin i, summed
+    # left to right and capped at 1; the tail of all of them is 1
+    tail = sorted_pmf.cumsum(axis=1)
+    np.minimum(tail, 1.0, out=tail)
+    tail[:, -1] = 1.0
+    if padded:
+        tail[np.arange(B), n - 1] = 1.0
+    # p of the table at a sorted position: the tail up to the last position of
+    # its margin with a pmf at most its own, up to the tie tolerance (its own
+    # position unless the next one ties it); nondecreasing in each margin
+    bound = sorted_pmf * (1.0 + TIE_REL_TOL)
+    ties = sorted_pmf[:, 1:] <= bound[:, :-1]
+    if padded:
+        ties &= valid[:, 1:]
+    if ties.any():
+        for i in np.flatnonzero(ties.any(axis=1)).tolist():
+            row = tail[i, :ns[i]]
+            row[:] = row[sorted_pmf[i, :ns[i]].searchsorted(bound[i, :ns[i]], side="right") - 1]
+    sorted_p = tail.ravel()
+    if 0.0 in sorted_p[::w].tolist():
+        zero = tail == 0.0
+        sorted_p = np.where(zero, tail[np.arange(B), zero.sum(axis=1), None], tail).ravel()
+    first = np.empty(B * w, dtype=bool)
+    np.not_equal(sorted_p[1:], sorted_p[:-1], out=first[1:])
+    first[::w] = True
+    if padded:
+        first &= valid.ravel()
+    # each margin's support, one after the other: increasing, in (0, 1] and
+    # ending at the tail of all its tables, 1.0
+    points = sorted_p[first].tolist()
+    ends = first.reshape(B, w).sum(axis=1).cumsum().tolist()
+    pvals = np.empty(B * w)
+    pvals[order.ravel()] = sorted_p
+    results, at, bound_of = [], 0, StepCdf._unchecked
+    for start, lo, m, end in zip(range(0, B * w, w), los, ns, ends):
+        own = pvals[start:start + m].copy()  # not a view: the cache counts its tables
+        own.setflags(write=False)  # shared by every caller of the cache
+        results.append((own, lo, bound_of(tuple(points[at:end]))))
+        at = end
+    return results
+
+
 def fisher_margins(r1: int, r2: int, c1: int) -> tuple[np.ndarray, int, StepCdf]:
     """p-values and null bound for all feasible first cells given the margins.
 
-    Returns (pvals, lo, bound), cached per margin (``_cached_per_margin``):
-    pvals is a read-only float array whose entry k - lo is the two-sided
-    p-value when the first cell equals k, and bound jumps at the achievable
-    p-values.  Margins with one feasible table (an empty row or column) give
-    p = 1 with support (1.0,).
+    Returns (pvals, lo, bound), from a pass of one margin
+    (``fisher_margins_batch``): pvals is a read-only float array whose entry
+    k - lo is the two-sided p-value when the first cell equals k, and bound
+    jumps at the achievable p-values.  Margins with one feasible table (an
+    empty row or column) give p = 1 with support (1.0,).
 
     The pmf is computed in log space with a single exponentiation pass, and
     tail sums are accumulated in ascending pmf order (a stable sort, then a
@@ -140,31 +285,7 @@ def fisher_margins(r1: int, r2: int, c1: int) -> tuple[np.ndarray, int, StepCdf]
     that underflow give p = 0.0, which is raised to the smallest positive
     p-value of the margin: the bound keeps F(u) <= u.
     """
-    _check_margins(r1, r2, c1)
-    lo, hi = max(0, c1 - r2), min(r1, c1)
-    n = hi - lo + 1
-    # math.exp, not np.exp: the two differ in the last bit on some inputs
-    pmf = np.fromiter(map(math.exp, _log_pmf(r1, r2, c1, lo, hi).tolist()), float, n)
-    order = pmf.argsort(kind="stable")
-    sorted_pmf = pmf[order]
-    # tail[j]: the mass of the j + 1 least likely tables, capped at 1; the
-    # tail of all of them is 1
-    tail = sorted_pmf.cumsum()
-    np.minimum(tail, 1.0, out=tail)
-    tail[-1] = 1.0
-    # p of the table at sorted position i: the tail up to the last j with
-    # sorted_pmf[j] <= sorted_pmf[i], up to the tie tolerance; nondecreasing
-    sorted_p = tail[sorted_pmf.searchsorted(sorted_pmf * (1.0 + TIE_REL_TOL), side="right") - 1]
-    if sorted_p[0] == 0.0:
-        sorted_p[sorted_p == 0.0] = sorted_p[sorted_p > 0.0][0]
-    first = np.empty(n, dtype=bool)
-    first[0] = True
-    np.not_equal(sorted_p[1:], sorted_p[:-1], out=first[1:])
-    pvals = np.empty(n)
-    pvals[order] = sorted_p
-    pvals.flags.writeable = False  # shared by every caller of the cache
-    # increasing, in (0, 1] and ending at tail[-1] = 1.0 by construction
-    return pvals, lo, StepCdf._unchecked(tuple(sorted_p[first].tolist()))
+    return fisher_margins_batch([(r1, r2, c1)])[0]
 
 
 def support_to_bound(support) -> StepCdf:
@@ -178,8 +299,5 @@ def support_to_bound(support) -> StepCdf:
 
 def fisher_two_sided(table: ContingencyTable2x2) -> ExactTestResult:
     """Two-sided Fisher exact test with the achievable p-value support."""
-    a, b, c, d = table
-    if min(a, b, c, d) < 0:
-        raise ValueError("cell counts must be nonnegative")
-    pvals, lo, bound = fisher_margins(a + b, c + d, a + c)
-    return ExactTestResult(pvals.item(a - lo), bound.support, bound)
+    pvals, lo, bound = fisher_margins(*table_margins(table))
+    return ExactTestResult(pvals.item(table[0] - lo), bound.support, bound)

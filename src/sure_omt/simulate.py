@@ -22,10 +22,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import StepCdf
-from .discrete import MAX_MARGIN, fisher_margins
+from .discrete import MAX_MARGIN, fisher_margins_batch
 from .evaluate import (EvalReport, TrialOutcome, estimate_fwer, estimate_mfdr,
                        estimate_power)
-from .procedures import NullBounds, ProcedureConfig, run_batch
+from .procedures import NullBounds, ProcedureConfig, parse_name, run_batch
 from .spending import json_number, make_kernel
 
 PLACEMENTS = ("B", "E", "BM", "BE", "ME", "Random")
@@ -36,9 +36,9 @@ SWEEP_AXES = (*SCENARIO_AXES, "lambda", "h")
 RANGES = {"m": (1, np.iinfo(np.intp).max), "n_trials": (1, np.iinfo(np.intp).max),
           "n_subjects": (0, MAX_MARGIN), "seed": (0, float("inf")), "pi_a": (0.0, 1.0),
           "p3": (0.0, 1.0), "p_null_low": (0.0, 1.0), "p_null_mid": (0.0, 1.0)}
-# The most columns (procedures x trials) one run_batch call steps: it caps a
-# chunk's working set, which grows with its columns times the stream length.
-# Picked from a sweep of 32-4096 columns, recorded in CHANGES.md.
+# The most columns (stepped procedures x trials) one run_batch call steps: it
+# caps a chunk's working set, which grows with its columns times the stream
+# length.  Picked from a sweep of 32-4096 columns, recorded in CHANGES.md.
 BATCH_COLUMNS = 1024
 
 
@@ -130,8 +130,9 @@ def _draw(config: ScenarioConfig, trial_index: int):
 def _exact_tests(n: int, succ_a: np.ndarray, succ_b: np.ndarray, table: list[StepCdf]):
     """The p-value and null-bound index of each N-vs-N table (a, n - a, c, n - c).
 
-    One ``fisher_margins`` lookup per distinct margin c1 = a + c: row i of the
-    p-value table holds margin i's p-value of first cell lo_i + j in column j.
+    The distinct margins c1 = a + c are tested in one ``fisher_margins_batch``
+    call: row i of the p-value table holds margin i's p-value of first cell
+    lo_i + j in column j.
     The margins' bounds are appended to ``table``; the index of each table's
     bound points into it.  Draws of any shape give arrays of that shape.
     """
@@ -140,7 +141,7 @@ def _exact_tests(n: int, succ_a: np.ndarray, succ_b: np.ndarray, table: list[Ste
     row_of[c1] = 1  # marks the margins that occur, then holds their row
     present = row_of.nonzero()[0]
     row_of[present] = np.arange(len(present))
-    margins = [fisher_margins(n, n, c) for c in present.tolist()]
+    margins = fisher_margins_batch([(n, n, c) for c in present.tolist()])
     pvals = np.zeros((len(margins), max(len(pv) for pv, _, _ in margins)))
     for i, (pv, _, _) in enumerate(margins):
         pvals[i, :len(pv)] = pv
@@ -177,7 +178,9 @@ class TrialResults:
 def _run_stacked(scenarios: Sequence[ScenarioConfig],
                  configs: dict[str, ProcedureConfig]) -> list[TrialResults]:
     """Every trial of every scenario (all of one stream length), in chunks of at
-    most ``BATCH_COLUMNS // len(configs)`` trials; a chunk may span scenarios.
+    most BATCH_COLUMNS // P trials, P the procedures ``run_batch`` steps through
+    time (the investing and rewarded ones; OB and AOB take no step loop); a
+    chunk may span scenarios.
 
     Each chunk is drawn, gets one exact-test table per run of one scenario and
     one ``NullBounds``, runs as one batch and is audited; only its reject
@@ -187,7 +190,8 @@ def _run_stacked(scenarios: Sequence[ScenarioConfig],
     labels = np.empty((len(trials), scenarios[0].m), dtype=bool)
     rejects = {name: np.empty(labels.shape, dtype=bool) for name in configs}
     passed: dict[str, list[bool]] = {name: [] for name in configs}
-    size = max(1, BATCH_COLUMNS // max(1, len(configs)))
+    stepped = sum(rule.investing or rule.rewarded for rule in map(parse_name, configs))
+    size = max(1, BATCH_COLUMNS // max(1, stepped))
     for lo in range(0, len(trials), size):
         rows = slice(lo, lo + size)
         table: list[StepCdf] = []

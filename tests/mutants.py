@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 BATCH_REWARDS = "tests/test_batch.py::test_reward_part_adds_each_window_left_to_right"
 FIELDS = "tests/test_procedures.py::test_each_decision_field_holds_its_own_value"
 INVESTING_BASE = "tests/test_procedures.py::test_investing_base_matches_the_resummed_loop"
+MIXED_PASS = "tests/test_discrete.py::test_one_mixed_pass_is_each_margin_alone_bit_for_bit"
 OBSERVE_DECISION = "Decision(t, p, alpha, reject, rho, base, sure, eps, self.r_count)"
 SPENT_INIT = "self.spent: list[float] = [] if self.rewarded else self.alphas"
 # an equivalent mutant survives every test of the sums it touches
@@ -115,10 +116,11 @@ MUTANTS = (
            "    excess[~np.isfinite(excess)] = np.inf\n", "",
            ("tests/test_batch.py::test_audits_fail_on_a_non_finite_level",)),
     # the exact tests
-    Mutant("fisher-underflow-not-raised", "discrete.py", "if sorted_p[0] == 0.0:", "if False:",
+    Mutant("fisher-underflow-not-raised", "discrete.py", "if 0.0 in sorted_p[::w].tolist():",
+           "if False:",
            ("tests/test_discrete.py::test_underflowed_tails_keep_a_valid_bound",)),
     Mutant("lgamma-table-always-grows", "discrete.py",
-           "if top > _LGAMMA_CAP or size - len(table) > 4 * n:", "if top > _LGAMMA_CAP:",
+           "if top > len(table) and size - len(table) <= 4 * n:", "if top > len(table):",
            ("tests/test_discrete.py::"
             "test_a_few_tables_of_a_large_group_leave_the_lgamma_table_as_it_was",)),
     Mutant("exact-tests-bound-ids-without-offset", "simulate.py",
@@ -141,7 +143,7 @@ MUTANTS = (
     Mutant("base-batch-spent-copied", "procedures.py",
            "spent[j - r0] if j >= r0 else a)", "spent[j - r0] if j >= r0 else a.copy())",
            ("tests/test_batch.py::test_a_base_rule_spends_its_alphas_themselves",)),
-    Mutant("fisher-tail-not-one", "discrete.py", "    tail[-1] = 1.0\n", "",
+    Mutant("fisher-tail-not-one", "discrete.py", "    tail[:, -1] = 1.0\n", "",
            ("tests/test_discrete.py::"
             "test_fisher_margins_is_bit_identical_to_the_list_reference_small",)),
     Mutant("trial-audits-always-ok", "simulate.py", "return not self.audit_failures",
@@ -162,6 +164,14 @@ MUTANTS = (
            "np.cumsum(flags, axis=2, out=clock0)\n    clock0 += 1\n",
            ("tests/test_exact_rates.py::test_false_rejections_equal_the_null_mass_spent",)),
     # the exact-test cache keeps its budget
+    # one pass over many margins keeps each margin's sums and sort to itself
+    Mutant("exact-pass-cumsum-across-margins", "discrete.py",
+           "tail = sorted_pmf.cumsum(axis=1)", "tail = sorted_pmf.ravel().cumsum().reshape(B, w)",
+           (MIXED_PASS,)),
+    Mutant("exact-pass-sort-ignores-margins", "discrete.py",
+           'order = pmf.argsort(axis=1, kind="stable")',
+           'order = pmf.ravel().argsort(kind="stable").reshape(B, w) - np.arange(0, B * w, w)[:, None]',
+           (MIXED_PASS,)),
     Mutant("margin-cache-never-evicts", "discrete.py",
            "held -= len(cache.popitem(last=False)[1][0])", "break",
            ("tests/test_discrete.py::"

@@ -499,9 +499,10 @@ def test_run_sweep_does_not_depend_on_its_chunks(columns, tmp_path, monkeypatch)
 
 
 def test_run_trials_memory_is_flat_in_the_number_of_trials():
-    """The traced peak of 904 trials (8 chunks of the 9 procedures) stays
-    below twice that of 113 (one chunk): the chunks are dropped once their
-    reject flags, labels and verdicts are kept."""
+    """The traced peak of 904 trials (7 chunks of 146 trials: 1024 columns of
+    the 7 procedures stepped through time) stays below twice that of 113 (one
+    chunk): the chunks are dropped once their reject flags, labels and
+    verdicts are kept."""
     run_trials(ScenarioConfig(m=100, seed=1, n_trials=10), ALL_STANDARD)  # warm the caches
     peaks = []
     for n_trials in (113, 904):

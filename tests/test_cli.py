@@ -4,11 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from sure_omt import cli
+from sure_omt import cli, discrete
 from sure_omt.cli import CONFIG_ENV_VAR, main, parse_procedures
 from sure_omt.procedures import RULES, AuditReport
 from sure_omt.simulate import ScenarioConfig, generate_trial
@@ -376,6 +377,84 @@ def test_analyze_max_rows(tmp_path):
     assert main(["analyze", "--config", cfg, "--input", tables,
                  "--out-trace", str(trace)]) == 0
     assert len(list(csv.DictReader(trace.open()))) == 2
+
+
+def _good_rows(n):
+    return [f"g{i},{i % 7},{3 + i % 5},{i % 4},{2 + i % 6}" for i in range(n)]
+
+
+@pytest.mark.parametrize("bad,fragment", [
+    ("x,1,-1,0,2", "cell counts must be nonnegative"),
+    ("x,1,2,3", "expected 5 fields"),
+    ("x,1,2,3,y", "invalid literal"),
+    ("x," + ",".join([str(BIG)] * 4), "a table's smallest margin must be at most"),
+], ids=["negative", "short", "literal", "margin"])
+def test_analyze_reads_ahead_yet_names_the_first_bad_line(tmp_path, capsys, bad, fragment):
+    """A bad row after good rows of its read-ahead block, and before more bad
+    rows, exits 2 naming its own line: each row is checked as it is read."""
+    rows = _good_rows(25) + [bad] + _good_rows(10) + ["y,1,-1,0,2", "z,1,2"]
+    trace = tmp_path / "t.csv"
+    assert main(["analyze", "--config", _write_config(tmp_path, ANALYZE_CFG),
+                 "--input", _write_tables(tmp_path, rows), "--out-trace", str(trace)]) == 2
+    _assert_one_error_line(capsys, f"line 27: {fragment}")
+    assert not trace.exists()
+
+
+def test_analyze_never_reads_a_row_past_max_rows(tmp_path, capsys):
+    """Rows past max_rows are not read, so a malformed one there is no error."""
+    cfg = _write_config(tmp_path, {**ANALYZE_CFG, "max_rows": 2})
+    trace = tmp_path / "trace.csv"
+    for bad in ("c,1,2", "c,1,-1,0,2", "c,x,1,1,1"):
+        tables = _write_tables(tmp_path, ["a,1,2,3,4", "b,2,2,2,2", bad, "d,1,1,1,1"])
+        assert main(["analyze", "--config", cfg, "--input", tables,
+                     "--out-trace", str(trace)]) == 0
+        assert [r["id"] for r in csv.DictReader(trace.open())] == ["a", "b"]
+        assert json.loads(capsys.readouterr().out)["rows"] == 2
+
+
+def test_analyze_late_error_writes_neither_output(tmp_path, capsys, monkeypatch):
+    """A bad row in a later read-ahead block, after earlier blocks were tested
+    and stepped, leaves the trace and the summary as they were."""
+    monkeypatch.setattr(cli, "READ_AHEAD_ROWS", 4)
+    trace, summary = tmp_path / "trace.csv", tmp_path / "summary.json"
+    trace.write_text("old trace\n")
+    summary.write_text("old summary\n")
+    args = ["analyze", "--config", _write_config(tmp_path, ANALYZE_CFG), "--out-trace",
+            str(trace), "--out-summary", str(summary), "--input"]
+    rows = _good_rows(30)
+    assert main([*args, _write_tables(tmp_path, rows[:20] + ["x,1,-1,0,2"] + rows[20:])]) == 2
+    _assert_one_error_line(capsys, "line 22:")
+    assert (trace.read_text(), summary.read_text()) == ("old trace\n", "old summary\n")
+    assert main([*args, _write_tables(tmp_path, rows)]) == 0
+    assert len(trace.read_text().splitlines()) == 31 and json.loads(summary.read_text())["rows"] == 30
+    monkeypatch.setattr(cli, "READ_AHEAD_ROWS", 1024)
+    capsys.readouterr()
+    one_block = tmp_path / "one.csv"
+    assert main(["analyze", "--config", _write_config(tmp_path, ANALYZE_CFG), "--out-trace",
+                 str(one_block), "--input", _write_tables(tmp_path, rows)]) == 0
+    assert one_block.read_bytes() == trace.read_bytes()  # the blocks change no output
+
+
+def test_analyze_memory_stays_within_the_cache_and_read_ahead_bounds(tmp_path, monkeypatch):
+    """160 rows of distinct margins with 501 feasible tables each (about 4 MB
+    of exact tests in all) peak within the cache's table budget and one
+    read-ahead block, both patched small: neither keeps what it tested."""
+    monkeypatch.setattr(discrete, "_CACHE_TABLES", 1 << 12)
+    monkeypatch.setattr(cli, "READ_AHEAD_TABLES", 1 << 11)
+    rows = [f"r{i},250,{250 + i},250,250" for i in range(160)]
+    args = ["analyze", "--config", _write_config(tmp_path, ANALYZE_CFG),
+            "--out-trace", str(tmp_path / "t.csv"), "--input", _write_tables(tmp_path, rows)]
+    discrete.fisher_margins(750, 500, 500)  # the lgamma table grows before tracing
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a cached table costs at most about 40 bytes, as does one of the block's
+    # results, and a pass of 4096 cells and the rest of the run under 1.5 MB;
+    # keeping every margin, in the cache or in one block, peaks near 4 MB
+    assert peak < 40 * ((1 << 12) + (1 << 11) + 501) + (3 << 19), peak
 
 
 def test_simulate_command(tmp_path, capsys):

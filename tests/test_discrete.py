@@ -1,4 +1,5 @@
 import bisect
+import itertools
 import math
 import random
 import tracemalloc
@@ -11,7 +12,8 @@ import pytest
 from sure_omt import discrete
 from sure_omt.core import StepCdf
 from sure_omt.discrete import (ContingencyTable2x2, ExactTestResult, TIE_REL_TOL,
-                               fisher_margins, fisher_two_sided, support_to_bound)
+                               fisher_margins, fisher_margins_batch, fisher_two_sided,
+                               support_to_bound)
 
 from oracles import hypergeom_pmf
 
@@ -266,17 +268,61 @@ def _fisher_margins_reference(r1, r2, c1):
 
 
 def _assert_identical(margins):
-    for r1, r2, c1 in margins:
-        pvals, lo, bound = fisher_margins.__wrapped__(r1, r2, c1)
+    """The margins' exact tests, from one uncached call over all of them, are
+    the list reference's bit for bit."""
+    margins = list(margins)
+    for margin, (pvals, lo, bound) in zip(margins, fisher_margins_batch.__wrapped__(margins)):
         got = (tuple(pvals.tolist()), lo, bound.support)
-        assert got == _fisher_margins_reference(r1, r2, c1), (r1, r2, c1)
+        assert got == _fisher_margins_reference(*margin), margin
         # the bound is built without the public constructor's check, which passes
         assert StepCdf(support=bound.support) == bound
 
 
 def test_fisher_margins_is_bit_identical_to_the_list_reference_small():
-    _assert_identical((r1, r2, c1) for r1 in range(41) for r2 in range(41)
-                      for c1 in range(r1 + r2 + 1))
+    margins = [(r1, r2, c1) for r1 in range(41) for r2 in range(41) for c1 in range(r1 + r2 + 1)]
+    for start in range(0, len(margins), 2000):  # blocks of many passes each
+        _assert_identical(margins[start:start + 2000])
+
+
+def _mixed_margins():
+    """Margins of every kind in one list: underflowing tails, one feasible
+    table, symmetric ties, duplicates, groups past the lgamma table's cap (one
+    past any float's exact integers), and enough random margins to fill
+    several passes."""
+    rng = random.Random(23)
+    margins = [(600, 600, 600), (2000, 2000, 2000), (10, 10, 0), (0, 5, 0), (7, 7, 7),
+               (40, 40, 40), (8, 7, 5), (discrete._LGAMMA_CAP + 5, 30, 20),
+               (10**30, 5, 3), (7, 7, 7), (8, 7, 5)]
+    for _ in range(300):
+        r1, r2 = rng.randint(0, 200), rng.randint(0, 200)
+        margins.append((r1, r2, rng.randint(0, r1 + r2)))
+    return margins
+
+
+def test_one_mixed_pass_is_each_margin_alone_bit_for_bit():
+    """One call over margins of every kind gives each margin the bits of the
+    list reference and of a pass of that margin alone; each p-value array owns
+    its memory and is read-only."""
+    margins = _mixed_margins()
+    tables = sum(min(r1, c1) - max(0, c1 - r2) + 1 for r1, r2, c1 in margins)
+    assert tables > 3 * discrete._PASS_CELLS  # at least four passes
+    for margin, (pvals, lo, bound) in zip(margins, fisher_margins_batch.__wrapped__(margins)):
+        want = _fisher_margins_reference(*margin)
+        assert (tuple(pvals.tolist()), lo, bound.support) == want, margin
+        [(alone, alone_lo, alone_bound)] = fisher_margins_batch.__wrapped__([margin])
+        assert (alone.tolist(), alone_lo, alone_bound) == (pvals.tolist(), lo, bound), margin
+        assert pvals.flags.owndata and not pvals.flags.writeable
+
+
+def test_a_cached_call_tests_each_distinct_margin_once(monkeypatch):
+    """A call's duplicate margins share one result, and a margin cached by an
+    earlier call is that call's result."""
+    monkeypatch.setattr(discrete, "_CACHE_TABLES", 1 << 20)
+    margins = [(31, 29, 17), (31, 29, 18), (31, 29, 17)]
+    first, second, again = fisher_margins_batch(margins)
+    assert first is again and first is not second
+    assert fisher_margins_batch([(31, 29, 18)])[0] is second
+    assert fisher_margins(31, 29, 17) is first
 
 
 def test_fisher_margins_is_bit_identical_to_the_list_reference_large():
@@ -289,6 +335,44 @@ def test_fisher_margins_is_bit_identical_to_the_list_reference_large():
         margins.append((a + b, c + d, a + c))
     margins += [(n, n, n) for n in (1000, 10_000)]
     _assert_identical(margins)
+
+
+# the largest relative error of a p-value of groups up to 5000 against the
+# exact tail sums: the log-pmf loses about |log C(r1 + r2, c1)| ulps
+LARGE_MARGIN_REL_ERROR = 1e-9
+
+
+def test_large_margins_match_exact_p_values_from_mpmath():
+    """Seeded random margins with groups of 1000 to 5000: every p-value above
+    the underflow floor is within LARGE_MARGIN_REL_ERROR of the exact one, its
+    tail summed in integers and divided in mpmath at 40 digits."""
+    import mpmath
+
+    rng = random.Random(6)
+    margins = []
+    for _ in range(5):
+        r1, r2 = rng.randint(1000, 5000), rng.randint(1000, 5000)
+        margins.append((r1, r2, rng.randint(0, r1 + r2)))
+    worst, checked = 0.0, 0
+    for (r1, r2, c1), (pvals, lo, _) in zip(margins, fisher_margins_batch(margins)):
+        # w[k - lo] = C(r1, k) C(r2, c1 - k): the pmf times C(r1 + r2, c1)
+        w = [math.comb(r1, lo) * math.comb(r2, c1 - lo)]
+        for k in range(lo, lo + len(pvals) - 1):
+            w.append(w[-1] * (r1 - k) * (c1 - k) // ((k + 1) * (r2 - c1 + k + 1)))
+        total = math.comb(r1 + r2, c1)
+        ascending = sorted(w)
+        tails = list(itertools.accumulate(ascending))
+        assert tails[-1] == total
+        with mpmath.workdps(40):
+            for got, wk in zip(pvals.tolist(), w):
+                # the tables at most as likely, up to the tie tolerance 1e-7
+                j = bisect.bisect_right(ascending, wk * (10**7 + 1) // 10**7)
+                exact = mpmath.mpf(tails[j - 1]) / total
+                if exact > 1e-290:
+                    worst = max(worst, float(abs(got - exact) / exact))
+                    checked += 1
+    assert checked > 5000
+    assert worst < LARGE_MARGIN_REL_ERROR, worst
 
 
 def test_fisher_margins_matches_scipy_on_random_tables():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sure_omt
+from sure_omt.procedures import RULES
 from sure_omt.simulate import BATCH_COLUMNS
 
 from golden import (ANALYZE_CASES, CASES, GOLDEN_PATH, STREAM_CASES, WIDE_CASE,
@@ -39,9 +40,14 @@ def test_golden_covers_every_case():
 
 
 def test_wide_case_spans_several_chunks():
-    """Its trials do not fit in one of the simulator's chunks of trials."""
+    """Its trials do not fit in one of the simulator's chunks of trials, which
+    holds BATCH_COLUMNS columns of the procedures stepped through time (the
+    investing and rewarded ones)."""
     case = CASES[WIDE_CASE]
-    assert case["scenario"]["n_trials"] > BATCH_COLUMNS // len(case["procedures"])
+    stepped = [entry for entry in case["procedures"]
+               if RULES[entry["name"]].investing or RULES[entry["name"]].rewarded]
+    assert 0 < len(stepped) < len(case["procedures"])
+    assert case["scenario"]["n_trials"] > BATCH_COLUMNS // len(stepped)
 
 
 def test_tables_hold_groups_of_10_to_500(tables):
