@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import OrderedDict
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -120,12 +121,12 @@ def _cached_per_margin(compute):
         results = []
         missing = {}  # each margin not cached, with its places in results
         for key in margins:
-            try:
-                cache.move_to_end(key)
-                results.append(cache[key])
-            except KeyError:
+            result = cache.get(key)
+            if result is None:
                 missing.setdefault(key, []).append(len(results))
-                results.append(None)
+            else:
+                cache.move_to_end(key)
+            results.append(result)
         for key, result in zip(missing, compute(list(missing)) if missing else ()):
             for i in missing[key]:
                 results[i] = result
@@ -150,13 +151,11 @@ def fisher_margins_batch(margins: list[tuple[int, int, int]]) -> list[
     _PASS_CELLS cells (or one margin with more tables than that), and does
     every floating-point operation of a margin tested alone, in the same order.
     """
-    los, ns, tops = [], [], []
-    for r1, r2, c1 in margins:
-        _check_margins(r1, r2, c1)
-        lo = max(0, c1 - r2)
-        los.append(lo)
-        ns.append(min(r1, c1) - lo + 1)
-        tops.append(max(r1, r2) + 2)
+    for margin in margins:
+        _check_margins(*margin)
+    los = [max(0, c1 - r2) for _, r2, c1 in margins]
+    ns = [min(r1, c1) - lo + 1 for (r1, _, c1), lo in zip(margins, los)]
+    tops = [max(r1, r2) + 2 for r1, r2, _ in margins]
     table = _grown_lgamma(tops, sum(ns))
     # (not covered by the table, tables, margin): the covered margins first
     order = sorted(zip([top > len(table) for top in tops], ns, range(len(margins))))
@@ -197,26 +196,27 @@ def _exact_pass(margins, los, ns, table):
     firsts = [(lo + 1, r1 + 1 - lo, c1 + 1 - lo, r2 - c1 + 1 + lo)
               for (r1, r2, c1), lo in zip(margins, los)]
     if table is not None:
-        # clipped, the padding reads inf at index 0 or a finite value, so its
-        # log-pmf is -inf or finite, never nan
-        lg = table.take(np.array(firsts)[:, :, None] + _SIGNS[:, None] * np.arange(w),
+        # one (B, w) block per argument; clipped, the padding reads inf at
+        # index 0 or a finite value, so its log-pmf is -inf or finite, never nan
+        firsts = np.fromiter(chain.from_iterable(firsts), np.intp, 4 * B).reshape(B, 4).T
+        lg = table.take(firsts[:, :, None] + (_SIGNS[:, None] * np.arange(w))[:, None],
                         mode="clip")
     else:
-        lg = np.zeros((B, 4, w))
-        for row, first, m in zip(lg, firsts, ns):
-            for out, a, sign in zip(row, first, _SIGNS.tolist()):
+        lg = np.zeros((4, B, w))
+        for i, (first, m) in enumerate(zip(firsts, ns)):
+            for out, a, sign in zip(lg[:, i], first, _SIGNS.tolist()):
                 out[:m] = np.fromiter(map(math.lgamma, range(a, a + sign * m, sign)), float, m)
-    # lgamma(r1 + 1), lgamma(r2 + 1) and log C(r1 + r2, c1)
+    # lgamma(r1 + 1), lgamma(r2 + 1) and log C(r1 + r2, c1), each a (B, 1) block
     f = math.lgamma
     heads = np.array([(f(r1 + 1), f(r2 + 1), (f(r1 + r2 + 1) - f(c1 + 1)) - f(r1 + r2 - c1 + 1))
-                      for r1, r2, c1 in margins])
+                      for r1, r2, c1 in margins]).T[:, :, None]
     # in place after the first subtraction of each term, operands in the same order
-    logs = np.subtract(heads[:, 0, None], lg[:, 0])
-    logs -= lg[:, 1]
-    comb2 = np.subtract(heads[:, 1, None], lg[:, 2])
-    comb2 -= lg[:, 3]
+    logs = np.subtract(heads[0], lg[0])
+    logs -= lg[1]
+    comb2 = np.subtract(heads[1], lg[2])
+    comb2 -= lg[3]
     logs += comb2
-    logs -= heads[:, 2, None]
+    logs -= heads[2]
     # math.exp, not np.exp: the two differ in the last bit on some inputs
     if padded:
         pmf = np.full((B, w), np.inf)  # the padding sorts last in its row
@@ -243,9 +243,19 @@ def _exact_pass(margins, los, ns, table):
     if padded:
         ties &= valid[:, 1:]
     if ties.any():
-        for i in np.flatnonzero(ties.any(axis=1)).tolist():
-            row = tail[i, :ns[i]]
-            row[:] = row[sorted_pmf[i, :ns[i]].searchsorted(bound[i, :ns[i]], side="right") - 1]
+        # where only the next position ties (the pairs of a symmetric margin),
+        # the last position at most as likely is the next one; a margin where
+        # the one after ties as well (a run of three or more) searches its row
+        runs = sorted_pmf[:, 2:] <= bound[:, :-2]
+        if padded:
+            runs &= valid[:, 2:]
+        if runs.any():
+            rows = np.flatnonzero(runs.any(axis=1))
+            ties[rows] = False
+            for i in rows.tolist():
+                row = tail[i, :ns[i]]
+                row[:] = row[sorted_pmf[i, :ns[i]].searchsorted(bound[i, :ns[i]], side="right") - 1]
+        np.copyto(tail[:, :-1], tail[:, 1:], where=ties)
     sorted_p = tail.ravel()
     if 0.0 in sorted_p[::w].tolist():
         zero = tail == 0.0
@@ -256,17 +266,18 @@ def _exact_pass(margins, los, ns, table):
     if padded:
         first &= valid.ravel()
     # each margin's support, one after the other: increasing, in (0, 1] and
-    # ending at the tail of all its tables, 1.0
-    points = sorted_p[first].tolist()
-    ends = first.reshape(B, w).sum(axis=1).cumsum().tolist()
+    # ending at its one point 1.0, the tail of all its tables
+    points = sorted_p[first]
+    lasts = np.flatnonzero(points == 1.0).tolist()
+    points = points.tolist()
     pvals = np.empty(B * w)
     pvals[order.ravel()] = sorted_p
     results, at, bound_of = [], 0, StepCdf._unchecked
-    for start, lo, m, end in zip(range(0, B * w, w), los, ns, ends):
+    for start, lo, m, last in zip(range(0, B * w, w), los, ns, lasts):
         own = pvals[start:start + m].copy()  # not a view: the cache counts its tables
         own.setflags(write=False)  # shared by every caller of the cache
-        results.append((own, lo, bound_of(tuple(points[at:end]))))
-        at = end
+        results.append((own, lo, bound_of(tuple(points[at:last + 1]))))
+        at = last + 1
     return results
 
 

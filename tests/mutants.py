@@ -172,6 +172,9 @@ MUTANTS = (
            'order = pmf.argsort(axis=1, kind="stable")',
            'order = pmf.ravel().argsort(kind="stable").reshape(B, w) - np.arange(0, B * w, w)[:, None]',
            (MIXED_PASS,)),
+    Mutant("exact-pass-runs-taken-as-pairs", "discrete.py", "        if runs.any():\n",
+           "        if False:\n",
+           ("tests/test_discrete.py::test_runs_of_ties_are_searched_within_their_margin",)),
     Mutant("margin-cache-never-evicts", "discrete.py",
            "held -= len(cache.popitem(last=False)[1][0])", "break",
            ("tests/test_discrete.py::"

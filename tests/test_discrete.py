@@ -235,8 +235,9 @@ def _log_comb(n, k):
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def _fisher_margins_reference(r1, r2, c1):
-    """The exact test as plain Python lists: (pvals, lo, support).
+def _fisher_margins_reference(r1, r2, c1, tol=TIE_REL_TOL):
+    """The exact test as plain Python lists: (pvals, lo, support), with ties
+    up to the relative tolerance ``tol``.
 
     Every floating-point operation of ``fisher_margins`` in the same order,
     so the two must agree bit for bit.
@@ -256,7 +257,7 @@ def _fisher_margins_reference(r1, r2, c1):
     pvals = [0.0] * n
     for i in range(n):
         # last index j with sorted_pmf[j] <= pmf[i], up to the tie tolerance
-        j = bisect.bisect_right(sorted_pmf, pmf[i] * (1.0 + TIE_REL_TOL)) - 1
+        j = bisect.bisect_right(sorted_pmf, pmf[i] * (1.0 + tol)) - 1
         pvals[i] = 1.0 if j == n - 1 else min(cum[j], 1.0)
     if 0.0 in pvals:
         floor = min(p for p in pvals if p > 0.0)
@@ -312,6 +313,24 @@ def test_one_mixed_pass_is_each_margin_alone_bit_for_bit():
         [(alone, alone_lo, alone_bound)] = fisher_margins_batch.__wrapped__([margin])
         assert (alone.tolist(), alone_lo, alone_bound) == (pvals.tolist(), lo, bound), margin
         assert pvals.flags.owndata and not pvals.flags.writeable
+
+
+def test_runs_of_ties_are_searched_within_their_margin(monkeypatch):
+    """Three or more tables within the tie tolerance of each other (a run) take
+    the last of them.  Runs of positive pmfs are rare at the tolerance 1e-7;
+    at 50% they are common, and one pass still gives each margin the list
+    reference's bits."""
+    monkeypatch.setattr(discrete, "TIE_REL_TOL", 0.5)
+    margins = [(r1, r2, c1) for r1 in range(0, 60, 7) for r2 in range(0, 60, 5)
+               for c1 in range(0, r1 + r2 + 1, 3)]
+    runs = 0
+    for margin, (pvals, lo, bound) in zip(margins, fisher_margins_batch.__wrapped__(margins)):
+        assert (tuple(pvals.tolist()), lo, bound.support) == \
+            _fisher_margins_reference(*margin, tol=0.5), margin
+        r1, r2, c1 = margin
+        pmf = sorted(hypergeom_pmf(k, margin) for k in range(lo, min(r1, c1) + 1))
+        runs += any(0.0 < a and c <= a * 1.5 for a, c in zip(pmf, pmf[2:]))
+    assert runs > 20
 
 
 def test_a_cached_call_tests_each_distinct_margin_once(monkeypatch):
