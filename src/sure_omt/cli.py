@@ -44,10 +44,11 @@ ANALYZE_DEFAULTS = {"alpha": 0.2, "lambda": 0.0}
 # investing rules and a kernel gamma' of bandwidth 100 (FWER) or 10 (mFDR)
 STANDARD_DEFAULTS = {"alpha": 0.2, "lambda": 0.5, "w0_share": 0.5,
                      "kernel_h": {"fwer": 100, "mfdr": 10}}
-# analyze reads ahead a block of at most this many rows, or of rows with at
-# least this many feasible tables between them, and tests its margins in one call
-READ_AHEAD_ROWS = 1024
+# analyze reads ahead a block of rows until they count this many feasible
+# tables, each row counting READ_AHEAD_ROW_TABLES more for itself (a row held
+# costs about 750 bytes, a table about 38), and tests its margins in one call
 READ_AHEAD_TABLES = 1 << 16
+READ_AHEAD_ROW_TABLES = 20
 
 
 class InputError(Exception):
@@ -145,10 +146,10 @@ def parse_procedures(entries, kind: str = "procedures[i]") -> dict[str, Procedur
 def _test_rows(fh, max_rows: int | None):
     """Yield (id, p-value, null bound) for each row of an open table CSV.
 
-    Rows are read ahead in blocks of READ_AHEAD_ROWS rows, or fewer rows with
-    READ_AHEAD_TABLES feasible tables between them; each row is checked as it
-    is read, so the first bad line raises, and a block's margins are tested in
-    one call.  No row past ``max_rows`` is read.
+    Rows are read ahead in blocks that count READ_AHEAD_TABLES (their
+    feasible tables, and READ_AHEAD_ROW_TABLES for each row); each row is
+    checked as it is read, so the first bad line raises, and a block's
+    margins are tested in one call.  No row past ``max_rows`` is read.
     """
     reader = csv.reader(fh)
     header = next(reader, None)
@@ -160,7 +161,7 @@ def _test_rows(fh, max_rows: int | None):
     rows = enumerate(reader if max_rows is None else islice(reader, min(max_rows, sys.maxsize)),
                      start=2)
     while True:
-        block, margins, tables = [], [], 0
+        block, margins, count = [], [], 0
         for lineno, row in rows:
             if len(row) != 5:
                 raise InputError(f"line {lineno}: expected 5 fields, got {len(row)}")
@@ -171,8 +172,8 @@ def _test_rows(fh, max_rows: int | None):
                 raise InputError(f"line {lineno}: {exc}") from None
             block.append((row[0], table.a))
             margins.append(margin)
-            tables += min(r1, r2, c1, r1 + r2 - c1) + 1  # its feasible tables
-            if len(block) == READ_AHEAD_ROWS or tables >= READ_AHEAD_TABLES:
+            count += min(r1, r2, c1, r1 + r2 - c1) + 1 + READ_AHEAD_ROW_TABLES
+            if count >= READ_AHEAD_TABLES:
                 break
         if not block:
             return

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 from collections import OrderedDict
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -34,8 +33,10 @@ _CACHE_TABLES = 1 << 20
 # (margins x tables) block, or one margin with more tables than that: its
 # temporaries stay under 1 MB
 _PASS_CELLS = 4096
-# the sign of k in the lgamma arguments k + 1, r1 - k + 1, c1 - k + 1, r2 - c1 + k + 1
+# the sign of k in the lgamma arguments k + 1, c1 - k + 1, r1 - k + 1, r2 - c1 + k + 1,
+# and each sign times j for the columns j of a pass of at most _PASS_CELLS columns
 _SIGNS = np.array([1, -1, -1, 1])
+_STEPS = _SIGNS[:, None] * np.arange(_PASS_CELLS)
 
 
 class ContingencyTable2x2(NamedTuple):
@@ -65,34 +66,33 @@ def _grown_lgamma(tops: list[int], n: int) -> np.ndarray:
     """The shared lgamma table, for a pass of n feasible tables in all whose
     margins read lgamma below ``tops``, four values per table.
 
-    The table grows to cover the largest top within its cap when the growth
-    adds at most the 4n values the pass reads; the margins it does not cover
-    (a few tables of a large group, or a group past the cap) compute their
-    values one at a time, so a pass costs what it reads and memory stays
+    The table grows to cover the largest top it can within its cap, such that
+    the growth adds at most the 4n values the pass reads; the margins it does
+    not cover (a few tables of a large group, or a group past the cap) compute
+    their values one at a time, so a pass costs what it reads and memory stays
     bounded.  The values are the same either way.
     """
     global _LGAMMA
     table = _LGAMMA
-    if max(tops) > len(table):
-        top = max((t for t in tops if t <= _LGAMMA_CAP), default=0)
+    for top in sorted({t for t in tops if len(table) < t <= _LGAMMA_CAP}, reverse=True):
         size = min(max(2 * len(table), top), _LGAMMA_CAP)
-        if top > len(table) and size - len(table) <= 4 * n:
+        if size - len(table) <= 4 * n:
             grown = np.fromiter(map(math.lgamma, range(len(table), size)), float,
                                 size - len(table))
             table = _LGAMMA = np.concatenate([table, grown])
+            break
     return table
 
 
-def _check_smallest_margin(smallest: int) -> None:
-    # a margin has smallest + 1 feasible tables; checked before any array is made
-    if smallest > MAX_MARGIN:
-        raise ValueError(f"a table's smallest margin must be at most {MAX_MARGIN}")
+# a margin has smallest + 1 feasible tables; checked before any array is made
+_TOO_LARGE = f"a table's smallest margin must be at most {MAX_MARGIN}"
 
 
 def _check_margins(r1: int, r2: int, c1: int) -> None:
     if min(r1, r2, c1) < 0 or c1 > r1 + r2:
         raise ValueError(f"inconsistent margins {(r1, r2, c1)}")
-    _check_smallest_margin(min(r1, r2, c1, r1 + r2 - c1))
+    if min(r1, r2, c1, r1 + r2 - c1) > MAX_MARGIN:
+        raise ValueError(_TOO_LARGE)
 
 
 def table_margins(table: ContingencyTable2x2) -> tuple[int, int, int]:
@@ -101,7 +101,8 @@ def table_margins(table: ContingencyTable2x2) -> tuple[int, int, int]:
     a, b, c, d = table
     if min(a, b, c, d) < 0:
         raise ValueError("cell counts must be nonnegative")
-    _check_smallest_margin(min(a + b, c + d, a + c, b + d))
+    if min(a + b, c + d, a + c, b + d) > MAX_MARGIN:
+        raise ValueError(_TOO_LARGE)
     return a + b, c + d, a + c
 
 
@@ -118,16 +119,18 @@ def _cached_per_margin(compute):
     @functools.wraps(compute)
     def cached(margins):
         nonlocal held
-        results = []
+        results = list(map(cache.get, margins))
+        if None not in results:
+            for key in margins:
+                cache.move_to_end(key)
+            return results
         missing = {}  # each margin not cached, with its places in results
-        for key in margins:
-            result = cache.get(key)
+        for i, (key, result) in enumerate(zip(margins, results)):
             if result is None:
-                missing.setdefault(key, []).append(len(results))
+                missing.setdefault(key, []).append(i)
             else:
                 cache.move_to_end(key)
-            results.append(result)
-        for key, result in zip(missing, compute(list(missing)) if missing else ()):
+        for key, result in zip(missing, compute(list(missing))):
             for i in missing[key]:
                 results[i] = result
             n = len(result[0])
@@ -151,12 +154,16 @@ def fisher_margins_batch(margins: list[tuple[int, int, int]]) -> list[
     _PASS_CELLS cells (or one margin with more tables than that), and does
     every floating-point operation of a margin tested alone, in the same order.
     """
-    for margin in margins:
-        _check_margins(*margin)
-    los = [max(0, c1 - r2) for _, r2, c1 in margins]
-    ns = [min(r1, c1) - lo + 1 for (r1, _, c1), lo in zip(margins, los)]
-    tops = [max(r1, r2) + 2 for r1, r2, _ in margins]
+    los, ns, tops = [], [], []
+    for r1, r2, c1 in margins:
+        _check_margins(r1, r2, c1)
+        lo = max(0, c1 - r2)
+        los.append(lo)
+        ns.append(min(r1, c1) - lo + 1)
+        tops.append(max(r1, r2) + 2)
     table = _grown_lgamma(tops, sum(ns))
+    if len(margins) == 1:
+        return _exact_pass(margins, los, ns, table if tops[0] <= len(table) else None)
     # (not covered by the table, tables, margin): the covered margins first
     order = sorted(zip([top > len(table) for top in tops], ns, range(len(margins))))
     results = [None] * len(margins)
@@ -191,32 +198,29 @@ def _exact_pass(margins, los, ns, table):
     if padded:
         n = np.array(ns)
         valid = np.arange(w) < n[:, None]
-    # lgamma at k + 1, r1 - k + 1, c1 - k + 1 and r2 - c1 + k + 1 for k = lo:
+    # lgamma at k + 1, c1 - k + 1, r1 - k + 1 and r2 - c1 + k + 1 for k = lo:
     # at k = lo + j, each moves by its sign in _SIGNS times j
-    firsts = [(lo + 1, r1 + 1 - lo, c1 + 1 - lo, r2 - c1 + 1 + lo)
+    firsts = [(lo + 1, c1 + 1 - lo, r1 + 1 - lo, r2 - c1 + 1 + lo)
               for (r1, r2, c1), lo in zip(margins, los)]
     if table is not None:
-        # one (B, w) block per argument; clipped, the padding reads inf at
-        # index 0 or a finite value, so its log-pmf is -inf or finite, never nan
-        firsts = np.fromiter(chain.from_iterable(firsts), np.intp, 4 * B).reshape(B, 4).T
-        lg = table.take(firsts[:, :, None] + (_SIGNS[:, None] * np.arange(w))[:, None],
-                        mode="clip")
+        # a (B, 4, w) block; clipped, the padding reads inf at index 0 or a
+        # finite value, so its log-pmf is -inf or finite, never nan
+        steps = _STEPS[:, :w] if w <= _PASS_CELLS else _SIGNS[:, None] * np.arange(w)
+        lg = table.take(np.array(firsts)[:, :, None] + steps, mode="clip")
     else:
-        lg = np.zeros((4, B, w))
+        lg = np.zeros((B, 4, w))
         for i, (first, m) in enumerate(zip(firsts, ns)):
-            for out, a, sign in zip(lg[:, i], first, _SIGNS.tolist()):
+            for out, a, sign in zip(lg[i], first, _SIGNS.tolist()):
                 out[:m] = np.fromiter(map(math.lgamma, range(a, a + sign * m, sign)), float, m)
-    # lgamma(r1 + 1), lgamma(r2 + 1) and log C(r1 + r2, c1), each a (B, 1) block
+    # lgamma(r1 + 1), lgamma(r2 + 1) and log C(r1 + r2, c1) of each margin
     f = math.lgamma
     heads = np.array([(f(r1 + 1), f(r2 + 1), (f(r1 + r2 + 1) - f(c1 + 1)) - f(r1 + r2 - c1 + 1))
-                      for r1, r2, c1 in margins]).T[:, :, None]
-    # in place after the first subtraction of each term, operands in the same order
-    logs = np.subtract(heads[0], lg[0])
-    logs -= lg[1]
-    comb2 = np.subtract(heads[1], lg[2])
-    comb2 -= lg[3]
-    logs += comb2
-    logs -= heads[2]
+                      for r1, r2, c1 in margins])
+    # log C(r1, k) and log C(r2, c1 - k) side by side, operands in the same order
+    combs = np.subtract(heads[:, :2, None], lg[:, :2])
+    combs -= lg[:, 2:]
+    logs = np.add(combs[:, 0], combs[:, 1])
+    logs -= heads[:, 2:]
     # math.exp, not np.exp: the two differ in the last bit on some inputs
     if padded:
         pmf = np.full((B, w), np.inf)  # the padding sorts last in its row
@@ -230,32 +234,24 @@ def _exact_pass(margins, los, ns, table):
     sorted_pmf = pmf.take(order)
     # tail[i, j]: the mass of the j + 1 least likely tables of margin i, summed
     # left to right and capped at 1; the tail of all of them is 1
-    tail = sorted_pmf.cumsum(axis=1)
+    tail = np.add.accumulate(sorted_pmf, axis=1)
     np.minimum(tail, 1.0, out=tail)
     tail[:, -1] = 1.0
     if padded:
         tail[np.arange(B), n - 1] = 1.0
     # p of the table at a sorted position: the tail up to the last position of
-    # its margin with a pmf at most its own, up to the tie tolerance (its own
-    # position unless the next one ties it); nondecreasing in each margin
+    # its margin with a pmf at most its own, up to the tie tolerance; that is
+    # its own position unless the next one ties it, so a margin with ties
+    # searches its row (past its padding, all inf, which no bound reaches) and
+    # no other margin does; nondecreasing in each margin
     bound = sorted_pmf * (1.0 + TIE_REL_TOL)
     ties = sorted_pmf[:, 1:] <= bound[:, :-1]
     if padded:
-        ties &= valid[:, 1:]
-    if ties.any():
-        # where only the next position ties (the pairs of a symmetric margin),
-        # the last position at most as likely is the next one; a margin where
-        # the one after ties as well (a run of three or more) searches its row
-        runs = sorted_pmf[:, 2:] <= bound[:, :-2]
-        if padded:
-            runs &= valid[:, 2:]
-        if runs.any():
-            rows = np.flatnonzero(runs.any(axis=1))
-            ties[rows] = False
-            for i in rows.tolist():
-                row = tail[i, :ns[i]]
-                row[:] = row[sorted_pmf[i, :ns[i]].searchsorted(bound[i, :ns[i]], side="right") - 1]
-        np.copyto(tail[:, :-1], tail[:, 1:], where=ties)
+        ties &= valid[:, 1:]  # the padding, all inf, ties itself
+    if np.count_nonzero(ties):  # rare outside symmetric margins
+        for i in np.logical_or.reduce(ties, axis=1).nonzero()[0].tolist():
+            row = tail[i]
+            row[:] = row[sorted_pmf[i].searchsorted(bound[i], side="right") - 1]
     sorted_p = tail.ravel()
     if 0.0 in sorted_p[::w].tolist():
         zero = tail == 0.0
@@ -268,13 +264,14 @@ def _exact_pass(margins, los, ns, table):
     # each margin's support, one after the other: increasing, in (0, 1] and
     # ending at its one point 1.0, the tail of all its tables
     points = sorted_p[first]
-    lasts = np.flatnonzero(points == 1.0).tolist()
+    lasts = (points == 1.0).nonzero()[0].tolist()
     points = points.tolist()
     pvals = np.empty(B * w)
     pvals[order.ravel()] = sorted_p
     results, at, bound_of = [], 0, StepCdf._unchecked
     for start, lo, m, last in zip(range(0, B * w, w), los, ns, lasts):
-        own = pvals[start:start + m].copy()  # not a view: the cache counts its tables
+        # a row of a block is copied: a view would hold the block the cache does not count
+        own = pvals[start:start + m].copy() if B > 1 else pvals
         own.setflags(write=False)  # shared by every caller of the cache
         results.append((own, lo, bound_of(tuple(points[at:last + 1]))))
         at = last + 1

@@ -120,7 +120,7 @@ MUTANTS = (
            "if False:",
            ("tests/test_discrete.py::test_underflowed_tails_keep_a_valid_bound",)),
     Mutant("lgamma-table-always-grows", "discrete.py",
-           "if top > len(table) and size - len(table) <= 4 * n:", "if top > len(table):",
+           "if size - len(table) <= 4 * n:", "if True:",
            ("tests/test_discrete.py::"
             "test_a_few_tables_of_a_large_group_leave_the_lgamma_table_as_it_was",)),
     Mutant("exact-tests-bound-ids-without-offset", "simulate.py",
@@ -166,15 +166,16 @@ MUTANTS = (
     # the exact-test cache keeps its budget
     # one pass over many margins keeps each margin's sums and sort to itself
     Mutant("exact-pass-cumsum-across-margins", "discrete.py",
-           "tail = sorted_pmf.cumsum(axis=1)", "tail = sorted_pmf.ravel().cumsum().reshape(B, w)",
+           "tail = np.add.accumulate(sorted_pmf, axis=1)",
+           "tail = np.add.accumulate(sorted_pmf.ravel()).reshape(B, w)",
            (MIXED_PASS,)),
     Mutant("exact-pass-sort-ignores-margins", "discrete.py",
            'order = pmf.argsort(axis=1, kind="stable")',
            'order = pmf.ravel().argsort(kind="stable").reshape(B, w) - np.arange(0, B * w, w)[:, None]',
            (MIXED_PASS,)),
-    Mutant("exact-pass-runs-taken-as-pairs", "discrete.py", "        if runs.any():\n",
-           "        if False:\n",
-           ("tests/test_discrete.py::test_runs_of_ties_are_searched_within_their_margin",)),
+    Mutant("exact-pass-ties-searched-in-the-first-margin-only", "discrete.py",
+           "np.logical_or.reduce(ties, axis=1)", "np.logical_or.reduce(ties[:1], axis=1)",
+           (MIXED_PASS,)),
     Mutant("margin-cache-never-evicts", "discrete.py",
            "held -= len(cache.popitem(last=False)[1][0])", "break",
            ("tests/test_discrete.py::"

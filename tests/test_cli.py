@@ -415,7 +415,9 @@ def test_analyze_never_reads_a_row_past_max_rows(tmp_path, capsys):
 def test_analyze_late_error_writes_neither_output(tmp_path, capsys, monkeypatch):
     """A bad row in a later read-ahead block, after earlier blocks were tested
     and stepped, leaves the trace and the summary as they were."""
-    monkeypatch.setattr(cli, "READ_AHEAD_ROWS", 4)
+    # every row counts 1024 and a few tables: blocks of 4 rows
+    monkeypatch.setattr(cli, "READ_AHEAD_ROW_TABLES", 1 << 10)
+    monkeypatch.setattr(cli, "READ_AHEAD_TABLES", 4 << 10)
     trace, summary = tmp_path / "trace.csv", tmp_path / "summary.json"
     trace.write_text("old trace\n")
     summary.write_text("old summary\n")
@@ -427,7 +429,7 @@ def test_analyze_late_error_writes_neither_output(tmp_path, capsys, monkeypatch)
     assert (trace.read_text(), summary.read_text()) == ("old trace\n", "old summary\n")
     assert main([*args, _write_tables(tmp_path, rows)]) == 0
     assert len(trace.read_text().splitlines()) == 31 and json.loads(summary.read_text())["rows"] == 30
-    monkeypatch.setattr(cli, "READ_AHEAD_ROWS", 1024)
+    monkeypatch.undo()  # one block of all 30 rows
     capsys.readouterr()
     one_block = tmp_path / "one.csv"
     assert main(["analyze", "--config", _write_config(tmp_path, ANALYZE_CFG), "--out-trace",

@@ -442,6 +442,16 @@ def test_a_few_tables_of_a_large_group_leave_the_lgamma_table_as_it_was(monkeypa
     assert discrete._LGAMMA is table
 
 
+def test_a_large_group_in_a_call_does_not_stop_the_table_growing_for_the_others(monkeypatch):
+    """The table grows to the largest top whose growth the call's tables pay
+    for: a margin too large to cover leaves the small margins beside it
+    covered."""
+    monkeypatch.setattr(discrete, "_LGAMMA", np.array([math.inf]))
+    # 10 + 4 tables read 56 values; covering the large group would add about 10**6
+    _assert_identical([(10, 12, 9), (10**6, 5, 3)])
+    assert len(discrete._LGAMMA) == 14
+
+
 def test_inconsistent_margins_rejected():
     for margins in [(3, 3, 7), (-1, 3, 1), (3, -1, 1), (3, 3, -1)]:
         with pytest.raises(ValueError):
