@@ -74,6 +74,8 @@ def _grown_lgamma(tops: list[int], n: int) -> np.ndarray:
     """
     global _LGAMMA
     table = _LGAMMA
+    if max(tops) <= len(table):
+        return table
     for top in sorted({t for t in tops if len(table) < t <= _LGAMMA_CAP}, reverse=True):
         size = min(max(2 * len(table), top), _LGAMMA_CAP)
         if size - len(table) <= 4 * n:
@@ -249,9 +251,12 @@ def _exact_pass(margins, los, ns, table):
     if padded:
         ties &= valid[:, 1:]  # the padding, all inf, ties itself
     if np.count_nonzero(ties):  # rare outside symmetric margins
-        for i in np.logical_or.reduce(ties, axis=1).nonzero()[0].tolist():
+        rows = np.logical_or.reduce(ties, axis=1).nonzero()[0].tolist() if B > 1 else [0]
+        for i in rows:
+            # a bound is at least the row's first pmf: past it, the search
+            # finds the last position at most the bound, not the one after
             row = tail[i]
-            row[:] = row[sorted_pmf[i].searchsorted(bound[i], side="right") - 1]
+            row[:] = row[sorted_pmf[i, 1:].searchsorted(bound[i], side="right")]
     sorted_p = tail.ravel()
     if 0.0 in sorted_p[::w].tolist():
         zero = tail == 0.0
@@ -264,7 +269,7 @@ def _exact_pass(margins, los, ns, table):
     # each margin's support, one after the other: increasing, in (0, 1] and
     # ending at its one point 1.0, the tail of all its tables
     points = sorted_p[first]
-    lasts = (points == 1.0).nonzero()[0].tolist()
+    lasts = (points == 1.0).nonzero()[0].tolist() if B > 1 else [len(points) - 1]
     points = points.tolist()
     pvals = np.empty(B * w)
     pvals[order.ravel()] = sorted_p
