@@ -244,7 +244,7 @@ def _exact_pass(margins, los, ns, table):
     # p of the table at a sorted position: the tail up to the last position of
     # its margin with a pmf at most its own, up to the tie tolerance; that is
     # its own position unless the next one ties it, so a margin with ties
-    # searches its row (past its padding, all inf, which no bound reaches) and
+    # searches its whole row (its padding, all inf, lies past every bound) and
     # no other margin does; nondecreasing in each margin
     bound = sorted_pmf * (1.0 + TIE_REL_TOL)
     ties = sorted_pmf[:, 1:] <= bound[:, :-1]
@@ -253,8 +253,8 @@ def _exact_pass(margins, los, ns, table):
     if np.count_nonzero(ties):  # rare outside symmetric margins
         rows = np.logical_or.reduce(ties, axis=1).nonzero()[0].tolist() if B > 1 else [0]
         for i in rows:
-            # a bound is at least the row's first pmf: past it, the search
-            # finds the last position at most the bound, not the one after
+            # a bound is at least the row's first pmf, so a search of the
+            # rest of the row lands on the last position at most the bound
             row = tail[i]
             row[:] = row[sorted_pmf[i, 1:].searchsorted(bound[i], side="right")]
     sorted_p = tail.ravel()
