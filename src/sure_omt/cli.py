@@ -21,7 +21,7 @@ import sys
 from contextlib import nullcontext
 from itertools import islice
 
-from .discrete import ContingencyTable2x2, fisher_margins_batch, table_margins
+from .discrete import ContingencyTable2x2, check_margins, fisher_margins_batch, table_margins
 from .evaluate import open_atomic
 from .procedures import (ProcedureConfig, audit_fwer_budget, audit_mfdr_budget,
                          make_procedure, parse_name)
@@ -46,7 +46,7 @@ STANDARD_DEFAULTS = {"alpha": 0.2, "lambda": 0.5, "w0_share": 0.5,
                      "kernel_h": {"fwer": 100, "mfdr": 10}}
 # analyze reads ahead a block of rows until they count this many feasible
 # tables, each row counting READ_AHEAD_ROW_TABLES more for itself (a row held
-# costs about 750 bytes, a table about 38), and tests its margins in one call
+# costs about 1 kB, a table about 15 bytes), and tests its margins in one call
 READ_AHEAD_TABLES = 1 << 16
 READ_AHEAD_ROW_TABLES = 20
 
@@ -168,6 +168,7 @@ def _test_rows(fh, max_rows: int | None):
             try:
                 table = ContingencyTable2x2(*map(int, row[1:]))
                 r1, r2, c1 = margin = table_margins(table)
+                check_margins(*margin)
             except ValueError as exc:
                 raise InputError(f"line {lineno}: {exc}") from None
             block.append((row[0], table.a))

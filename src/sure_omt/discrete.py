@@ -25,8 +25,13 @@ from .core import StepCdf
 TIE_REL_TOL = 1e-7
 # the largest smallest margin (row or column sum) of a table; the test's cost grows with it
 MAX_MARGIN = 1 << 20
+# the largest group (row sum) of a table: lgamma of the total of two larger
+# groups passes the float range
+MAX_GROUP = 1 << 1000
 # fisher_margins keeps at most this many margins, holding at most this many
-# feasible tables between them (tens of MB)
+# feasible tables between them: a margin holds 16 bytes a table at most (its
+# p-value and its support point, 8 bytes each) and about 700 bytes of its own,
+# so 2^20 tables in 2000 margins of 500 tables hold about 17 MB
 _CACHE_MARGINS = 4096
 _CACHE_TABLES = 1 << 20
 # a pass of the exact test holds margins with at most this many cells in its
@@ -51,7 +56,7 @@ class ContingencyTable2x2(NamedTuple):
 
 class ExactTestResult(NamedTuple):
     p_value: float
-    support: tuple[float, ...]
+    support: memoryview  # the null bound's points: read-only float64
     null_bound: StepCdf
 
 
@@ -86,25 +91,24 @@ def _grown_lgamma(tops: list[int], n: int) -> np.ndarray:
     return table
 
 
-# a margin has smallest + 1 feasible tables; checked before any array is made
-_TOO_LARGE = f"a table's smallest margin must be at most {MAX_MARGIN}"
-
-
-def _check_margins(r1: int, r2: int, c1: int) -> None:
+def check_margins(r1: int, r2: int, c1: int) -> None:
+    """ValueError unless the exact test can take the margins: consistent, a
+    smallest margin (smallest + 1 feasible tables) of at most MAX_MARGIN and
+    groups of at most MAX_GROUP.  Checked before any array is made."""
     if min(r1, r2, c1) < 0 or c1 > r1 + r2:
         raise ValueError(f"inconsistent margins {(r1, r2, c1)}")
     if min(r1, r2, c1, r1 + r2 - c1) > MAX_MARGIN:
-        raise ValueError(_TOO_LARGE)
+        raise ValueError(f"a table's smallest margin must be at most {MAX_MARGIN}")
+    if r1 > MAX_GROUP or r2 > MAX_GROUP:
+        raise ValueError("a table's groups (row sums) must be at most 2**1000")
 
 
 def table_margins(table: ContingencyTable2x2) -> tuple[int, int, int]:
     """The margins (r1, r2, c1) of a table: its row sums and first column sum.
-    A negative cell or margins the exact test cannot take raise ValueError."""
+    A negative cell raises ValueError; ``check_margins`` checks the rest."""
     a, b, c, d = table
     if min(a, b, c, d) < 0:
         raise ValueError("cell counts must be nonnegative")
-    if min(a + b, c + d, a + c, b + d) > MAX_MARGIN:
-        raise ValueError(_TOO_LARGE)
     return a + b, c + d, a + c
 
 
@@ -114,7 +118,8 @@ def _cached_per_margin(compute):
     result's p-value array): it computes each distinct margin not cached once,
     in one call; the least recently used margins are evicted first, and a
     margin with more tables than that is computed and not kept.
-    ``__wrapped__`` is ``compute``."""
+    ``__wrapped__`` is ``compute``, and ``one(margin)`` is ``cached([margin])[0]``
+    with a single lookup on a hit."""
     cache = OrderedDict()  # least recently used first
     held = 0               # the tables of the cached margins
 
@@ -142,6 +147,15 @@ def _cached_per_margin(compute):
                     held -= len(cache.popitem(last=False)[1][0])
                 cache[key] = result
         return results
+
+    def one(key):
+        result = cache.get(key)
+        if result is None:
+            return cached([key])[0]
+        cache.move_to_end(key)
+        return result
+
+    cached.one = one
     return cached
 
 
@@ -158,7 +172,7 @@ def fisher_margins_batch(margins: list[tuple[int, int, int]]) -> list[
     """
     los, ns, tops = [], [], []
     for r1, r2, c1 in margins:
-        _check_margins(r1, r2, c1)
+        check_margins(r1, r2, c1)
         lo = max(0, c1 - r2)
         los.append(lo)
         ns.append(min(r1, c1) - lo + 1)
@@ -269,17 +283,19 @@ def _exact_pass(margins, los, ns, table):
     # each margin's support, one after the other: increasing, in (0, 1] and
     # ending at its one point 1.0, the tail of all its tables
     points = sorted_p[first]
-    lasts = (points == 1.0).nonzero()[0].tolist() if B > 1 else [len(points) - 1]
-    points = points.tolist()
+    stops = ((points == 1.0).nonzero()[0] + 1).tolist() if B > 1 else [len(points)]
+    points = points.tobytes()
     pvals = np.empty(B * w)
     pvals[order.ravel()] = sorted_p
     results, at, bound_of = [], 0, StepCdf._unchecked
-    for start, lo, m, last in zip(range(0, B * w, w), los, ns, lasts):
-        # a row of a block is copied: a view would hold the block the cache does not count
+    for start, lo, m, stop in zip(range(0, B * w, w), los, ns, stops):
+        # a row of a block, and its support, are copied: a view would hold the
+        # block the cache does not count; both are shared by every caller of
+        # the cache, so neither can be written (the support is bytes)
         own = pvals[start:start + m].copy() if B > 1 else pvals
-        own.setflags(write=False)  # shared by every caller of the cache
-        results.append((own, lo, bound_of(tuple(points[at:last + 1]))))
-        at = last + 1
+        own.setflags(write=False)
+        results.append((own, lo, bound_of(memoryview(points[8 * at:8 * stop]).cast("d"))))
+        at = stop
     return results
 
 
@@ -290,7 +306,7 @@ def fisher_margins(r1: int, r2: int, c1: int) -> tuple[np.ndarray, int, StepCdf]
     (``fisher_margins_batch``): pvals is a read-only float array whose entry
     k - lo is the two-sided p-value when the first cell equals k, and bound
     jumps at the achievable p-values.  Margins with one feasible table (an
-    empty row or column) give p = 1 with support (1.0,).
+    empty row or column) give p = 1 with support [1.0].
 
     The pmf is computed in log space with a single exponentiation pass, and
     tail sums are accumulated in ascending pmf order (a stable sort, then a
@@ -298,19 +314,20 @@ def fisher_margins(r1: int, r2: int, c1: int) -> tuple[np.ndarray, int, StepCdf]
     that underflow give p = 0.0, which is raised to the smallest positive
     p-value of the margin: the bound keeps F(u) <= u.
     """
-    return fisher_margins_batch([(r1, r2, c1)])[0]
+    return fisher_margins_batch.one((r1, r2, c1))
 
 
 def support_to_bound(support) -> StepCdf:
     """Step CDF jumping exactly at the support points (1 appended if absent);
     the points must lie in (0, 1]."""
-    vals = sorted(set(float(s) for s in support))
+    vals = sorted(set(map(float, support)))
     if not vals or vals[-1] != 1.0:
         vals.append(1.0)
-    return StepCdf(support=tuple(vals))
+    return StepCdf(support=vals)
 
 
 def fisher_two_sided(table: ContingencyTable2x2) -> ExactTestResult:
-    """Two-sided Fisher exact test with the achievable p-value support."""
+    """Two-sided Fisher exact test with the achievable p-value support: the
+    null bound's read-only points, shared by every table of its margins."""
     pvals, lo, bound = fisher_margins(*table_margins(table))
     return ExactTestResult(pvals.item(table[0] - lo), bound.support, bound)

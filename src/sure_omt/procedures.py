@@ -43,7 +43,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import groupby
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -336,7 +336,7 @@ class NullBounds:
         self.ids = np.asarray(ids, dtype=np.intp)
         n = len(table)
         lens = np.fromiter((len(b.support) for b in table), np.intp, n)
-        flat = np.fromiter(chain.from_iterable(b.support for b in table), float, lens.sum())
+        flat = np.concatenate([b.support for b in table])
         points = np.sort(flat)  # np.unique would import numpy.ma
         self._points = points[np.concatenate(([True], points[1:] != points[:-1]))]
         width = len(self._points) + 1

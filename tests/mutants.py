@@ -48,6 +48,7 @@ INVESTING_BASE = "tests/test_procedures.py::test_investing_base_matches_the_resu
 MIXED_PASS = "tests/test_discrete.py::test_one_mixed_pass_is_each_margin_alone_bit_for_bit"
 OBSERVE_DECISION = "Decision(t, p, alpha, reject, rho, base, sure, eps, self.r_count)"
 SPENT_INIT = "self.spent: list[float] = [] if self.rewarded else self.alphas"
+SUPPORT_BUILT = 'bound_of(memoryview(points[8 * at:8 * stop]).cast("d"))'
 # an equivalent mutant survives every test of the sums it touches
 EQUIVALENT_CHECKS = (INVESTING_BASE,
                      "tests/test_procedures.py::test_long_stream_reward_sums_are_exact",
@@ -180,6 +181,13 @@ MUTANTS = (
            "held -= len(cache.popitem(last=False)[1][0])", "break",
            ("tests/test_discrete.py::"
             "test_the_cache_keeps_its_tables_within_budget_and_the_recently_used_margins",)),
+    # a margin's support: one read-only buffer of float64 points, no Python float per point
+    Mutant("exact-pass-support-writable", "discrete.py", SUPPORT_BUILT,
+           'bound_of(memoryview(bytearray(points[8 * at:8 * stop])).cast("d"))',
+           ("tests/test_discrete.py::test_a_margin_shares_one_read_only_support_buffer",)),
+    Mutant("exact-pass-support-from-tolist", "discrete.py", SUPPORT_BUILT,
+           "bound_of(tuple(np.frombuffer(points[8 * at:8 * stop]).tolist()))",
+           ("tests/test_discrete.py::test_a_cached_table_holds_about_16_bytes",)),
     Mutant("sweep-grouped-by-size", "simulate.py",
            "key=lambda point: (id(point.configs), point.scenario.m)",
            "key=lambda point: (len(point.configs), point.scenario.m)",

@@ -238,6 +238,23 @@ def test_oversized_table_row_is_an_input_error(tmp_path, capsys):
     assert not trace.exists()
 
 
+
+def test_a_group_past_the_float_range_is_an_input_error(tmp_path, capsys):
+    """A row with a group past MAX_GROUP exits 2 and names its line, and the
+    exact test of its table raises ValueError; the row x,10^400,0,3,2, whose
+    smallest margin is 2, used to end in an OverflowError traceback from
+    lgamma (exit 1)."""
+    tables = _write_tables(tmp_path, [f"x,{HUGE},0,3,2"])
+    trace = tmp_path / "t.csv"
+    assert main(["analyze", "--config", _write_config(tmp_path, ANALYZE_CFG),
+                 "--input", tables, "--out-trace", str(trace)]) == 2
+    _assert_one_error_line(capsys, "line 2: a table's groups (row sums) must be at most 2**1000")
+    assert not trace.exists()
+    with pytest.raises(ValueError, match="groups"):
+        discrete.fisher_two_sided(discrete.ContingencyTable2x2(HUGE, 0, 3, 2))
+    # a group of MAX_GROUP is taken
+    assert discrete.fisher_two_sided(discrete.ContingencyTable2x2(discrete.MAX_GROUP, 0, 3, 2))
+
 def test_negative_cell_is_an_input_error(tmp_path, capsys):
     """A negative cell exits 2 and names its line: the exact test checks the
     counts of the table it is given."""

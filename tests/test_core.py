@@ -67,7 +67,7 @@ def test_step_cdf_tight_at_jumps(u):
     f = StepCdf(support=(0.25, 0.5, 1.0))
     for s in f.support:
         assert f(s) == s
-    assert f(u) in (0.0,) + f.support
+    assert f(u) in (0.0, *f.support)
 
 
 def test_step_cdf_hashable_and_frozen():
@@ -76,6 +76,31 @@ def test_step_cdf_hashable_and_frozen():
     with pytest.raises(AttributeError):
         f.support = (1.0,)
 
+
+
+def test_step_cdf_from_any_sequence_compares_by_its_points():
+    """A bound built from any sequence of its points holds them as one
+    read-only float64 view; bounds with the same points and flag are equal and
+    hash alike, and a bound survives pickling, copying and its repr."""
+    import copy
+    import pickle
+    from array import array
+
+    import numpy as np
+
+    f = StepCdf(support=(0.25, 0.5, 1.0))
+    for points in ([0.25, 0.5, 1], np.array([0.25, 0.5, 1.0]), array("d", [0.25, 0.5, 1.0]),
+                   f.support):
+        g = StepCdf(support=points)
+        assert g == f and hash(g) == hash(f)
+        assert g.support.readonly and g.support.format == "d"
+        assert g.support.tolist() == [0.25, 0.5, 1.0]
+    assert f != StepCdf(support=(0.25, 1.0)) and f != StepCdf(support=(0.25, 0.75, 1.0))
+    assert StepCdf(support=(1.0,)) != IDENTITY_BOUND
+    assert f != f.support.tolist()
+    for other in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), eval(repr(f))):
+        assert other == f and other(0.3) == 0.25
+    assert repr(f) == "StepCdf(support=(0.25, 0.5, 1.0), exact_identity=False)"
 
 def test_decision_is_an_immutable_named_tuple():
     d = Decision(3, 0.5, 0.1, False, 0.02, 0.06, 0.04, 0.0, 1)

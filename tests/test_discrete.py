@@ -48,7 +48,7 @@ def test_fisher_degenerate_margins():
     for tab in [(0, 0, 0, 0), (2, 0, 3, 0), (0, 2, 0, 3), (0, 0, 1, 2), (3, 1, 0, 0)]:
         r = fisher_two_sided(ContingencyTable2x2(*tab))
         assert r.p_value == 1.0
-        assert r.support == (1.0,)
+        assert r.support.tolist() == [1.0]
         a, b, c, d = tab
         assert fisher_margins(a + b, c + d, a + c)[0].tolist() == [1.0]
 
@@ -95,18 +95,18 @@ def test_support_is_achievable_p_values():
     pvals, lo, bound = fisher_margins(8, 7, 5)
     support = bound.support
     assert set(support) >= set(pvals)
-    assert support == tuple(sorted(set(pvals) | {1.0}))
+    assert support.tolist() == sorted(set(pvals) | {1.0})
     assert support[-1] == 1.0
 
 
 def test_support_to_bound():
     f = support_to_bound((0.3, 0.1))
-    assert f.support == (0.1, 0.3, 1.0)
+    assert f.support.tolist() == [0.1, 0.3, 1.0]
     assert f(0.2) == 0.1
     for bad in [(0.0, 1.0), (0.5, 1.5)]:
         with pytest.raises(ValueError):
             support_to_bound(bad)
-    assert support_to_bound(()).support == (1.0,)
+    assert support_to_bound(()).support.tolist() == [1.0]
 
 
 def test_null_bound_validity_monte_carlo():
@@ -147,7 +147,7 @@ def test_margins_cache_consistency_with_table_api():
         assert r.null_bound is bound
         if r1 == 0 or r2 == 0 or c1 == 0 or c1 == r1 + r2:
             assert r.p_value == 1.0
-            assert bound.support == (1.0,)
+            assert bound.support.tolist() == [1.0]
 
 
 @pytest.mark.parametrize("margins", [(8, 7, 5), (0, 3, 2), (400, 350, 300)])
@@ -184,6 +184,47 @@ def test_the_cache_keeps_its_tables_within_budget_and_the_recently_used_margins(
     # would hold about 1.4 MB
     assert peak < 40 * budget + (256 << 10)
 
+
+
+def test_a_margin_shares_one_read_only_support_buffer():
+    """Every table of a margin reads one bound, whose support is one buffer of
+    float64 points that no caller can write: not through the view, nor through
+    an array over it."""
+    r, s = (fisher_two_sided(ContingencyTable2x2(*t)) for t in [(3, 5, 2, 5), (4, 4, 1, 6)])
+    assert r.null_bound is s.null_bound and r.support is s.support is r.null_bound.support
+    support = r.support
+    assert np.shares_memory(np.asarray(support), np.asarray(s.support))
+    assert support.readonly and support.format == "d" and support.itemsize == 8
+    with pytest.raises(TypeError):
+        support[0] = 0.5
+    points = np.asarray(support)
+    with pytest.raises(ValueError):
+        points[0] = 0.5
+    with pytest.raises(ValueError):
+        points.setflags(write=True)
+    assert type(support[0]) is float and r.null_bound(support[0]) == support[0]
+
+
+def test_a_cached_table_holds_about_16_bytes():
+    """A cached margin holds 8 bytes a table for its p-values and 8 a support
+    point, with no Python object per point: 64 distinct margins of 500 tables
+    each, cached by a cache of their own, hold at most 20 bytes a table (a
+    support of Python floats in a tuple held about 40)."""
+    margins = [(700 + k, 600, 499) for k in range(64)]
+    compute = fisher_margins_batch.__wrapped__
+    compute(margins)  # the lgamma table grows before tracing
+    cached = discrete._cached_per_margin(compute)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for start in range(0, 64, 16):
+            cached(margins[start:start + 16])
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    points = sum(len(cached([m])[0][2].support) for m in margins)
+    assert points > 0.99 * 64 * 500  # a support point for nearly every table
+    assert held <= 20 * 64 * 500, held / (64 * 500)
 
 def test_the_cache_keeps_at_most_its_margins_and_no_margin_past_its_budget(monkeypatch):
     """The least recently used margin goes when one more would pass the margin
@@ -273,7 +314,7 @@ def _assert_identical(margins):
     the list reference's bit for bit."""
     margins = list(margins)
     for margin, (pvals, lo, bound) in zip(margins, fisher_margins_batch.__wrapped__(margins)):
-        got = (tuple(pvals.tolist()), lo, bound.support)
+        got = (tuple(pvals.tolist()), lo, tuple(bound.support))
         assert got == _fisher_margins_reference(*margin), margin
         # the bound is built without the public constructor's check, which passes
         assert StepCdf(support=bound.support) == bound
@@ -309,7 +350,7 @@ def test_one_mixed_pass_is_each_margin_alone_bit_for_bit():
     assert tables > 3 * discrete._PASS_CELLS  # at least four passes
     for margin, (pvals, lo, bound) in zip(margins, fisher_margins_batch.__wrapped__(margins)):
         want = _fisher_margins_reference(*margin)
-        assert (tuple(pvals.tolist()), lo, bound.support) == want, margin
+        assert (tuple(pvals.tolist()), lo, tuple(bound.support)) == want, margin
         [(alone, alone_lo, alone_bound)] = fisher_margins_batch.__wrapped__([margin])
         assert (alone.tolist(), alone_lo, alone_bound) == (pvals.tolist(), lo, bound), margin
         assert pvals.flags.owndata and not pvals.flags.writeable
@@ -325,7 +366,7 @@ def test_runs_of_ties_are_searched_within_their_margin(monkeypatch):
                for c1 in range(0, r1 + r2 + 1, 3)]
     runs = 0
     for margin, (pvals, lo, bound) in zip(margins, fisher_margins_batch.__wrapped__(margins)):
-        assert (tuple(pvals.tolist()), lo, bound.support) == \
+        assert (tuple(pvals.tolist()), lo, tuple(bound.support)) == \
             _fisher_margins_reference(*margin, tol=0.5), margin
         r1, r2, c1 = margin
         pmf = sorted(hypergeom_pmf(k, margin) for k in range(lo, min(r1, c1) + 1))

@@ -58,8 +58,9 @@ def fisher(alternative: bool, n: int = 4):
         for c in range(n + 1):
             r = fisher_two_sided(ContingencyTable2x2(a, n - a, c, n - c))
             w = math.comb(n, a) * rate ** a * (1 - rate) ** (n - a) * math.comb(n, c) / 2 ** n
-            p, bound, mass = outcomes.get((r.p_value, r.support), (r.p_value, r.null_bound, 0.0))
-            outcomes[r.p_value, r.support] = (p, bound, mass + w)
+            key = r.p_value, r.support.tobytes()
+            p, bound, mass = outcomes.get(key, (r.p_value, r.null_bound, 0.0))
+            outcomes[key] = (p, bound, mass + w)
     return list(outcomes.values())
 
 

@@ -131,7 +131,7 @@ def test_generate_trial_degenerate_margins():
                ScenarioConfig(m=30, n_subjects=8, p3=0.0, p_null_low=0.0, p_null_mid=0.0)):
         tr = generate_trial(sc, 0)
         assert tr.pvals == [1.0] * 30
-        assert all(bound.support == (1.0,) for bound in tr.bounds)
+        assert all(bound.support.tolist() == [1.0] for bound in tr.bounds)
 
 
 @pytest.mark.parametrize("n,probs", [(12, (0.05, 0.5)), (3, (0.5, 0.9)), (0, (0.3, 0.3)),
