@@ -91,25 +91,33 @@ def _grown_lgamma(tops: list[int], n: int) -> np.ndarray:
     return table
 
 
-def check_margins(r1: int, r2: int, c1: int) -> None:
-    """ValueError unless the exact test can take the margins: consistent, a
-    smallest margin (smallest + 1 feasible tables) of at most MAX_MARGIN and
-    groups of at most MAX_GROUP.  Checked before any array is made."""
+# a margin has smallest + 1 feasible tables; checked before any array is made
+_TOO_LARGE = f"a table's smallest margin must be at most {MAX_MARGIN}"
+_TOO_LARGE_GROUP = "a table's groups (row sums) must be at most 2**1000"
+_NEGATIVE = "cell counts must be nonnegative"
+
+
+def _check_margins(r1: int, r2: int, c1: int) -> None:
     if min(r1, r2, c1) < 0 or c1 > r1 + r2:
         raise ValueError(f"inconsistent margins {(r1, r2, c1)}")
     if min(r1, r2, c1, r1 + r2 - c1) > MAX_MARGIN:
-        raise ValueError(f"a table's smallest margin must be at most {MAX_MARGIN}")
+        raise ValueError(_TOO_LARGE)
     if r1 > MAX_GROUP or r2 > MAX_GROUP:
-        raise ValueError("a table's groups (row sums) must be at most 2**1000")
+        raise ValueError(_TOO_LARGE_GROUP)
 
 
 def table_margins(table: ContingencyTable2x2) -> tuple[int, int, int]:
     """The margins (r1, r2, c1) of a table: its row sums and first column sum.
-    A negative cell raises ValueError; ``check_margins`` checks the rest."""
+    A negative cell or margins the exact test cannot take raise ValueError."""
     a, b, c, d = table
     if min(a, b, c, d) < 0:
-        raise ValueError("cell counts must be nonnegative")
-    return a + b, c + d, a + c
+        raise ValueError(_NEGATIVE)
+    r1, r2 = a + b, c + d
+    if min(r1, r2, a + c, b + d) > MAX_MARGIN:
+        raise ValueError(_TOO_LARGE)
+    if r1 > MAX_GROUP or r2 > MAX_GROUP:
+        raise ValueError(_TOO_LARGE_GROUP)
+    return r1, r2, a + c
 
 
 def _cached_per_margin(compute):
@@ -172,7 +180,7 @@ def fisher_margins_batch(margins: list[tuple[int, int, int]]) -> list[
     """
     los, ns, tops = [], [], []
     for r1, r2, c1 in margins:
-        check_margins(r1, r2, c1)
+        _check_margins(r1, r2, c1)
         lo = max(0, c1 - r2)
         los.append(lo)
         ns.append(min(r1, c1) - lo + 1)
@@ -328,6 +336,11 @@ def support_to_bound(support) -> StepCdf:
 
 def fisher_two_sided(table: ContingencyTable2x2) -> ExactTestResult:
     """Two-sided Fisher exact test with the achievable p-value support: the
-    null bound's read-only points, shared by every table of its margins."""
-    pvals, lo, bound = fisher_margins(*table_margins(table))
-    return ExactTestResult(pvals.item(table[0] - lo), bound.support, bound)
+    null bound's read-only points, shared by every table of its margins.
+    Raises ValueError where ``table_margins`` does; a table of cached margins
+    has only its cells checked."""
+    a, b, c, d = table
+    if min(a, b, c, d) < 0:
+        raise ValueError(_NEGATIVE)
+    pvals, lo, bound = fisher_margins(a + b, c + d, a + c)
+    return ExactTestResult(pvals.item(a - lo), bound.support, bound)
