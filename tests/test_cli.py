@@ -238,7 +238,6 @@ def test_oversized_table_row_is_an_input_error(tmp_path, capsys):
     assert not trace.exists()
 
 
-
 def test_a_group_past_the_float_range_is_an_input_error(tmp_path, capsys):
     """A row with a group past MAX_GROUP exits 2 and names its line, and the
     exact test of its table raises ValueError; the row x,10^400,0,3,2, whose
@@ -254,6 +253,7 @@ def test_a_group_past_the_float_range_is_an_input_error(tmp_path, capsys):
         discrete.fisher_two_sided(discrete.ContingencyTable2x2(HUGE, 0, 3, 2))
     # a group of MAX_GROUP is taken
     assert discrete.fisher_two_sided(discrete.ContingencyTable2x2(discrete.MAX_GROUP, 0, 3, 2))
+
 
 def test_negative_cell_is_an_input_error(tmp_path, capsys):
     """A negative cell exits 2 and names its line: the exact test checks the

@@ -1,5 +1,9 @@
+import copy
 import math
+import pickle
+from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -77,17 +81,10 @@ def test_step_cdf_hashable_and_frozen():
         f.support = (1.0,)
 
 
-
 def test_step_cdf_from_any_sequence_compares_by_its_points():
     """A bound built from any sequence of its points holds them as one
     read-only float64 view; bounds with the same points and flag are equal and
     hash alike, and a bound survives pickling, copying and its repr."""
-    import copy
-    import pickle
-    from array import array
-
-    import numpy as np
-
     f = StepCdf(support=(0.25, 0.5, 1.0))
     for points in ([0.25, 0.5, 1], np.array([0.25, 0.5, 1.0]), array("d", [0.25, 0.5, 1.0]),
                    f.support):
@@ -101,6 +98,7 @@ def test_step_cdf_from_any_sequence_compares_by_its_points():
     for other in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), eval(repr(f))):
         assert other == f and other(0.3) == 0.25
     assert repr(f) == "StepCdf(support=(0.25, 0.5, 1.0), exact_identity=False)"
+
 
 def test_decision_is_an_immutable_named_tuple():
     d = Decision(3, 0.5, 0.1, False, 0.02, 0.06, 0.04, 0.0, 1)

@@ -185,7 +185,6 @@ def test_the_cache_keeps_its_tables_within_budget_and_the_recently_used_margins(
     assert peak < 40 * budget + (256 << 10)
 
 
-
 def test_a_margin_shares_one_read_only_support_buffer():
     """Every table of a margin reads one bound, whose support is one buffer of
     float64 points that no caller can write: not through the view, nor through
@@ -225,6 +224,7 @@ def test_a_cached_table_holds_about_16_bytes():
     points = sum(len(cached([m])[0][2].support) for m in margins)
     assert points > 0.99 * 64 * 500  # a support point for nearly every table
     assert held <= 20 * 64 * 500, held / (64 * 500)
+
 
 def test_the_cache_keeps_at_most_its_margins_and_no_margin_past_its_budget(monkeypatch):
     """The least recently used margin goes when one more would pass the margin
