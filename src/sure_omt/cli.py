@@ -17,11 +17,12 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from contextlib import nullcontext
 from itertools import islice
 
-from .discrete import ContingencyTable2x2, fisher_margins_batch, table_margins
+from .discrete import fisher_margins_batch, table_margins
 from .evaluate import open_atomic
 from .procedures import (ProcedureConfig, audit_fwer_budget, audit_mfdr_budget,
                          make_procedure, parse_name)
@@ -49,6 +50,11 @@ STANDARD_DEFAULTS = {"alpha": 0.2, "lambda": 0.5, "w0_share": 0.5,
 # costs about 1 kB, a table about 15 bytes), and tests its margins in one call
 READ_AHEAD_TABLES = 1 << 16
 READ_AHEAD_ROW_TABLES = 20
+# the trace, as csv.writer writes it: CRLF line ends, the id quoted where it
+# must be (_csv_field), the floats to 17 significant digits, reject as 0 or 1
+TRACE_HEADER = "t,id,p,alpha,rho,epsilon,reject\r\n"
+TRACE_LINE = "%d,%s,%.17g,%.17g,%.17g,%.17g,%d\r\n"
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
 
 
 class InputError(Exception):
@@ -57,6 +63,14 @@ class InputError(Exception):
 
 def _fmt(x: float) -> str:
     return format(x, ".17g")
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes a field of a row of several: quoted,
+    each ``"`` doubled, when it holds a comma, a quote, a CR or a LF."""
+    if _NEEDS_QUOTES(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _at(path: str, build, *args, **kwargs):
@@ -143,13 +157,13 @@ def parse_procedures(entries, kind: str = "procedures[i]") -> dict[str, Procedur
     return configs
 
 
-def _test_rows(fh, max_rows: int | None):
-    """Yield (id, p-value, null bound) for each row of an open table CSV.
+def _table_blocks(fh, max_rows: int | None):
+    """Yield the rows of an open table CSV in read-ahead blocks, each as its
+    ids, first cells and margins (three lists of one entry per row).
 
-    Rows are read ahead in blocks that count READ_AHEAD_TABLES (their
-    feasible tables, and READ_AHEAD_ROW_TABLES for each row); each row is
-    checked as it is read, so the first bad line raises, and a block's
-    margins are tested in one call.  No row past ``max_rows`` is read.
+    A block counts READ_AHEAD_TABLES (its rows' feasible tables, and
+    READ_AHEAD_ROW_TABLES for each row); each row is checked as it is read,
+    so the first bad line raises.  No row past ``max_rows`` is read.
     """
     reader = csv.reader(fh)
     header = next(reader, None)
@@ -161,24 +175,24 @@ def _test_rows(fh, max_rows: int | None):
     rows = enumerate(reader if max_rows is None else islice(reader, min(max_rows, sys.maxsize)),
                      start=2)
     while True:
-        block, margins, count = [], [], 0
+        ids, firsts, margins, count = [], [], [], 0
         for lineno, row in rows:
             if len(row) != 5:
                 raise InputError(f"line {lineno}: expected 5 fields, got {len(row)}")
             try:
-                table = ContingencyTable2x2(*map(int, row[1:]))
-                r1, r2, c1 = margin = table_margins(table)
+                cells = tuple(map(int, row[1:]))
+                r1, r2, c1 = margin = table_margins(cells)
             except ValueError as exc:
                 raise InputError(f"line {lineno}: {exc}") from None
-            block.append((row[0], table.a))
+            ids.append(row[0])
+            firsts.append(cells[0])
             margins.append(margin)
             count += min(r1, r2, c1, r1 + r2 - c1) + 1 + READ_AHEAD_ROW_TABLES
             if count >= READ_AHEAD_TABLES:
                 break
-        if not block:
+        if not ids:
             return
-        for (row_id, a), (pvals, lo, bound) in zip(block, fisher_margins_batch(margins)):
-            yield row_id, pvals.item(a - lo), bound
+        yield ids, firsts, margins
 
 
 def cmd_analyze(args) -> int:
@@ -195,13 +209,16 @@ def cmd_analyze(args) -> int:
               open_atomic(args.out_trace, newline="") as out,
               (open_atomic(args.out_summary) if args.out_summary
                else nullcontext()) as summary_out):
-            writer = csv.writer(out)
-            writer.writerow(["t", "id", "p", "alpha", "rho", "epsilon", "reject"])
-            for row_id, p, bound in _test_rows(fh, max_rows):
-                proc.emit_alpha()
-                dec = proc.observe(p, bound)
-                writer.writerow([dec.t, row_id, _fmt(dec.p), _fmt(dec.alpha),
-                                 _fmt(dec.rho), _fmt(dec.eps_part), int(dec.reject)])
+            out.write(TRACE_HEADER)
+            emit, observe = proc.emit_alpha, proc.observe
+            for ids, firsts, margins in _table_blocks(fh, max_rows):
+                lines = []
+                for row_id, a, (pvals, lo, bound) in zip(ids, firsts,
+                                                         fisher_margins_batch(margins)):
+                    emit()
+                    t, p, alpha, reject, rho, _, _, eps, _ = observe(pvals.item(a - lo), bound)
+                    lines.append(TRACE_LINE % (t, _csv_field(row_id), p, alpha, rho, eps, reject))
+                out.write("".join(lines))
             audit = (audit_mfdr_budget if parse_name(name).investing else audit_fwer_budget)(proc)
             summary = {
                 "rows": proc.t,

@@ -25,9 +25,10 @@ from .core import StepCdf
 TIE_REL_TOL = 1e-7
 # the largest smallest margin (row or column sum) of a table; the test's cost grows with it
 MAX_MARGIN = 1 << 20
-# the largest group (row sum) of a table: lgamma of the total of two larger
-# groups passes the float range
-MAX_GROUP = 1 << 1000
+# the largest group (row sum) of a table: the largest integer a float holds
+# exactly; past it the rounding of the lgamma differences can push a log-pmf
+# past exp's range (2^55 does), well before lgamma itself passes it
+MAX_GROUP = 1 << 53
 # fisher_margins keeps at most this many margins, holding at most this many
 # feasible tables between them: a margin holds 16 bytes a table at most (its
 # p-value and its support point, 8 bytes each) and about 700 bytes of its own,
@@ -93,7 +94,7 @@ def _grown_lgamma(tops: list[int], n: int) -> np.ndarray:
 
 # a margin has smallest + 1 feasible tables; checked before any array is made
 _TOO_LARGE = f"a table's smallest margin must be at most {MAX_MARGIN}"
-_TOO_LARGE_GROUP = "a table's groups (row sums) must be at most 2**1000"
+_TOO_LARGE_GROUP = "a table's groups (row sums) must be at most 2**53"
 _NEGATIVE = "cell counts must be nonnegative"
 
 
@@ -106,10 +107,11 @@ def _check_margins(r1: int, r2: int, c1: int) -> None:
         raise ValueError(_TOO_LARGE_GROUP)
 
 
-def table_margins(table: ContingencyTable2x2) -> tuple[int, int, int]:
-    """The margins (r1, r2, c1) of a table: its row sums and first column sum.
-    A negative cell or margins the exact test cannot take raise ValueError."""
-    a, b, c, d = table
+def table_margins(cells: tuple[int, int, int, int]) -> tuple[int, int, int]:
+    """The margins (r1, r2, c1) of a table's cells (a, b, c, d), such as a
+    ContingencyTable2x2: its row sums and first column sum.  A negative cell
+    or margins the exact test cannot take raise ValueError."""
+    a, b, c, d = cells
     if min(a, b, c, d) < 0:
         raise ValueError(_NEGATIVE)
     r1, r2 = a + b, c + d

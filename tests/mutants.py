@@ -188,6 +188,10 @@ MUTANTS = (
     Mutant("exact-pass-support-from-tolist", "discrete.py", SUPPORT_BUILT,
            "bound_of(tuple(np.frombuffer(points[8 * at:8 * stop]).tolist()))",
            ("tests/test_discrete.py::test_a_cached_table_holds_about_16_bytes",)),
+    # the analyze trace quotes an id as csv.writer does; the golden ids need no quotes
+    Mutant("trace-id-unquoted", "cli.py", "if _NEEDS_QUOTES(text) is None:", "if True:",
+           ("tests/test_cli.py::test_a_trace_line_is_what_csv_writer_writes",
+            "tests/test_cli.py::test_analyze_quotes_the_ids_as_csv_writer_does")),
     Mutant("sweep-grouped-by-size", "simulate.py",
            "key=lambda point: (id(point.configs), point.scenario.m)",
            "key=lambda point: (len(point.configs), point.scenario.m)",

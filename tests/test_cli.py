@@ -1,13 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sure_omt import cli, discrete
 from sure_omt.cli import CONFIG_ENV_VAR, main, parse_procedures
@@ -247,12 +251,34 @@ def test_a_group_past_the_float_range_is_an_input_error(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     assert main(["analyze", "--config", _write_config(tmp_path, ANALYZE_CFG),
                  "--input", tables, "--out-trace", str(trace)]) == 2
-    _assert_one_error_line(capsys, "line 2: a table's groups (row sums) must be at most 2**1000")
+    _assert_one_error_line(capsys, "line 2: a table's groups (row sums) must be at most 2**53")
     assert not trace.exists()
     with pytest.raises(ValueError, match="groups"):
         discrete.fisher_two_sided(discrete.ContingencyTable2x2(HUGE, 0, 3, 2))
-    # a group of MAX_GROUP is taken
+    # a group of MAX_GROUP is taken, and one past it is not
     assert discrete.fisher_two_sided(discrete.ContingencyTable2x2(discrete.MAX_GROUP, 0, 3, 2))
+    with pytest.raises(ValueError, match="groups"):
+        discrete.fisher_two_sided(discrete.ContingencyTable2x2(discrete.MAX_GROUP + 1, 0, 3, 2))
+
+
+def test_groups_whose_log_pmf_overflows_are_an_input_error(tmp_path, capsys):
+    """Groups past 2**53, a float's largest exact integer, exit 2 naming their
+    line: the row x,500,10^17 - 500,500,10^17 - 500 used to end in an
+    OverflowError traceback from exp (exit 1), its lgamma differences rounded
+    to a log-pmf past exp's range.  The worst margins at the bound still run."""
+    big = 10**17 - 500
+    tables = _write_tables(tmp_path, ["a,1,2,3,4", f"x,500,{big},500,{big}"])
+    trace = tmp_path / "t.csv"
+    assert main(["analyze", "--config", _write_config(tmp_path, ANALYZE_CFG),
+                 "--input", tables, "--out-trace", str(trace)]) == 2
+    _assert_one_error_line(capsys, "line 3: a table's groups (row sums) must be at most 2**53")
+    assert not trace.exists()
+    with pytest.raises(ValueError, match="groups"):
+        discrete.fisher_two_sided(discrete.ContingencyTable2x2(500, big, 500, big))
+    n = discrete.MAX_GROUP
+    for margin in [(n, n, 7), (n, n, 2 * n - 7), (n, 7, 7), (n, n - 1, 11)]:
+        pvals, _, bound = discrete.fisher_margins(*margin)
+        assert 0.0 < pvals.min() and pvals.max() <= 1.0 and bound.support[-1] == 1.0, margin
 
 
 def test_negative_cell_is_an_input_error(tmp_path, capsys):
@@ -452,6 +478,53 @@ def test_analyze_late_error_writes_neither_output(tmp_path, capsys, monkeypatch)
     assert main(["analyze", "--config", _write_config(tmp_path, ANALYZE_CFG), "--out-trace",
                  str(one_block), "--input", _write_tables(tmp_path, rows)]) == 0
     assert one_block.read_bytes() == trace.read_bytes()  # the blocks change no output
+
+
+# ids of the characters csv.writer quotes around, spaces, and any other text
+_IDS = st.text(st.one_of(st.sampled_from(',"\r\n '), st.characters()), max_size=6)
+
+
+@settings(max_examples=400)
+@given(row_id=_IDS, t=st.integers(1, 10**9), floats=st.lists(st.floats(), min_size=4, max_size=4),
+       reject=st.booleans())
+def test_a_trace_line_is_what_csv_writer_writes(row_id, t, floats, reject):
+    """A trace line is the row csv.writer writes for the same fields: the id
+    quoted minimally, each float to 17 significant digits, CRLF at the end."""
+    out = io.StringIO()
+    csv.writer(out).writerow([t, row_id, *map(cli._fmt, floats), int(reject)])
+    assert cli.TRACE_LINE % (t, cli._csv_field(row_id), *floats, reject) == out.getvalue()
+    out = io.StringIO()
+    csv.writer(out).writerow(["t", "id", "p", "alpha", "rho", "epsilon", "reject"])
+    assert cli.TRACE_HEADER == out.getvalue()
+
+
+@settings(max_examples=30)
+@given(ids=st.lists(_IDS, min_size=1, max_size=12))
+def test_analyze_quotes_the_ids_as_csv_writer_does(ids):
+    """A trace over any ids is, byte for byte, the trace over plain ids with
+    each id put back through csv.writer, and csv.reader reads its ids back."""
+    cells = [row.split(",", 1)[1] for row in _good_rows(len(ids))]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = _write_config(tmp, ANALYZE_CFG)
+        traces = []
+        for name, row_ids in (("plain", [f"r{i}" for i in range(len(ids))]), ("drawn", ids)):
+            tables, trace = tmp / f"{name}.csv", tmp / f"{name}-trace.csv"
+            with tables.open("w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["id", "a", "b", "c", "d"])
+                writer.writerows([row_id, *row.split(",")] for row_id, row in zip(row_ids, cells))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["analyze", "--config", cfg, "--input", str(tables),
+                             "--out-trace", str(trace)]) == 0
+            traces.append(trace.read_bytes().decode())
+    plain, drawn = traces
+    want = io.StringIO()
+    writer = csv.writer(want)
+    for i, row in enumerate(csv.reader(io.StringIO(plain, newline=""))):
+        writer.writerow(row if i == 0 else [row[0], ids[i - 1], *row[2:]])
+    assert drawn == want.getvalue()
+    assert [row[1] for row in csv.reader(io.StringIO(drawn, newline=""))][1:] == ids
 
 
 def test_analyze_memory_stays_within_the_cache_and_read_ahead_bounds(tmp_path, monkeypatch):

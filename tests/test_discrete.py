@@ -329,12 +329,12 @@ def test_fisher_margins_is_bit_identical_to_the_list_reference_small():
 def _mixed_margins():
     """Margins of every kind in one list: underflowing tails, one feasible
     table, symmetric ties, duplicates, groups past the lgamma table's cap (one
-    past any float's exact integers), and enough random margins to fill
-    several passes."""
+    of the largest group taken), and enough random margins to fill several
+    passes."""
     rng = random.Random(23)
     margins = [(600, 600, 600), (2000, 2000, 2000), (10, 10, 0), (0, 5, 0), (7, 7, 7),
                (40, 40, 40), (8, 7, 5), (discrete._LGAMMA_CAP + 5, 30, 20),
-               (10**30, 5, 3), (7, 7, 7), (8, 7, 5)]
+               (discrete.MAX_GROUP, 5, 3), (7, 7, 7), (8, 7, 5)]
     for _ in range(300):
         r1, r2 = rng.randint(0, 200), rng.randint(0, 200)
         margins.append((r1, r2, rng.randint(0, r1 + r2)))

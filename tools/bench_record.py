@@ -3,10 +3,12 @@
 
     python3 tools/bench_record.py --label baseline --rev 3238c60
     python3 tools/bench_record.py --label next --base 3238c60 --rev HEAD --runs 10
+    python3 tools/bench_record.py --label next-seed2 --base 3238c60 --runs 10 --seed 2
 
 Each side is a committed revision, exported with ``git archive`` into a
 scratch directory, and measured by that revision's own ``bench/run.py``,
-unchanged (``--seed 1 --trace 0`` and ``BENCHMARK.json``'s ``run_seconds``).
+unchanged (``--seed`` as given, 1 by default, ``--trace 0`` and
+``BENCHMARK.json``'s ``run_seconds``).
 Every workload of ``BENCHMARK.json`` runs ``--runs`` times; with ``--base``,
 in ``--runs`` pairs, the two sides alternating (base first in even pairs,
 head first in odd ones).
@@ -14,10 +16,13 @@ head first in odd ones).
 The file, ``BENCH_<label>.json`` at the root of the checkout, keeps for
 each run the run record (``{"run": ...}``) and the result line that
 ``bench/run.py`` printed, and per side ("head" for ``--rev``, "base" for
-``--base``) and workload the median of each
-end-to-end metric and the spread of the host calibration loop.  A pair run
-adds, for each metric, the ratio of the medians (head / base) and the
-number of pairs in which head was better.
+``--base``) and workload the median and the quartiles of each end-to-end
+metric and the spread of the host calibration loop.  A pair run adds, for
+each metric, the ratio of the medians (head / base), the number of pairs in
+which head was better, and the gap of the medians in the metric's better
+direction against the interquartile range of the base runs.  A gain is
+claimed when ``claim_met``: head was better in at least 9 of 10 pairs and the
+median gap exceeds the base's interquartile range.
 """
 
 from __future__ import annotations
@@ -68,14 +73,24 @@ def metric(run: dict, name: str) -> float | None:
     return None if m is None else m["value"]
 
 
+def quartiles(values: list) -> list:
+    """[q1, median, q3] of the values, each quartile interpolated between the
+    two nearest values in sorted order (numpy's default percentile)."""
+    if len(values) == 1:
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
 def summary(runs: list, metrics: dict) -> dict:
-    """The median of each metric over the runs, and the calibration spread."""
+    """The median and the quartiles of each metric over the runs, and the
+    calibration spread."""
     cals = [r["run"]["host_cal_ms"] for r in runs if r["run"] and r["run"]["host_cal_ms"]]
-    out = {"medians": {}, "failed_runs": sum(r["exit_code"] != 0 for r in runs)}
+    out = {"medians": {}, "quartiles": {}, "failed_runs": sum(r["exit_code"] != 0 for r in runs)}
     for name in metrics:
         values = [v for r in runs if (v := metric(r, name)) is not None]
         if values:
             out["medians"][name] = statistics.median(values)
+            out["quartiles"][name] = quartiles(values)
     if cals:
         out["calibration_ms"] = {"min": min(c["min"] for c in cals),
                                  "median": statistics.median(c["median"] for c in cals),
@@ -85,7 +100,9 @@ def summary(runs: list, metrics: dict) -> dict:
 
 
 def compare(base: list, head: list, metrics: dict) -> dict:
-    """Per metric: both medians, head / base, and the pairs in which head was better."""
+    """Per metric: both medians, head / base, the pairs in which head was
+    better, the median gap (positive when head is better) against the base
+    runs' interquartile range, and whether that meets the claim rule."""
     out = {}
     for name, better in metrics.items():
         pairs = [(b, h) for rb, rh in zip(base, head)
@@ -94,8 +111,12 @@ def compare(base: list, head: list, metrics: dict) -> dict:
             continue
         b_med, h_med = (statistics.median(side) for side in zip(*pairs))
         wins = sum((h > b) if better == "higher" else (h < b) for b, h in pairs)
+        q1, _, q3 = quartiles([b for b, _ in pairs])
+        gap = h_med - b_med if better == "higher" else b_med - h_med
         out[name] = {"base": b_med, "head": h_med, "ratio": h_med / b_med if b_med else None,
-                     "head_better_pairs": f"{wins}/{len(pairs)}"}
+                     "head_better_pairs": f"{wins}/{len(pairs)}", "median_gap": gap,
+                     "base_iqr": q3 - q1,
+                     "claim_met": 10 * wins >= 9 * len(pairs) and gap > q3 - q1}
     return out
 
 
@@ -105,6 +126,7 @@ def main(argv=None) -> int:
     parser.add_argument("--rev", default="HEAD", help="the revision measured (default HEAD)")
     parser.add_argument("--base", help="a revision to measure in pairs against --rev")
     parser.add_argument("--runs", type=int, default=3, help="runs per workload and side")
+    parser.add_argument("--seed", type=int, default=1, help="bench/run.py's seed (default 1)")
     opts = parser.parse_args(argv)
     if opts.runs < 1:
         parser.error(f"--runs must be at least 1, got {opts.runs}")
@@ -113,8 +135,8 @@ def main(argv=None) -> int:
     sides = {"head": git("rev-parse", opts.rev)}
     if opts.base:
         sides = {"base": git("rev-parse", opts.base), **sides}
-    record = {"label": opts.label, "git_sha": sides["head"],
-              "command": [*spec["command"], "--seed", "1", "--seconds",
+    record = {"label": opts.label, "git_sha": sides["head"], "seed": opts.seed,
+              "command": [*spec["command"], "--seed", str(opts.seed), "--seconds",
                           str(spec["run_seconds"]), "--trace", "0"],
               "python": platform.python_version(), "machine": platform.machine(),
               "workloads": {}}
