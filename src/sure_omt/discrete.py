@@ -27,7 +27,7 @@ TIE_REL_TOL = 1e-7
 MAX_MARGIN = 1 << 20
 # the largest group (row sum) of a table: the largest integer a float holds
 # exactly; past it the rounding of the lgamma differences can push a log-pmf
-# past exp's range (2^55 does), well before lgamma itself passes it
+# past exp's range (some margins with a group of 2^55 do)
 MAX_GROUP = 1 << 53
 # fisher_margins keeps at most this many margins, holding at most this many
 # feasible tables between them: a margin holds 16 bytes a table at most (its
