@@ -157,15 +157,14 @@ def parse_procedures(entries, kind: str = "procedures[i]") -> dict[str, Procedur
     return configs
 
 
-def _table_blocks(fh, max_rows: int | None):
-    """Yield the rows of an open table CSV in read-ahead blocks, each as its
-    ids, first cells and margins (three lists of one entry per row).
+def _table_blocks(reader, max_rows: int | None):
+    """Yield the rows of a table CSV's ``csv.reader`` in read-ahead blocks,
+    each as its ids, first cells and margins (three lists of one entry per row).
 
     A block counts READ_AHEAD_TABLES (its rows' feasible tables, and
     READ_AHEAD_ROW_TABLES for each row); each row is checked as it is read,
     so the first bad line raises.  No row past ``max_rows`` is read.
     """
-    reader = csv.reader(fh)
     header = next(reader, None)
     if header is None:
         return
@@ -211,7 +210,8 @@ def cmd_analyze(args) -> int:
                else nullcontext()) as summary_out):
             out.write(TRACE_HEADER)
             emit, observe = proc.emit_alpha, proc.observe
-            for ids, firsts, margins in _table_blocks(fh, max_rows):
+            reader = csv.reader(fh)
+            for ids, firsts, margins in _table_blocks(reader, max_rows):
                 lines = []
                 for row_id, a, (pvals, lo, bound) in zip(ids, firsts,
                                                          fisher_margins_batch(margins)):
@@ -234,6 +234,8 @@ def cmd_analyze(args) -> int:
                 summary_out.write(text + "\n")
     except UnicodeDecodeError as exc:
         raise InputError(f"{args.input} is not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # a field past csv.field_size_limit()
+        raise InputError(f"line {reader.line_num}: {exc}") from None
     print(text)
     return 0 if audit.ok else 1
 
@@ -281,6 +283,8 @@ def cmd_plotdata(args) -> int:
                     writer.writerow([row["t"], series, value])
     except UnicodeDecodeError as exc:
         raise InputError(f"{args.trace} is not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # a field past csv.field_size_limit()
+        raise InputError(f"line {reader.reader.line_num}: {exc}") from None
     return 0
 
 

@@ -25,10 +25,10 @@ from .core import StepCdf
 TIE_REL_TOL = 1e-7
 # the largest smallest margin (row or column sum) of a table; the test's cost grows with it
 MAX_MARGIN = 1 << 20
-# the largest group (row sum) of a table: the largest integer a float holds
-# exactly; past it the rounding of the lgamma differences can push a log-pmf
-# past exp's range (some margins with a group of 2^55 do)
-MAX_GROUP = 1 << 53
+# the largest group (row sum) of a table: up to it every p-value above the
+# underflow floor is within 1e-6 relative of its exact tail; the rounding of
+# lgamma values near N log N grows with the group N (1e-2 at 2^40, 0.9 at 2^44)
+MAX_GROUP = 1 << 24
 # fisher_margins keeps at most this many margins, holding at most this many
 # feasible tables between them: a margin holds 16 bytes a table at most (its
 # p-value and its support point, 8 bytes each) and about 700 bytes of its own,
@@ -39,10 +39,8 @@ _CACHE_TABLES = 1 << 20
 # (margins x tables) block, or one margin with more tables than that: its
 # temporaries stay under 1 MB
 _PASS_CELLS = 4096
-# the sign of k in the lgamma arguments k + 1, c1 - k + 1, r1 - k + 1, r2 - c1 + k + 1,
-# and each sign times j for the columns j of a pass of at most _PASS_CELLS columns
+# the sign of k in the lgamma arguments k + 1, c1 - k + 1, r1 - k + 1, r2 - c1 + k + 1
 _SIGNS = np.array([1, -1, -1, 1])
-_STEPS = _SIGNS[:, None] * np.arange(_PASS_CELLS)
 
 
 class ContingencyTable2x2(NamedTuple):
@@ -80,8 +78,6 @@ def _grown_lgamma(tops: list[int], n: int) -> np.ndarray:
     """
     global _LGAMMA
     table = _LGAMMA
-    if max(tops) <= len(table):
-        return table
     for top in sorted({t for t in tops if len(table) < t <= _LGAMMA_CAP}, reverse=True):
         size = min(max(2 * len(table), top), _LGAMMA_CAP)
         if size - len(table) <= 4 * n:
@@ -94,7 +90,7 @@ def _grown_lgamma(tops: list[int], n: int) -> np.ndarray:
 
 # a margin has smallest + 1 feasible tables; checked before any array is made
 _TOO_LARGE = f"a table's smallest margin must be at most {MAX_MARGIN}"
-_TOO_LARGE_GROUP = "a table's groups (row sums) must be at most 2**53"
+_TOO_LARGE_GROUP = "a table's groups (row sums) must be at most 2**24"
 _NEGATIVE = "cell counts must be nonnegative"
 
 
@@ -188,8 +184,6 @@ def fisher_margins_batch(margins: list[tuple[int, int, int]]) -> list[
         ns.append(min(r1, c1) - lo + 1)
         tops.append(max(r1, r2) + 2)
     table = _grown_lgamma(tops, sum(ns))
-    if len(margins) == 1:
-        return _exact_pass(margins, los, ns, table if tops[0] <= len(table) else None)
     # (not covered by the table, tables, margin): the covered margins first
     order = sorted(zip([top > len(table) for top in tops], ns, range(len(margins))))
     results = [None] * len(margins)
@@ -220,10 +214,8 @@ def _exact_pass(margins, los, ns, table):
     lgamma(k + 1)) - lgamma(n - k + 1).
     """
     B, w = len(ns), ns[-1]
-    padded = ns[0] < w
-    if padded:
-        n = np.array(ns)
-        valid = np.arange(w) < n[:, None]
+    n = np.array(ns)
+    valid = np.arange(w) < n[:, None]
     # lgamma at k + 1, c1 - k + 1, r1 - k + 1 and r2 - c1 + k + 1 for k = lo:
     # at k = lo + j, each moves by its sign in _SIGNS times j
     firsts = [(lo + 1, c1 + 1 - lo, r1 + 1 - lo, r2 - c1 + 1 + lo)
@@ -231,8 +223,8 @@ def _exact_pass(margins, los, ns, table):
     if table is not None:
         # a (B, 4, w) block; clipped, the padding reads inf at index 0 or a
         # finite value, so its log-pmf is -inf or finite, never nan
-        steps = _STEPS[:, :w] if w <= _PASS_CELLS else _SIGNS[:, None] * np.arange(w)
-        lg = table.take(np.array(firsts)[:, :, None] + steps, mode="clip")
+        lg = table.take(np.array(firsts)[:, :, None] + _SIGNS[:, None] * np.arange(w),
+                        mode="clip")
     else:
         lg = np.zeros((B, 4, w))
         for i, (first, m) in enumerate(zip(firsts, ns)):
@@ -248,23 +240,17 @@ def _exact_pass(margins, los, ns, table):
     logs = np.add(combs[:, 0], combs[:, 1])
     logs -= heads[:, 2:]
     # math.exp, not np.exp: the two differ in the last bit on some inputs
-    if padded:
-        pmf = np.full((B, w), np.inf)  # the padding sorts last in its row
-        pmf[valid] = np.fromiter(map(math.exp, logs[valid].tolist()), float, sum(ns))
-    else:
-        pmf = np.fromiter(map(math.exp, logs.ravel().tolist()), float, B * w).reshape(B, w)
+    pmf = np.full((B, w), np.inf)  # the padding sorts last in its row
+    pmf[valid] = np.fromiter(map(math.exp, logs[valid].tolist()), float, sum(ns))
     # each margin's stable argsort, as indices into the block
     order = pmf.argsort(axis=1, kind="stable")
-    if B > 1:
-        order += np.arange(0, B * w, w)[:, None]
+    order += np.arange(0, B * w, w)[:, None]
     sorted_pmf = pmf.take(order)
     # tail[i, j]: the mass of the j + 1 least likely tables of margin i, summed
     # left to right and capped at 1; the tail of all of them is 1
     tail = np.add.accumulate(sorted_pmf, axis=1)
     np.minimum(tail, 1.0, out=tail)
-    tail[:, -1] = 1.0
-    if padded:
-        tail[np.arange(B), n - 1] = 1.0
+    tail[np.arange(B), n - 1] = 1.0
     # p of the table at a sorted position: the tail up to the last position of
     # its margin with a pmf at most its own, up to the tie tolerance; that is
     # its own position unless the next one ties it, so a margin with ties
@@ -272,11 +258,9 @@ def _exact_pass(margins, los, ns, table):
     # no other margin does; nondecreasing in each margin
     bound = sorted_pmf * (1.0 + TIE_REL_TOL)
     ties = sorted_pmf[:, 1:] <= bound[:, :-1]
-    if padded:
-        ties &= valid[:, 1:]  # the padding, all inf, ties itself
+    ties &= valid[:, 1:]  # the padding, all inf, ties itself
     if np.count_nonzero(ties):  # rare outside symmetric margins
-        rows = np.logical_or.reduce(ties, axis=1).nonzero()[0].tolist() if B > 1 else [0]
-        for i in rows:
+        for i in np.logical_or.reduce(ties, axis=1).nonzero()[0].tolist():
             # a bound is at least the row's first pmf, so a search of the
             # rest of the row lands on the last position at most the bound
             row = tail[i]
@@ -285,15 +269,14 @@ def _exact_pass(margins, los, ns, table):
     if 0.0 in sorted_p[::w].tolist():
         zero = tail == 0.0
         sorted_p = np.where(zero, tail[np.arange(B), zero.sum(axis=1), None], tail).ravel()
+    # each margin's support, one after the other: increasing, in (0, 1] and
+    # ending at its one point 1.0, the tail of all its tables; its padding,
+    # whose tail is capped at 1.0 too, starts no point
     first = np.empty(B * w, dtype=bool)
     np.not_equal(sorted_p[1:], sorted_p[:-1], out=first[1:])
     first[::w] = True
-    if padded:
-        first &= valid.ravel()
-    # each margin's support, one after the other: increasing, in (0, 1] and
-    # ending at its one point 1.0, the tail of all its tables
     points = sorted_p[first]
-    stops = ((points == 1.0).nonzero()[0] + 1).tolist() if B > 1 else [len(points)]
+    stops = ((points == 1.0).nonzero()[0] + 1).tolist()
     points = points.tobytes()
     pvals = np.empty(B * w)
     pvals[order.ravel()] = sorted_p
@@ -302,7 +285,7 @@ def _exact_pass(margins, los, ns, table):
         # a row of a block, and its support, are copied: a view would hold the
         # block the cache does not count; both are shared by every caller of
         # the cache, so neither can be written (the support is bytes)
-        own = pvals[start:start + m].copy() if B > 1 else pvals
+        own = pvals[start:start + m].copy()
         own.setflags(write=False)
         results.append((own, lo, bound_of(memoryview(points[8 * at:8 * stop]).cast("d"))))
         at = stop

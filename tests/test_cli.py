@@ -251,7 +251,7 @@ def test_a_group_past_the_float_range_is_an_input_error(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     assert main(["analyze", "--config", _write_config(tmp_path, ANALYZE_CFG),
                  "--input", tables, "--out-trace", str(trace)]) == 2
-    _assert_one_error_line(capsys, "line 2: a table's groups (row sums) must be at most 2**53")
+    _assert_one_error_line(capsys, "line 2: a table's groups (row sums) must be at most 2**24")
     assert not trace.exists()
     with pytest.raises(ValueError, match="groups"):
         discrete.fisher_two_sided(discrete.ContingencyTable2x2(HUGE, 0, 3, 2))
@@ -262,16 +262,16 @@ def test_a_group_past_the_float_range_is_an_input_error(tmp_path, capsys):
 
 
 def test_groups_whose_log_pmf_overflows_are_an_input_error(tmp_path, capsys):
-    """Groups past 2**53, a float's largest exact integer, exit 2 naming their
-    line: the row x,500,10^17 - 500,500,10^17 - 500 used to end in an
-    OverflowError traceback from exp (exit 1), its lgamma differences rounded
-    to a log-pmf past exp's range.  The worst margins at the bound still run."""
+    """Groups past MAX_GROUP exit 2 naming their line: the row x,500,10^17 -
+    500,500,10^17 - 500 used to end in an OverflowError traceback from exp
+    (exit 1), its lgamma differences rounded to a log-pmf past exp's range.
+    The worst margins at the bound still run."""
     big = 10**17 - 500
     tables = _write_tables(tmp_path, ["a,1,2,3,4", f"x,500,{big},500,{big}"])
     trace = tmp_path / "t.csv"
     assert main(["analyze", "--config", _write_config(tmp_path, ANALYZE_CFG),
                  "--input", tables, "--out-trace", str(trace)]) == 2
-    _assert_one_error_line(capsys, "line 3: a table's groups (row sums) must be at most 2**53")
+    _assert_one_error_line(capsys, "line 3: a table's groups (row sums) must be at most 2**24")
     assert not trace.exists()
     with pytest.raises(ValueError, match="groups"):
         discrete.fisher_two_sided(discrete.ContingencyTable2x2(500, big, 500, big))
@@ -279,6 +279,21 @@ def test_groups_whose_log_pmf_overflows_are_an_input_error(tmp_path, capsys):
     for margin in [(n, n, 7), (n, n, 2 * n - 7), (n, 7, 7), (n, n - 1, 11)]:
         pvals, _, bound = discrete.fisher_margins(*margin)
         assert 0.0 < pvals.min() and pvals.max() <= 1.0 and bound.support[-1] == 1.0, margin
+
+
+def test_a_group_one_past_max_group_is_an_input_error(tmp_path, capsys):
+    """A group of MAX_GROUP + 1, past which a p-value may stray more than 1e-6
+    from its exact value, exits 2 naming its line, and no trace is written;
+    groups of 2^53 used to be taken, their p-values off by more than 1e30."""
+    n = discrete.MAX_GROUP
+    tables = _write_tables(tmp_path, [f"a,3,{n - 3},2,{n - 2}", f"b,3,{n - 2},2,{n - 2}"])
+    trace = tmp_path / "t.csv"
+    assert main(["analyze", "--config", _write_config(tmp_path, ANALYZE_CFG),
+                 "--input", tables, "--out-trace", str(trace)]) == 2
+    _assert_one_error_line(capsys, "line 3: a table's groups (row sums) must be at most 2**24")
+    assert not trace.exists()
+    with pytest.raises(ValueError, match="groups"):
+        discrete.fisher_two_sided(discrete.ContingencyTable2x2(3, n - 2, 2, n - 2))
 
 
 def test_negative_cell_is_an_input_error(tmp_path, capsys):
@@ -950,6 +965,40 @@ def test_plotdata_rejects_bad_trace(tmp_path, capsys):
                          "--out", str(out)]) == 2
             _assert_one_error_line(capsys, "line 3")
             assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+
+
+# a field past csv.field_size_limit(), 131072 characters unless raised
+LONG_FIELD = "x" * 200_000
+
+
+@pytest.mark.parametrize("header,rows,line", [
+    ("id,a,b,c,d", ["a,1,2,3,4", f"{LONG_FIELD},1,2,3,4"], 3),  # an id
+    (f"id,a,b,c,{LONG_FIELD}", ["a,1,2,3,4"], 1),                # a header field
+], ids=["id", "header"])
+def test_an_oversized_table_field_is_an_input_error(tmp_path, capsys, header, rows, line):
+    """A table field past csv's size limit exits 2 with one error line naming
+    its line, and writes neither output; it used to end in a csv.Error
+    traceback (exit 1, the code of an audit violation)."""
+    tables = _write_tables(tmp_path, rows, header=header)
+    assert main(["analyze", "--config", _write_config(tmp_path, ANALYZE_CFG), "--input", tables,
+                 "--out-trace", str(tmp_path / "t.csv"),
+                 "--out-summary", str(tmp_path / "s.json")]) == 2
+    _assert_one_error_line(capsys, f"line {line}: field larger than field limit")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "tables.csv"]
+
+
+@pytest.mark.parametrize("text,line", [
+    (f"t,p,alpha\n1,0.5,0.1\n2,{LONG_FIELD},0.1\n", 3),  # a cell
+    (f"t,p,alpha,{LONG_FIELD}\n1,0.5,0.1\n", 1),          # a header field
+], ids=["cell", "header"])
+def test_an_oversized_trace_field_is_an_input_error(tmp_path, capsys, text, line):
+    """A trace field past csv's size limit exits 2 with one error line naming
+    its line, and writes no output; it used to end in a csv.Error traceback."""
+    trace = tmp_path / "trace.csv"
+    trace.write_text(text)
+    assert main(["plotdata", "--trace", str(trace), "--out", str(tmp_path / "o.csv")]) == 2
+    _assert_one_error_line(capsys, f"line {line}: field larger than field limit")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
 
 
 def test_analyze_of_simulated_stream(tmp_path):

@@ -385,6 +385,15 @@ def test_a_cached_call_tests_each_distinct_margin_once(monkeypatch):
     assert fisher_margins(31, 29, 17) is first
 
 
+def test_an_empty_call_returns_no_results_and_leaves_the_lgamma_table():
+    """An empty call returns []: the cache answers it without a pass, and the
+    uncached call runs no pass and leaves the lgamma table as it was."""
+    table = discrete._LGAMMA
+    assert fisher_margins_batch([]) == []
+    assert fisher_margins_batch.__wrapped__([]) == []
+    assert discrete._LGAMMA is table
+
+
 def test_fisher_margins_is_bit_identical_to_the_list_reference_large():
     rng = random.Random(2024)
     margins = []
@@ -397,6 +406,38 @@ def test_fisher_margins_is_bit_identical_to_the_list_reference_large():
     _assert_identical(margins)
 
 
+def _exact_p_values(r1, r2, c1):
+    """The exact two-sided p-values of the margins' tables k = lo, lo + 1, ...
+    as mpmath numbers: each tail summed in integers and divided at 60 digits."""
+    import mpmath
+
+    lo = max(0, c1 - r2)
+    # w[k - lo] = C(r1, k) C(r2, c1 - k): the pmf times C(r1 + r2, c1)
+    w = [math.comb(r1, lo) * math.comb(r2, c1 - lo)]
+    for k in range(lo, min(r1, c1)):
+        w.append(w[-1] * (r1 - k) * (c1 - k) // ((k + 1) * (r2 - c1 + k + 1)))
+    total = math.comb(r1 + r2, c1)
+    ascending = sorted(w)
+    tails = list(itertools.accumulate(ascending))
+    assert tails[-1] == total
+    with mpmath.workdps(60):
+        # the tables at most as likely, up to the tie tolerance 1e-7
+        return [mpmath.mpf(tails[bisect.bisect_right(ascending, wk * (10**7 + 1) // 10**7) - 1])
+                / total for wk in w]
+
+
+def _worst_relative_error(margins):
+    """(the largest relative error of a p-value above the underflow floor
+    against its exact value, how many p-values were checked)"""
+    worst, checked = 0.0, 0
+    for margin, (pvals, _, _) in zip(margins, fisher_margins_batch(margins)):
+        for got, exact in zip(pvals.tolist(), _exact_p_values(*margin)):
+            if exact > 1e-290:
+                worst = max(worst, float(abs(got - exact) / exact))
+                checked += 1
+    return worst, checked
+
+
 # the largest relative error of a p-value of groups up to 5000 against the
 # exact tail sums: the log-pmf loses about |log C(r1 + r2, c1)| ulps
 LARGE_MARGIN_REL_ERROR = 1e-9
@@ -404,35 +445,32 @@ LARGE_MARGIN_REL_ERROR = 1e-9
 
 def test_large_margins_match_exact_p_values_from_mpmath():
     """Seeded random margins with groups of 1000 to 5000: every p-value above
-    the underflow floor is within LARGE_MARGIN_REL_ERROR of the exact one, its
-    tail summed in integers and divided in mpmath at 40 digits."""
-    import mpmath
-
+    the underflow floor is within LARGE_MARGIN_REL_ERROR of the exact one."""
     rng = random.Random(6)
     margins = []
     for _ in range(5):
         r1, r2 = rng.randint(1000, 5000), rng.randint(1000, 5000)
         margins.append((r1, r2, rng.randint(0, r1 + r2)))
-    worst, checked = 0.0, 0
-    for (r1, r2, c1), (pvals, lo, _) in zip(margins, fisher_margins_batch(margins)):
-        # w[k - lo] = C(r1, k) C(r2, c1 - k): the pmf times C(r1 + r2, c1)
-        w = [math.comb(r1, lo) * math.comb(r2, c1 - lo)]
-        for k in range(lo, lo + len(pvals) - 1):
-            w.append(w[-1] * (r1 - k) * (c1 - k) // ((k + 1) * (r2 - c1 + k + 1)))
-        total = math.comb(r1 + r2, c1)
-        ascending = sorted(w)
-        tails = list(itertools.accumulate(ascending))
-        assert tails[-1] == total
-        with mpmath.workdps(40):
-            for got, wk in zip(pvals.tolist(), w):
-                # the tables at most as likely, up to the tie tolerance 1e-7
-                j = bisect.bisect_right(ascending, wk * (10**7 + 1) // 10**7)
-                exact = mpmath.mpf(tails[j - 1]) / total
-                if exact > 1e-290:
-                    worst = max(worst, float(abs(got - exact) / exact))
-                    checked += 1
+    worst, checked = _worst_relative_error(margins)
     assert checked > 5000
     assert worst < LARGE_MARGIN_REL_ERROR, worst
+
+
+def test_the_worst_margins_at_max_group_are_within_1e_6_of_mpmath():
+    """MAX_GROUP's contract: two groups of MAX_GROUP, or one and a seeded
+    group at least half of it, with a few to 150 tables (the lgamma values
+    are largest there, and so their rounding) give every p-value within 1e-6
+    relative of the exact one.  With groups of 2^53 it was above 1e30."""
+    n = discrete.MAX_GROUP
+    margins = [(n, n, c) for c in (1, 2, 7, 40, 150)] + [(n, n, 2 * n - 40)]
+    rng = random.Random(24)
+    for _ in range(6):
+        groups = [n, rng.randint(n // 2, n)]
+        rng.shuffle(groups)
+        margins.append((*groups, rng.randint(1, 150)))
+    worst, checked = _worst_relative_error(margins)
+    assert checked > 500
+    assert worst < 1e-6, worst
 
 
 def test_fisher_margins_matches_scipy_on_random_tables():
