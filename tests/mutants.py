@@ -177,14 +177,9 @@ MUTANTS = (
     Mutant("exact-pass-ties-searched-in-the-first-margin-only", "discrete.py",
            "np.logical_or.reduce(ties, axis=1)", "np.logical_or.reduce(ties[:1], axis=1)",
            (MIXED_PASS,)),
-    # a margin's padding sorts after its tables; a padded row without ties is
-    # not searched, and searching it would change no bit, only the time
+    # a margin's padding sorts after its tables
     Mutant("exact-pass-padding-sorts-first", "discrete.py", "pmf = np.full((B, w), np.inf)",
            "pmf = np.full((B, w), 0.0)", (MIXED_PASS,)),
-    Mutant("exact-pass-padding-searched-for-ties", "discrete.py",
-           "    ties &= valid[:, 1:]  # the padding, all inf, ties itself\n", "",
-           (MIXED_PASS, "tests/test_discrete.py::test_runs_of_ties_are_searched_within_their_margin"),
-           equivalent=True),
     Mutant("margin-cache-never-evicts", "discrete.py",
            "held -= len(cache.popitem(last=False)[1][0])", "break",
            ("tests/test_discrete.py::"
