@@ -163,26 +163,26 @@ def _table_blocks(reader, max_rows: int | None):
 
     A block counts READ_AHEAD_TABLES (its rows' feasible tables, and
     READ_AHEAD_ROW_TABLES for each row); each row is checked as it is read,
-    so the first bad line raises.  No row past ``max_rows`` is read.
+    so the first bad row raises, naming the line it ends on (a quoted field
+    may span lines).  No row past ``max_rows`` is read.
     """
     header = next(reader, None)
     if header is None:
         return
     if [h.strip() for h in header] != ["id", "a", "b", "c", "d"]:
-        raise InputError(f"line 1: expected header id,a,b,c,d, got {header}")
+        raise InputError(f"line {reader.line_num}: expected header id,a,b,c,d, got {header}")
     # a file has fewer than sys.maxsize rows, islice's largest count
-    rows = enumerate(reader if max_rows is None else islice(reader, min(max_rows, sys.maxsize)),
-                     start=2)
+    rows = reader if max_rows is None else islice(reader, min(max_rows, sys.maxsize))
     while True:
         ids, firsts, margins, count = [], [], [], 0
-        for lineno, row in rows:
+        for row in rows:
             if len(row) != 5:
-                raise InputError(f"line {lineno}: expected 5 fields, got {len(row)}")
+                raise InputError(f"line {reader.line_num}: expected 5 fields, got {len(row)}")
             try:
                 cells = tuple(map(int, row[1:]))
                 r1, r2, c1 = margin = table_margins(cells)
             except ValueError as exc:
-                raise InputError(f"line {lineno}: {exc}") from None
+                raise InputError(f"line {reader.line_num}: {exc}") from None
             ids.append(row[0])
             firsts.append(cells[0])
             margins.append(margin)

@@ -184,34 +184,32 @@ def fisher_margins_batch(margins: list[tuple[int, int, int]]) -> list[
         ns.append(min(r1, c1) - lo + 1)
         tops.append(max(r1, r2) + 2)
     table = _grown_lgamma(tops, sum(ns))
-    # (not covered by the table, tables, margin): the covered margins first
-    order = sorted(zip([top > len(table) for top in tops], ns, range(len(margins))))
+    order = sorted(range(len(margins)), key=ns.__getitem__)
     results = [None] * len(margins)
     start = 0
     while start < len(order):
-        far = order[start][0]
         stop = start + 1
-        while (stop < len(order) and order[stop][0] == far
-               and (stop - start + 1) * order[stop][1] <= _PASS_CELLS):
+        while stop < len(order) and (stop - start + 1) * ns[order[stop]] <= _PASS_CELLS:
             stop += 1
-        ids = [i for _, _, i in order[start:stop]]
+        ids = order[start:stop]
         done = _exact_pass([margins[i] for i in ids], [los[i] for i in ids],
-                           [ns[i] for i in ids], None if far else table)
+                           [ns[i] for i in ids], [tops[i] for i in ids], table)
         for i, result in zip(ids, done):
             results[i] = result
         start = stop
     return results
 
 
-def _exact_pass(margins, los, ns, table):
+def _exact_pass(margins, los, ns, tops, table):
     """The exact tests of B margins with ns feasible tables (ascending) as one
     block of B rows and w = ns[-1] columns: row i holds the tables k = lo_i +
     j of margin i in its first ns[i] columns, and padding after them.
 
-    The lgamma values are read from ``table``, or computed one at a time when
-    it is None.  The log-pmf of a table is grouped as log C(r1, k) + log C(r2,
-    c1 - k) - log C(r1 + r2, c1), each log C(n, k) being (lgamma(n + 1) -
-    lgamma(k + 1)) - lgamma(n - k + 1).
+    The lgamma values are read from the shared ``table``; a margin whose
+    values reach past it (its top, max(r1, r2) + 2, is past the table's end)
+    computes them one at a time.  The log-pmf of a table is grouped as
+    log C(r1, k) + log C(r2, c1 - k) - log C(r1 + r2, c1), each log C(n, k)
+    being (lgamma(n + 1) - lgamma(k + 1)) - lgamma(n - k + 1).
     """
     B, w = len(ns), ns[-1]
     n = np.array(ns)
@@ -220,15 +218,13 @@ def _exact_pass(margins, los, ns, table):
     # at k = lo + j, each moves by its sign in _SIGNS times j
     firsts = [(lo + 1, c1 + 1 - lo, r1 + 1 - lo, r2 - c1 + 1 + lo)
               for (r1, r2, c1), lo in zip(margins, los)]
-    if table is not None:
-        # a (B, 4, w) block; clipped, the padding reads inf at index 0 or a
-        # finite value, so its log-pmf is -inf or finite, never nan
-        lg = table.take(np.array(firsts)[:, :, None] + _SIGNS[:, None] * np.arange(w),
-                        mode="clip")
-    else:
-        lg = np.zeros((B, 4, w))
-        for i, (first, m) in enumerate(zip(firsts, ns)):
-            for out, a, sign in zip(lg[i], first, _SIGNS.tolist()):
+    # a (B, 4, w) block; clipped, the padding reads inf at index 0 or a
+    # finite value, so its log-pmf is -inf or finite, never nan
+    lg = table.take(np.array(firsts)[:, :, None] + _SIGNS[:, None] * np.arange(w), mode="clip")
+    if max(tops) > len(table):  # the margins past the table compute their tables' values
+        for i in [i for i, top in enumerate(tops) if top > len(table)]:
+            m = ns[i]
+            for out, a, sign in zip(lg[i], firsts[i], _SIGNS.tolist()):
                 out[:m] = np.fromiter(map(math.lgamma, range(a, a + sign * m, sign)), float, m)
     # lgamma(r1 + 1), lgamma(r2 + 1) and log C(r1 + r2, c1) of each margin
     f = math.lgamma

@@ -48,6 +48,20 @@ INVESTING_BASE = "tests/test_procedures.py::test_investing_base_matches_the_resu
 MIXED_PASS = "tests/test_discrete.py::test_one_mixed_pass_is_each_margin_alone_bit_for_bit"
 OBSERVE_DECISION = "Decision(t, p, alpha, reject, rho, base, sure, eps, self.r_count)"
 SPENT_INIT = "self.spent: list[float] = [] if self.rewarded else self.alphas"
+# analyze's read-ahead loop, through the check of each row's cells
+TABLE_ROWS = """\
+    rows = reader if max_rows is None else islice(reader, min(max_rows, sys.maxsize))
+    while True:
+        ids, firsts, margins, count = [], [], [], 0
+        for row in rows:
+            if len(row) != 5:
+                raise InputError(f"line {reader.line_num}: expected 5 fields, got {len(row)}")
+            try:
+                cells = tuple(map(int, row[1:]))
+                r1, r2, c1 = margin = table_margins(cells)
+            except ValueError as exc:
+                raise InputError(f"line {reader.line_num}: {exc}") from None
+"""
 SUPPORT_BUILT = 'bound_of(memoryview(points[8 * at:8 * stop]).cast("d"))'
 # an equivalent mutant survives every test of the sums it touches
 EQUIVALENT_CHECKS = (INVESTING_BASE,
@@ -124,6 +138,12 @@ MUTANTS = (
            "if size - len(table) <= 4 * n:", "if True:",
            ("tests/test_discrete.py::"
             "test_a_few_tables_of_a_large_group_leave_the_lgamma_table_as_it_was",)),
+    # a margin past the lgamma table reads its values one at a time, not clipped ones
+    Mutant("uncovered-margins-read-clipped-values", "discrete.py",
+           "    if max(tops) > len(table):", "    if False:",
+           ("tests/test_discrete.py::"
+            "test_a_few_tables_of_a_large_group_leave_the_lgamma_table_as_it_was",
+            "tests/test_discrete.py::test_a_covered_and_an_uncovered_margin_share_one_pass")),
     Mutant("exact-tests-bound-ids-without-offset", "simulate.py",
            "return pvals[row, succ_a - lo[row]], row + offset",
            "return pvals[row, succ_a - lo[row]], row",
@@ -195,6 +215,12 @@ MUTANTS = (
     Mutant("trace-id-unquoted", "cli.py", "if _NEEDS_QUOTES(text) is None:", "if True:",
            ("tests/test_cli.py::test_a_trace_line_is_what_csv_writer_writes",
             "tests/test_cli.py::test_analyze_quotes_the_ids_as_csv_writer_does")),
+    # a bad row named by its record count, not by the line it ends on
+    Mutant("table-rows-named-by-record", "cli.py", TABLE_ROWS,
+           TABLE_ROWS.replace("rows = reader", "rows = enumerate(reader")
+           .replace("sys.maxsize))", "sys.maxsize)), start=2)")
+           .replace("for row in", "for lineno, row in").replace("{reader.line_num}", "{lineno}"),
+           ("tests/test_cli.py::test_analyze_names_the_physical_line_of_a_bad_row",)),
     Mutant("sweep-grouped-by-size", "simulate.py",
            "key=lambda point: (id(point.configs), point.scenario.m)",
            "key=lambda point: (len(point.configs), point.scenario.m)",

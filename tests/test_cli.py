@@ -458,6 +458,21 @@ def test_analyze_reads_ahead_yet_names_the_first_bad_line(tmp_path, capsys, bad,
     assert not trace.exists()
 
 
+@pytest.mark.parametrize("bad,fragment", [
+    ("c,1,2,3,x", "invalid literal for int()"),
+    ("c,1,2,3", "expected 5 fields, got 4"),
+    ("c,1,2,3,-1", "cell counts must be nonnegative"),
+], ids=["literal", "short", "negative"])
+def test_analyze_names_the_physical_line_of_a_bad_row(tmp_path, capsys, bad, fragment):
+    """A bad row names the line it ends on, as a csv error does: after an id
+    quoted across two lines, the third record is on line 4."""
+    trace = tmp_path / "t.csv"
+    assert main(["analyze", "--config", _write_config(tmp_path, ANALYZE_CFG), "--input",
+                 _write_tables(tmp_path, ['"a\nb",1,2,3,4', bad]), "--out-trace", str(trace)]) == 2
+    _assert_one_error_line(capsys, f"line 4: {fragment}")
+    assert not trace.exists()
+
+
 def test_analyze_never_reads_a_row_past_max_rows(tmp_path, capsys):
     """Rows past max_rows are not read, so a malformed one there is no error."""
     cfg = _write_config(tmp_path, {**ANALYZE_CFG, "max_rows": 2})

@@ -531,6 +531,24 @@ def test_a_large_group_in_a_call_does_not_stop_the_table_growing_for_the_others(
     assert len(discrete._LGAMMA) == 14
 
 
+def test_a_covered_and_an_uncovered_margin_share_one_pass(monkeypatch):
+    """Two margins of 10 feasible tables each make one pass, though the table
+    grows to cover only the first: the second computes its values one at a
+    time, beside it."""
+    monkeypatch.setattr(discrete, "_LGAMMA", np.array([math.inf]))
+    passes = []
+    exact_pass = discrete._exact_pass
+
+    def counted(*args):
+        passes.append(args)
+        return exact_pass(*args)
+
+    monkeypatch.setattr(discrete, "_exact_pass", counted)
+    _assert_identical([(10, 12, 9), (10**6, 12, 9)])
+    assert len(passes) == 1
+    assert len(discrete._LGAMMA) == 14
+
+
 def test_inconsistent_margins_rejected():
     for margins in [(3, 3, 7), (-1, 3, 1), (3, -1, 1), (3, 3, -1)]:
         with pytest.raises(ValueError):
