@@ -179,7 +179,7 @@ def _table_blocks(reader, max_rows: int | None):
             if len(row) != 5:
                 raise InputError(f"line {reader.line_num}: expected 5 fields, got {len(row)}")
             try:
-                cells = tuple(map(int, row[1:]))
+                cells = int(row[1]), int(row[2]), int(row[3]), int(row[4])
                 r1, r2, c1 = margin = table_margins(cells)
             except ValueError as exc:
                 raise InputError(f"line {reader.line_num}: {exc}") from None

@@ -15,12 +15,17 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import OrderedDict
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import StepCdf
+
+# builds a named tuple from its fields without the generated __new__'s
+# argument handling: the caller passes every field, in order
+_new_tuple = tuple.__new__
 
 TIE_REL_TOL = 1e-7
 # the largest smallest margin (row or column sum) of a table; the test's cost grows with it
@@ -94,7 +99,20 @@ _TOO_LARGE_GROUP = "a table's groups (row sums) must be at most 2**24"
 _NEGATIVE = "cell counts must be nonnegative"
 
 
+def _check_integers(counts) -> None:
+    """ValueError unless every count is an integer: a Python int or bool, or a
+    numpy integer.  A float is not, even a whole one, nor is a str."""
+    for n in counts:
+        if type(n) is not int:
+            try:
+                operator.index(n)
+            except TypeError:
+                raise ValueError(f"counts must be integers, got {n!r}") from None
+
+
 def _check_margins(r1: int, r2: int, c1: int) -> None:
+    if not type(r1) is type(r2) is type(c1) is int:
+        _check_integers((r1, r2, c1))
     if min(r1, r2, c1) < 0 or c1 > r1 + r2:
         raise ValueError(f"inconsistent margins {(r1, r2, c1)}")
     if min(r1, r2, c1, r1 + r2 - c1) > MAX_MARGIN:
@@ -105,9 +123,12 @@ def _check_margins(r1: int, r2: int, c1: int) -> None:
 
 def table_margins(cells: tuple[int, int, int, int]) -> tuple[int, int, int]:
     """The margins (r1, r2, c1) of a table's cells (a, b, c, d), such as a
-    ContingencyTable2x2: its row sums and first column sum.  A negative cell
-    or margins the exact test cannot take raise ValueError."""
+    ContingencyTable2x2: its row sums and first column sum.  A negative cell,
+    margins the exact test cannot take or a count that is not an integer
+    (``_check_integers``) raise ValueError."""
     a, b, c, d = cells
+    if not type(a) is type(b) is type(c) is type(d) is int:
+        _check_integers(cells)
     if min(a, b, c, d) < 0:
         raise ValueError(_NEGATIVE)
     r1, r2 = a + b, c + d
@@ -303,6 +324,8 @@ def fisher_margins(r1: int, r2: int, c1: int) -> tuple[np.ndarray, int, StepCdf]
     that underflow give p = 0.0, which is raised to the smallest positive
     p-value of the margin: the bound keeps F(u) <= u.
     """
+    if not type(r1) is type(r2) is type(c1) is int:
+        _check_integers((r1, r2, c1))
     return fisher_margins_batch.one((r1, r2, c1))
 
 
@@ -321,7 +344,9 @@ def fisher_two_sided(table: ContingencyTable2x2) -> ExactTestResult:
     Raises ValueError where ``table_margins`` does; a table of cached margins
     has only its cells checked."""
     a, b, c, d = table
+    if not type(a) is type(b) is type(c) is type(d) is int:
+        _check_integers(table)
     if min(a, b, c, d) < 0:
         raise ValueError(_NEGATIVE)
     pvals, lo, bound = fisher_margins(a + b, c + d, a + c)
-    return ExactTestResult(pvals.item(a - lo), bound.support, bound)
+    return _new_tuple(ExactTestResult, (pvals.item(a - lo), bound.support, bound))

@@ -51,6 +51,10 @@ import numpy as np
 from .core import Decision, IDENTITY_BOUND, StepCdf
 from .spending import SpendingSequence
 
+# builds a named tuple from its fields without the generated __new__'s
+# argument handling: the caller passes every field, in order
+_new_tuple = tuple.__new__
+
 
 class Rule(NamedTuple):
     """What a public procedure name means: a base rule, rewarded or capped."""
@@ -298,7 +302,7 @@ class OnlineProcedure:
             elif self._investing:
                 self._later.add(self._n_eligible, 1.0)
         self._t_next = t + 1
-        return Decision(t, p, alpha, reject, rho, base, sure, eps, self.r_count)
+        return _new_tuple(Decision, (t, p, alpha, reject, rho, base, sure, eps, self.r_count))
 
     def step(self, p: float, bound: StepCdf | None = None) -> Decision:
         self.emit_alpha()
@@ -398,8 +402,10 @@ class _BlockBases:
         capped = [[rule.lam(c) if rule.capped else np.inf] for rule, c in rows]
         self._cap = np.array(capped) if any(rule.capped for rule, _ in rows) else None
         # investing row r = j * K + k of head and s: procedure j on stream k
-        self._head_rows, self._s_rows = self._head.reshape(-1, m), self._s.reshape(-1, m)
-        self._clock0 = clock0.reshape(-1, m)
+        # row counts given, not -1: a reshape of no elements cannot infer them
+        self._head_rows = self._head.reshape(len(rows) * K, m)
+        self._s_rows = self._s.reshape(n * K, m)
+        self._clock0 = clock0.reshape(len(clock0) * K, m)
         self._clock_of = (lam_index[:n, None] * K + np.arange(K)).reshape(-1)
         # gamma_1 .. gamma_m of each distinct gamma, one after the other, and
         # the offset of each row's

@@ -46,7 +46,7 @@ BATCH_REWARDS = "tests/test_batch.py::test_reward_part_adds_each_window_left_to_
 FIELDS = "tests/test_procedures.py::test_each_decision_field_holds_its_own_value"
 INVESTING_BASE = "tests/test_procedures.py::test_investing_base_matches_the_resummed_loop"
 MIXED_PASS = "tests/test_discrete.py::test_one_mixed_pass_is_each_margin_alone_bit_for_bit"
-OBSERVE_DECISION = "Decision(t, p, alpha, reject, rho, base, sure, eps, self.r_count)"
+OBSERVE_DECISION = "_new_tuple(Decision, (t, p, alpha, reject, rho, base, sure, eps, self.r_count))"
 SPENT_INIT = "self.spent: list[float] = [] if self.rewarded else self.alphas"
 # analyze's read-ahead loop, through the check of each row's cells
 TABLE_ROWS = """\
@@ -57,11 +57,12 @@ TABLE_ROWS = """\
             if len(row) != 5:
                 raise InputError(f"line {reader.line_num}: expected 5 fields, got {len(row)}")
             try:
-                cells = tuple(map(int, row[1:]))
+                cells = int(row[1]), int(row[2]), int(row[3]), int(row[4])
                 r1, r2, c1 = margin = table_margins(cells)
             except ValueError as exc:
                 raise InputError(f"line {reader.line_num}: {exc}") from None
 """
+EXACT_RESULT = "_new_tuple(ExactTestResult, (pvals.item(a - lo), bound.support, bound))"
 SUPPORT_BUILT = 'bound_of(memoryview(points[8 * at:8 * stop]).cast("d"))'
 # an equivalent mutant survives every test of the sums it touches
 EQUIVALENT_CHECKS = (INVESTING_BASE,
@@ -98,13 +99,15 @@ MUTANTS = (
            "            self._sums += row if weight == 1.0 else row * weight\n",
            "            self._sums += row * weight\n",
            EQUIVALENT_CHECKS, equivalent=True),
-    # observe's positional Decision build
+    # observe's positional Decision build, which tuple.__new__ does not count
     Mutant("decision-base-sure-swapped", "procedures.py", OBSERVE_DECISION,
-           "Decision(t, p, alpha, reject, rho, sure, base, eps, self.r_count)", (FIELDS,)),
+           OBSERVE_DECISION.replace("base, sure", "sure, base"), (FIELDS,)),
     Mutant("decision-p-alpha-swapped", "procedures.py", OBSERVE_DECISION,
-           "Decision(t, alpha, p, reject, rho, base, sure, eps, self.r_count)", (FIELDS,)),
+           OBSERVE_DECISION.replace("p, alpha", "alpha, p"), (FIELDS,)),
     Mutant("decision-rho-base-swapped", "procedures.py", OBSERVE_DECISION,
-           "Decision(t, p, alpha, reject, base, rho, sure, eps, self.r_count)", (FIELDS,)),
+           OBSERVE_DECISION.replace("rho, base", "base, rho"), (FIELDS,)),
+    Mutant("decision-field-dropped", "procedures.py", OBSERVE_DECISION,
+           OBSERVE_DECISION.replace(", self.r_count", ""), (FIELDS,)),
     # the scalar machine's clocks, carry and base formulas
     Mutant("eligible-steps-not-counted", "procedures.py", "self._n_eligible += 1",
            "self._n_eligible += 0",
@@ -211,6 +214,10 @@ MUTANTS = (
     Mutant("exact-pass-support-from-tolist", "discrete.py", SUPPORT_BUILT,
            "bound_of(tuple(np.frombuffer(points[8 * at:8 * stop]).tolist()))",
            ("tests/test_discrete.py::test_a_cached_table_holds_about_16_bytes",)),
+    # fisher_two_sided's positional ExactTestResult build
+    Mutant("exact-result-support-bound-swapped", "discrete.py", EXACT_RESULT,
+           EXACT_RESULT.replace("bound.support, bound", "bound, bound.support"),
+           ("tests/test_discrete.py::test_a_margin_shares_one_read_only_support_buffer",)),
     # the analyze trace quotes an id as csv.writer does; the golden ids need no quotes
     Mutant("trace-id-unquoted", "cli.py", "if _NEEDS_QUOTES(text) is None:", "if True:",
            ("tests/test_cli.py::test_a_trace_line_is_what_csv_writer_writes",

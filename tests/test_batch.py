@@ -133,6 +133,23 @@ def test_batch_matches_online_procedure(name, gp):
                 assert max(p.r_count for p in procs) >= 3  # capped at lambda = 0: none
 
 
+@pytest.mark.parametrize("K,m", [(2, 0), (0, 0), (0, 7)])
+def test_empty_streams_give_empty_runs(K, m):
+    """No steps, or no streams: every rule, with and without a step loop, runs
+    to K x m arrays whose audits pass, as OnlineProcedure.run([]) records no
+    step."""
+    configs = {name: _cfg("kernel10" if rule.rewarded else None, lam=0.5)
+               for name, rule in RULES.items()}
+    runs = run_batch(configs, np.zeros((K, m)),
+                     NullBounds([support_to_bound((0.5, 1.0))], np.zeros((K, m), dtype=int)))
+    assert list(runs) == list(configs)
+    for name, run in runs.items():
+        for values in (run.alphas, run.rejects, run.lam_flags, run.spent):
+            assert values.shape == (K, m), name
+        audits = run.audit()
+        assert len(audits) == K and all(audit.ok for audit in audits), name
+
+
 def test_a_base_rule_spends_its_alphas_themselves():
     """A base rule keeps no copy of its levels: its ``spent`` is its ``alphas``
     object, in the scalar machine and in the batch; a rewarded rule keeps a

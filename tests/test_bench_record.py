@@ -12,7 +12,9 @@ SPEC = importlib.util.spec_from_file_location(
 bench_record = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(bench_record)
 
-METRICS = {"stream_steps_per_s": "higher", "step_p50_us": "lower"}
+METRICS = {"stream_steps_per_s": {"name": "stream_steps_per_s", "better": "higher",
+                                  "bound": 0.25},
+           "step_p50_us": {"name": "step_p50_us", "better": "lower", "bound": 0.1}}
 
 
 def _run(steps, p50, cal_median, exit_code=0):
@@ -39,7 +41,8 @@ def test_compare_counts_the_pairs_head_wins_in_each_metrics_direction():
     got = bench_record.compare(base, head, METRICS)
     assert got["stream_steps_per_s"] == {"base": 105.0, "head": 140.0, "ratio": 140.0 / 105.0,
                                          "head_better_pairs": "2/3", "median_gap": 35.0,
-                                         "base_iqr": 5.0, "claim_met": False}
+                                         "base_iqr": 5.0, "claim_met": False, "bound": 0.25,
+                                         "worse_by": -35.0 / 105.0, "within_bound": True}
     assert got["step_p50_us"]["head_better_pairs"] == "2/3"
     assert got["step_p50_us"]["ratio"] == 3.5 / 4.0
     # a run without a result line counts in no pair
@@ -75,6 +78,31 @@ def test_the_claim_needs_nine_pairs_in_ten_and_a_median_gap_past_the_base_iqr():
     assert bench_record.compare(base, faster, METRICS)["step_p50_us"]["claim_met"]
 
 
+def test_a_metric_worse_by_more_than_its_bound_is_named_in_the_closing_line(
+        capsys, monkeypatch, tmp_path):
+    """Head 20% slower in steps/s is within that metric's bound of 25%; a 25%
+    higher p50 is outside its bound of 10%.  Each metric records how much
+    worse head is, and the closing line names the workload and metric outside
+    its bound, and only that one."""
+    base = [_run(100.0, 4.0, 8.0) for _ in range(4)]
+    head = [_run(80.0, 5.0, 8.0) for _ in range(4)]
+    got = bench_record.compare(base, head, METRICS)
+    steps, p50 = got["stream_steps_per_s"], got["step_p50_us"]
+    assert (steps["bound"], steps["worse_by"], steps["within_bound"]) == (0.25, 0.2, True)
+    assert (p50["bound"], p50["worse_by"], p50["within_bound"]) == (0.1, 0.25, False)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["python3", "bench/run.py"], "run_seconds": 5, "workloads": [{"name": "w1"}],
+        "end_to_end": list(METRICS.values())}))
+    sides = iter([base[0], head[0], head[1], base[1]])
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "git", lambda *args: "abc123")
+    monkeypatch.setattr(bench_record, "export", lambda rev, tree: tree)
+    monkeypatch.setattr(bench_record, "bench_once", lambda tree, command, workload: next(sides))
+    assert bench_record.main(["--label", "t", "--base", "HEAD~1", "--runs", "2"]) == 0
+    closing = capsys.readouterr().out.strip().splitlines()[-1]
+    assert closing.endswith("0 run(s) failed; outside bound: w1 step_p50_us")
+
+
 @pytest.mark.parametrize("seed", [None, 2])
 def test_the_seed_is_passed_to_every_run_and_recorded(seed, monkeypatch, tmp_path):
     """Every run gets ``--seed`` (1 unless given), and the BENCH file records it
@@ -82,7 +110,7 @@ def test_the_seed_is_passed_to_every_run_and_recorded(seed, monkeypatch, tmp_pat
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({
         "command": ["python3", "bench/run.py"], "run_seconds": 5,
         "workloads": [{"name": "w1"}, {"name": "w2"}],
-        "end_to_end": [{"name": name, "better": better} for name, better in METRICS.items()]}))
+        "end_to_end": list(METRICS.values())}))
     commands = []
 
     def bench_once(tree, command, workload):

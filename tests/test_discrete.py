@@ -549,6 +549,34 @@ def test_a_covered_and_an_uncovered_margin_share_one_pass(monkeypatch):
     assert len(discrete._LGAMMA) == 14
 
 
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+def test_a_count_that_is_not_an_integer_is_rejected_before_the_cache(cached, monkeypatch):
+    """A float count, even a whole one, or a str raises the same ValueError
+    whether or not its margins are cached; Python ints, bools and numpy
+    integers are counts."""
+    monkeypatch.setattr(discrete, "fisher_margins_batch",
+                        discrete._cached_per_margin(fisher_margins_batch.__wrapped__))
+    cells, margins = (1, 2, 3, 4), (3, 7, 4)
+    if cached:
+        fisher_two_sided(ContingencyTable2x2(*cells))
+    else:
+        with pytest.raises(ValueError, match="counts must be integers"):
+            discrete.fisher_margins_batch([(3.0, 7, 4)])
+    for i, bad in itertools.product(range(4), (float, lambda n: n + 0.5, str)):
+        table = ContingencyTable2x2(*(bad(n) if j == i else n for j, n in enumerate(cells)))
+        for call in (fisher_two_sided, discrete.table_margins):
+            with pytest.raises(ValueError, match="counts must be integers"):
+                call(table)
+        if i < 3:
+            with pytest.raises(ValueError, match="counts must be integers"):
+                fisher_margins(*(bad(n) if j == i else n for j, n in enumerate(margins)))
+    want = fisher_two_sided(ContingencyTable2x2(*cells))
+    assert fisher_two_sided(ContingencyTable2x2(np.int64(1), 2, np.int32(3), 4)) == want
+    assert fisher_two_sided(ContingencyTable2x2(True, 2, 3, 4)) == want
+    assert discrete.table_margins((np.int64(1), True, 3, 4)) == (2, 7, 4)
+    assert fisher_margins(np.int64(3), 7, np.uint8(4))[2] is want.null_bound
+
+
 def test_inconsistent_margins_rejected():
     for margins in [(3, 3, 7), (-1, 3, 1), (3, -1, 1), (3, 3, -1)]:
         with pytest.raises(ValueError):

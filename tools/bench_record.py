@@ -22,7 +22,11 @@ each metric, the ratio of the medians (head / base), the number of pairs in
 which head was better, and the gap of the medians in the metric's better
 direction against the interquartile range of the base runs.  A gain is
 claimed when ``claim_met``: head was better in at least 9 of 10 pairs and the
-median gap exceeds the base's interquartile range.
+median gap exceeds the base's interquartile range.  Each metric also gets
+``BENCHMARK.json``'s ``bound`` and ``worse_by``, the relative change of the
+medians in the metric's worse direction (negative when head is better);
+``within_bound`` is false when head is worse by more than the bound, and the
+closing line names every such workload and metric.
 """
 
 from __future__ import annotations
@@ -100,11 +104,14 @@ def summary(runs: list, metrics: dict) -> dict:
 
 
 def compare(base: list, head: list, metrics: dict) -> dict:
-    """Per metric: both medians, head / base, the pairs in which head was
-    better, the median gap (positive when head is better) against the base
-    runs' interquartile range, and whether that meets the claim rule."""
+    """Per metric (``metrics`` maps a name to its ``end_to_end`` entry): both
+    medians, head / base, the pairs in which head was better, the median gap
+    (positive when head is better) against the base runs' interquartile
+    range, whether that meets the claim rule, and how much worse head is
+    against the metric's bound."""
     out = {}
-    for name, better in metrics.items():
+    for name, spec in metrics.items():
+        better, bound = spec["better"], spec["bound"]
         pairs = [(b, h) for rb, rh in zip(base, head)
                  if (b := metric(rb, name)) is not None and (h := metric(rh, name)) is not None]
         if not pairs:
@@ -113,11 +120,20 @@ def compare(base: list, head: list, metrics: dict) -> dict:
         wins = sum((h > b) if better == "higher" else (h < b) for b, h in pairs)
         q1, _, q3 = quartiles([b for b, _ in pairs])
         gap = h_med - b_med if better == "higher" else b_med - h_med
+        worse_by = -gap / b_med if b_med else None
         out[name] = {"base": b_med, "head": h_med, "ratio": h_med / b_med if b_med else None,
                      "head_better_pairs": f"{wins}/{len(pairs)}", "median_gap": gap,
                      "base_iqr": q3 - q1,
-                     "claim_met": 10 * wins >= 9 * len(pairs) and gap > q3 - q1}
+                     "claim_met": 10 * wins >= 9 * len(pairs) and gap > q3 - q1,
+                     "bound": bound, "worse_by": worse_by,
+                     "within_bound": gap >= 0.0 if worse_by is None else worse_by <= bound}
     return out
+
+
+def outside_bounds(record: dict) -> list[str]:
+    """``workload metric`` for each compared metric outside its bound."""
+    return [f"{workload} {name}" for workload, entry in record["workloads"].items()
+            for name, c in entry.get("compare", {}).items() if not c["within_bound"]]
 
 
 def main(argv=None) -> int:
@@ -131,7 +147,7 @@ def main(argv=None) -> int:
     if opts.runs < 1:
         parser.error(f"--runs must be at least 1, got {opts.runs}")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     sides = {"head": git("rev-parse", opts.rev)}
     if opts.base:
         sides = {"base": git("rev-parse", opts.base), **sides}
@@ -162,7 +178,10 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(record, indent=1) + "\n")
     failed = sum(side["failed_runs"] for entry in record["workloads"].values()
                  for name, side in entry.items() if name != "compare")
-    print(f"wrote {out}; {failed} run(s) failed")
+    closing = f"wrote {out}; {failed} run(s) failed"
+    if opts.base:
+        closing += "; outside bound: " + (", ".join(outside_bounds(record)) or "none")
+    print(closing)
     return 1 if failed else 0
 
 
