@@ -23,10 +23,6 @@ import numpy as np
 
 from .core import StepCdf
 
-# builds a named tuple from its fields without the generated __new__'s
-# argument handling: the caller passes every field, in order
-_new_tuple = tuple.__new__
-
 TIE_REL_TOL = 1e-7
 # the largest smallest margin (row or column sum) of a table; the test's cost grows with it
 MAX_MARGIN = 1 << 20
@@ -96,7 +92,6 @@ def _grown_lgamma(tops: list[int], n: int) -> np.ndarray:
 # a margin has smallest + 1 feasible tables; checked before any array is made
 _TOO_LARGE = f"a table's smallest margin must be at most {MAX_MARGIN}"
 _TOO_LARGE_GROUP = "a table's groups (row sums) must be at most 2**24"
-_NEGATIVE = "cell counts must be nonnegative"
 
 
 def _check_integers(counts) -> None:
@@ -111,8 +106,6 @@ def _check_integers(counts) -> None:
 
 
 def _check_margins(r1: int, r2: int, c1: int) -> None:
-    if not type(r1) is type(r2) is type(c1) is int:
-        _check_integers((r1, r2, c1))
     if min(r1, r2, c1) < 0 or c1 > r1 + r2:
         raise ValueError(f"inconsistent margins {(r1, r2, c1)}")
     if min(r1, r2, c1, r1 + r2 - c1) > MAX_MARGIN:
@@ -130,7 +123,7 @@ def table_margins(cells: tuple[int, int, int, int]) -> tuple[int, int, int]:
     if not type(a) is type(b) is type(c) is type(d) is int:
         _check_integers(cells)
     if min(a, b, c, d) < 0:
-        raise ValueError(_NEGATIVE)
+        raise ValueError("cell counts must be nonnegative")
     r1, r2 = a + b, c + d
     if min(r1, r2, a + c, b + d) > MAX_MARGIN:
         raise ValueError(_TOO_LARGE)
@@ -144,15 +137,19 @@ def _cached_per_margin(compute):
     _CACHE_MARGINS margins and _CACHE_TABLES feasible tables (the length of a
     result's p-value array): it computes each distinct margin not cached once,
     in one call; the least recently used margins are evicted first, and a
-    margin with more tables than that is computed and not kept.
-    ``__wrapped__`` is ``compute``, and ``one(margin)`` is ``cached([margin])[0]``
-    with a single lookup on a hit."""
+    margin with more tables than that is computed and not kept.  Every count
+    of every margin must be an integer (``_check_integers``) before anything
+    is looked up, so a whole float never finds an int's result.
+    ``__wrapped__`` is ``compute``."""
     cache = OrderedDict()  # least recently used first
     held = 0               # the tables of the cached margins
 
     @functools.wraps(compute)
     def cached(margins):
         nonlocal held
+        for r1, r2, c1 in margins:
+            if not type(r1) is type(r2) is type(c1) is int:
+                _check_integers((r1, r2, c1))
         results = list(map(cache.get, margins))
         if None not in results:
             for key in margins:
@@ -175,14 +172,6 @@ def _cached_per_margin(compute):
                 cache[key] = result
         return results
 
-    def one(key):
-        result = cache.get(key)
-        if result is None:
-            return cached([key])[0]
-        cache.move_to_end(key)
-        return result
-
-    cached.one = one
     return cached
 
 
@@ -312,8 +301,9 @@ def _exact_pass(margins, los, ns, tops, table):
 def fisher_margins(r1: int, r2: int, c1: int) -> tuple[np.ndarray, int, StepCdf]:
     """p-values and null bound for all feasible first cells given the margins.
 
-    Returns (pvals, lo, bound), from a pass of one margin
-    (``fisher_margins_batch``): pvals is a read-only float array whose entry
+    Returns (pvals, lo, bound): ``fisher_margins_batch`` of the one margin, a
+    lookup in a batch of one when it is cached and a pass of one when not,
+    with that call's checks.  pvals is a read-only float array whose entry
     k - lo is the two-sided p-value when the first cell equals k, and bound
     jumps at the achievable p-values.  Margins with one feasible table (an
     empty row or column) give p = 1 with support [1.0].
@@ -324,9 +314,7 @@ def fisher_margins(r1: int, r2: int, c1: int) -> tuple[np.ndarray, int, StepCdf]
     that underflow give p = 0.0, which is raised to the smallest positive
     p-value of the margin: the bound keeps F(u) <= u.
     """
-    if not type(r1) is type(r2) is type(c1) is int:
-        _check_integers((r1, r2, c1))
-    return fisher_margins_batch.one((r1, r2, c1))
+    return fisher_margins_batch([(r1, r2, c1)])[0]
 
 
 def support_to_bound(support) -> StepCdf:
@@ -341,12 +329,8 @@ def support_to_bound(support) -> StepCdf:
 def fisher_two_sided(table: ContingencyTable2x2) -> ExactTestResult:
     """Two-sided Fisher exact test with the achievable p-value support: the
     null bound's read-only points, shared by every table of its margins.
-    Raises ValueError where ``table_margins`` does; a table of cached margins
-    has only its cells checked."""
-    a, b, c, d = table
-    if not type(a) is type(b) is type(c) is type(d) is int:
-        _check_integers(table)
-    if min(a, b, c, d) < 0:
-        raise ValueError(_NEGATIVE)
-    pvals, lo, bound = fisher_margins(a + b, c + d, a + c)
-    return _new_tuple(ExactTestResult, (pvals.item(a - lo), bound.support, bound))
+
+    The table's margins (``table_margins``, which raises ValueError for cells
+    the test cannot take, cached or not) tested by ``fisher_margins``."""
+    pvals, lo, bound = fisher_margins(*table_margins(table))
+    return ExactTestResult(pvals.item(table[0] - lo), bound.support, bound)

@@ -245,8 +245,8 @@ def sweep_points(scenario: ScenarioConfig, configs: dict[str, ProcedureConfig],
         return [SweepPoint(scenario, configs, {})]
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
-    if not values:
-        raise ValueError("a sweep needs a nonempty list of values")
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ValueError(f"a sweep needs a nonempty list of values, got {values!r}")
     points = []
     for value in values:
         point_scenario, point_configs = scenario, configs

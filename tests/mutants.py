@@ -62,7 +62,7 @@ TABLE_ROWS = """\
             except ValueError as exc:
                 raise InputError(f"line {reader.line_num}: {exc}") from None
 """
-EXACT_RESULT = "_new_tuple(ExactTestResult, (pvals.item(a - lo), bound.support, bound))"
+EXACT_RESULT = "ExactTestResult(pvals.item(table[0] - lo), bound.support, bound)"
 SUPPORT_BUILT = 'bound_of(memoryview(points[8 * at:8 * stop]).cast("d"))'
 # an equivalent mutant survives every test of the sums it touches
 EQUIVALENT_CHECKS = (INVESTING_BASE,
@@ -203,6 +203,11 @@ MUTANTS = (
     # a margin's padding sorts after its tables
     Mutant("exact-pass-padding-sorts-first", "discrete.py", "pmf = np.full((B, w), np.inf)",
            "pmf = np.full((B, w), 0.0)", (MIXED_PASS,)),
+    # the cache checks every margin's integers before it looks one up
+    Mutant("margin-cache-door-skips-integer-check", "discrete.py",
+           "                _check_integers((r1, r2, c1))\n", "                pass\n",
+           ("tests/test_discrete.py::"
+            "test_a_count_that_is_not_an_integer_is_rejected_before_the_cache",)),
     Mutant("margin-cache-never-evicts", "discrete.py",
            "held -= len(cache.popitem(last=False)[1][0])", "break",
            ("tests/test_discrete.py::"
@@ -214,7 +219,7 @@ MUTANTS = (
     Mutant("exact-pass-support-from-tolist", "discrete.py", SUPPORT_BUILT,
            "bound_of(tuple(np.frombuffer(points[8 * at:8 * stop]).tolist()))",
            ("tests/test_discrete.py::test_a_cached_table_holds_about_16_bytes",)),
-    # fisher_two_sided's positional ExactTestResult build
+    # fisher_two_sided's ExactTestResult: its fields in order
     Mutant("exact-result-support-bound-swapped", "discrete.py", EXACT_RESULT,
            EXACT_RESULT.replace("bound.support, bound", "bound, bound.support"),
            ("tests/test_discrete.py::test_a_margin_shares_one_read_only_support_buffer",)),

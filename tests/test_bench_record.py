@@ -42,7 +42,8 @@ def test_compare_counts_the_pairs_head_wins_in_each_metrics_direction():
     assert got["stream_steps_per_s"] == {"base": 105.0, "head": 140.0, "ratio": 140.0 / 105.0,
                                          "head_better_pairs": "2/3", "median_gap": 35.0,
                                          "base_iqr": 5.0, "claim_met": False, "bound": 0.25,
-                                         "worse_by": -35.0 / 105.0, "within_bound": True}
+                                         "worse_by": -35.0 / 105.0, "within_bound": True,
+                                         "unresolved": False}
     assert got["step_p50_us"]["head_better_pairs"] == "2/3"
     assert got["step_p50_us"]["ratio"] == 3.5 / 4.0
     # a run without a result line counts in no pair
@@ -101,6 +102,38 @@ def test_a_metric_worse_by_more_than_its_bound_is_named_in_the_closing_line(
     assert bench_record.main(["--label", "t", "--base", "HEAD~1", "--runs", "2"]) == 0
     closing = capsys.readouterr().out.strip().splitlines()[-1]
     assert closing.endswith("0 run(s) failed; outside bound: w1 step_p50_us")
+
+
+def test_a_metric_whose_base_spreads_past_its_bound_is_unresolved(capsys, monkeypatch, tmp_path):
+    """Base p50s of 3.5-4.5 us have an interquartile range of 0.625 us, 15.6%
+    of their median, past the 10% bound, so p50 is unresolved unless every
+    head run beats every base run; steps/s spread 1.5%, within its 25% bound.  The closing line names the unresolved metric after the
+    metrics outside their bound."""
+    base = [_run(100.0 + i, p50, 8.0) for i, p50 in enumerate([3.5, 3.75, 4.25, 4.5])]
+    level = [_run(100.0, 4.0, 8.0) for _ in range(4)]
+    got = bench_record.compare(base, level, METRICS)
+    assert not got["stream_steps_per_s"]["unresolved"]
+    p50 = got["step_p50_us"]
+    assert (p50["base_iqr"], p50["within_bound"], p50["unresolved"]) == (0.625, True, True)
+    # every head run lower than every base run: the spread hides no change
+    apart = [_run(100.0, 3.4, 8.0) for _ in range(4)]
+    assert not bench_record.compare(base, apart, METRICS)["step_p50_us"]["unresolved"]
+    # one head run no better than the best base run leaves it unresolved
+    close = apart[:3] + [_run(100.0, 3.5, 8.0)]
+    assert bench_record.compare(base, close, METRICS)["step_p50_us"]["unresolved"]
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["python3", "bench/run.py"], "run_seconds": 5, "workloads": [{"name": "w1"}],
+        "end_to_end": list(METRICS.values())}))
+    sides = iter([base[0], level[0], level[1], base[1], base[2], level[2], level[3], base[3]])
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "git", lambda *args: "abc123")
+    monkeypatch.setattr(bench_record, "export", lambda rev, tree: tree)
+    monkeypatch.setattr(bench_record, "bench_once", lambda tree, command, workload: next(sides))
+    assert bench_record.main(["--label", "t", "--base", "HEAD~1", "--runs", "4"]) == 0
+    closing = capsys.readouterr().out.strip().splitlines()[-1]
+    assert closing.endswith("; outside bound: none; unresolved: w1 step_p50_us")
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert record["workloads"]["w1"]["compare"]["step_p50_us"]["unresolved"] is True
 
 
 @pytest.mark.parametrize("seed", [None, 2])

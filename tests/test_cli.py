@@ -881,11 +881,16 @@ def test_simulate_bad_config(tmp_path, capsys):
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2, payload
         _assert_one_error_line(capsys)
         assert not out.exists()
-    # a procedure listed twice, and --set items that are not key=value or that
-    # set a key under a number: the message names the cause
+    # a procedure listed twice, --set items that are not key=value or that set
+    # a key under a number, and sweep values that are not a list (a string used
+    # to sweep over its letters, an object over its keys): the message names
+    # the cause
     for payload, sets, fragment in [
             ({"procedures": [{"name": "ob"}, {"name": "ob"}]}, [],
              "procedures[1]: ob is listed twice"),
+            *(({}, ["sweep.axis=placement", f"sweep.values={values}"],
+               "error: sweep: a sweep needs a nonempty list of values")
+              for values in ["BE", '{"B":1}', "3"]),
             ({}, ["foo"], "--set expects key=value, got 'foo'"),
             ({}, ["gamma_prime=5", "gamma_prime.h=3"],
              "--set gamma_prime.h: gamma_prime is not an object")]:

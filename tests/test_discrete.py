@@ -559,9 +559,10 @@ def test_a_count_that_is_not_an_integer_is_rejected_before_the_cache(cached, mon
     cells, margins = (1, 2, 3, 4), (3, 7, 4)
     if cached:
         fisher_two_sided(ContingencyTable2x2(*cells))
-    else:
-        with pytest.raises(ValueError, match="counts must be integers"):
-            discrete.fisher_margins_batch([(3.0, 7, 4)])
+    # a whole float hashes as the int it equals, so only a check before the
+    # lookup keeps it from the cached (3, 7, 4)
+    with pytest.raises(ValueError, match="counts must be integers"):
+        discrete.fisher_margins_batch([(3.0, 7, 4)])
     for i, bad in itertools.product(range(4), (float, lambda n: n + 0.5, str)):
         table = ContingencyTable2x2(*(bad(n) if j == i else n for j, n in enumerate(cells)))
         for call in (fisher_two_sided, discrete.table_margins):
@@ -575,6 +576,39 @@ def test_a_count_that_is_not_an_integer_is_rejected_before_the_cache(cached, mon
     assert fisher_two_sided(ContingencyTable2x2(True, 2, 3, 4)) == want
     assert discrete.table_margins((np.int64(1), True, 3, 4)) == (2, 7, 4)
     assert fisher_margins(np.int64(3), 7, np.uint8(4))[2] is want.null_bound
+
+
+_BAD_CELLS = {
+    "negative": (1, -1, 0, 2),  # margins (0, 2, 1), which the test takes
+    "not-an-integer": (1, 1.0, 0, 2),
+    "past-max-margin": (discrete.MAX_MARGIN + 1, 0, 0, discrete.MAX_MARGIN + 1),
+    "past-max-group": (discrete.MAX_GROUP + 1, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+@pytest.mark.parametrize("cells", _BAD_CELLS.values(), ids=_BAD_CELLS)
+def test_fisher_two_sided_rejects_what_table_margins_rejects(cells, cached, monkeypatch):
+    """Cells the exact test cannot take raise the ValueError of
+    ``table_margins`` from ``fisher_two_sided`` too, whether or not their
+    margins are cached: in the cached case the cache holds their margins and
+    would answer them with (1, 1, 1)'s result."""
+    compute = fisher_margins_batch.__wrapped__
+    if cached:
+        answer = compute([(1, 1, 1)])[0]
+
+        def compute(margins):
+            return [answer] * len(margins)
+
+    monkeypatch.setattr(discrete, "fisher_margins_batch", discrete._cached_per_margin(compute))
+    a, b, c, d = cells
+    if cached:
+        assert discrete.fisher_margins_batch([(int(a + b), c + d, int(a + c))]) == [answer]
+    with pytest.raises(ValueError) as expected:
+        discrete.table_margins(cells)
+    with pytest.raises(ValueError) as got:
+        fisher_two_sided(ContingencyTable2x2(*cells))
+    assert str(got.value) == str(expected.value)
 
 
 def test_inconsistent_margins_rejected():

@@ -26,7 +26,12 @@ median gap exceeds the base's interquartile range.  Each metric also gets
 ``BENCHMARK.json``'s ``bound`` and ``worse_by``, the relative change of the
 medians in the metric's worse direction (negative when head is better);
 ``within_bound`` is false when head is worse by more than the bound, and the
-closing line names every such workload and metric.
+closing line names every such workload and metric.  A metric is
+``unresolved`` when the base runs spread wider than its bound (their
+interquartile range over their median exceeds it), unless every head run is
+better than every base run: such a pair cannot tell a change within the
+bound from noise, and the closing line names it after the metrics outside
+their bound.
 """
 
 from __future__ import annotations
@@ -107,8 +112,8 @@ def compare(base: list, head: list, metrics: dict) -> dict:
     """Per metric (``metrics`` maps a name to its ``end_to_end`` entry): both
     medians, head / base, the pairs in which head was better, the median gap
     (positive when head is better) against the base runs' interquartile
-    range, whether that meets the claim rule, and how much worse head is
-    against the metric's bound."""
+    range, whether that meets the claim rule, how much worse head is against
+    the metric's bound, and whether the base spread leaves it unresolved."""
     out = {}
     for name, spec in metrics.items():
         better, bound = spec["better"], spec["bound"]
@@ -118,22 +123,27 @@ def compare(base: list, head: list, metrics: dict) -> dict:
             continue
         b_med, h_med = (statistics.median(side) for side in zip(*pairs))
         wins = sum((h > b) if better == "higher" else (h < b) for b, h in pairs)
-        q1, _, q3 = quartiles([b for b, _ in pairs])
+        bases, heads = zip(*pairs)
+        q1, _, q3 = quartiles(list(bases))
         gap = h_med - b_med if better == "higher" else b_med - h_med
         worse_by = -gap / b_med if b_med else None
+        apart = (min(heads) > max(bases) if better == "higher"
+                 else max(heads) < min(bases))
         out[name] = {"base": b_med, "head": h_med, "ratio": h_med / b_med if b_med else None,
                      "head_better_pairs": f"{wins}/{len(pairs)}", "median_gap": gap,
                      "base_iqr": q3 - q1,
                      "claim_met": 10 * wins >= 9 * len(pairs) and gap > q3 - q1,
                      "bound": bound, "worse_by": worse_by,
-                     "within_bound": gap >= 0.0 if worse_by is None else worse_by <= bound}
+                     "within_bound": gap >= 0.0 if worse_by is None else worse_by <= bound,
+                     "unresolved": bool(b_med) and (q3 - q1) / abs(b_med) > bound
+                     and not apart}
     return out
 
 
-def outside_bounds(record: dict) -> list[str]:
-    """``workload metric`` for each compared metric outside its bound."""
+def named(record: dict, flag: str, value: bool) -> list[str]:
+    """``workload metric`` for each compared metric whose ``flag`` is ``value``."""
     return [f"{workload} {name}" for workload, entry in record["workloads"].items()
-            for name, c in entry.get("compare", {}).items() if not c["within_bound"]]
+            for name, c in entry.get("compare", {}).items() if c[flag] is value]
 
 
 def main(argv=None) -> int:
@@ -180,7 +190,11 @@ def main(argv=None) -> int:
                  for name, side in entry.items() if name != "compare")
     closing = f"wrote {out}; {failed} run(s) failed"
     if opts.base:
-        closing += "; outside bound: " + (", ".join(outside_bounds(record)) or "none")
+        closing += "; outside bound: " + (", ".join(named(record, "within_bound", False))
+                                          or "none")
+        unresolved = named(record, "unresolved", True)
+        if unresolved:
+            closing += "; unresolved: " + ", ".join(unresolved)
     print(closing)
     return 1 if failed else 0
 
