@@ -121,10 +121,10 @@ def compare(base: list, head: list, metrics: dict) -> dict:
                  if (b := metric(rb, name)) is not None and (h := metric(rh, name)) is not None]
         if not pairs:
             continue
-        b_med, h_med = (statistics.median(side) for side in zip(*pairs))
-        wins = sum((h > b) if better == "higher" else (h < b) for b, h in pairs)
         bases, heads = zip(*pairs)
-        q1, _, q3 = quartiles(list(bases))
+        b_med, h_med = statistics.median(bases), statistics.median(heads)
+        wins = sum((h > b) if better == "higher" else (h < b) for b, h in pairs)
+        q1, _, q3 = quartiles(bases)
         gap = h_med - b_med if better == "higher" else b_med - h_med
         worse_by = -gap / b_med if b_med else None
         apart = (min(heads) > max(bases) if better == "higher"
