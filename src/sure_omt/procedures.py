@@ -73,6 +73,11 @@ class Rule(NamedTuple):
         """Adaptive rules skip the steps with p below lambda; the others run at lambda = 0."""
         return self.base in ("aob", "alord")
 
+    @property
+    def stepped(self) -> bool:
+        """``run_batch`` steps these rules through time; OB and AOB read gamma at clock 0."""
+        return self.investing or self.rewarded
+
     def lam(self, config: ProcedureConfig) -> float:
         """The lambda the rule runs with: the config's for the adaptive bases, else 0."""
         return config.lam if self.adaptive else 0.0
@@ -478,11 +483,12 @@ def run_batch(configs: dict[str, ProcedureConfig], pvals,
     bound ``table[ids[k, t]]``.
 
     OB/AOB have no step loop: they read gamma at clock 0.  The other rules
-    step through time in one loop, as one block of (procedures x streams)
-    columns; LORD/ALORD rebuild a stream's base values after each of its
-    rejections.  The procedures with one lambda share their eligibility flags.
-    Every array, the outputs included, is K x m per procedure, so a caller
-    with many streams passes them a chunk at a time.
+    (``Rule.stepped``) step through time in one loop, as one block of P
+    procedures x K streams: LORD/ALORD rebuild a stream's base values after
+    each of its rejections, and a rewarded rule adds its reward part and carry
+    to the base and spends F(alpha).  The procedures with one lambda share
+    their eligibility flags.  Every array, the outputs included, is K x m per
+    procedure, so a caller with many streams passes them a chunk at a time.
     """
     rules = {name: _checked_rule(name, config) for name, config in configs.items()}
     p = np.asarray(pvals, dtype=float)
@@ -497,61 +503,42 @@ def run_batch(configs: dict[str, ProcedureConfig], pvals,
     clock0 = np.ones(flags.shape, dtype=np.intp)  # 1 + E before each step
     np.cumsum(flags[:, :, :-1], axis=2, out=clock0[:, :, 1:])
     clock0[:, :, 1:] += 1
+    runs = {}
+    for name, rule in rules.items():
+        if not rule.stepped:
+            a = _clock0_part(rule, configs[name], clock0[lam_of[name]])
+            runs[name] = BatchRun(configs[name], rule, a, p <= a, flags[lam_of[name]], a)
     # the block: investing rows first, rewarded rows last, equal gamma' adjacent
     gammas = [c.gamma_prime for c in configs.values()]
-    block = sorted((name for name, rule in rules.items() if rule.investing or rule.rewarded),
+    block = sorted((name for name, rule in rules.items() if rule.stepped),
                    key=lambda name: (not rules[name].investing, rules[name].rewarded,
                                      gammas.index(configs[name].gamma_prime)))
-    r0 = sum(not rules[name].rewarded for name in block)
-    alphas = np.empty((len(block), K, m))
+    if not block:
+        return runs
+    P = len(block)
+    r0 = sum(not rules[name].rewarded for name in block)  # the first rewarded row
+    n_investing = sum(rules[name].investing for name in block)
+    lam_index = np.array([lam_of[name] for name in block])
+    alphas = np.empty((P, K, m))
     rejects = np.empty(alphas.shape, dtype=bool)
-    spent = np.empty((len(block) - r0, K, m))
-    runs = {}
-    for name in rules:
-        if name not in block:
-            a = _clock0_part(rules[name], configs[name], clock0[lam_of[name]])
-            runs[name] = BatchRun(configs[name], rules[name], a, p <= a, flags[lam_of[name]], a)
-    if block:
-        _step_block([(rules[name], configs[name]) for name in block],
-                    np.array([lam_of[name] for name in block]), p, flags, clock0, bounds,
-                    alphas, rejects, spent)
-    for j, (name, a) in enumerate(zip(block, alphas)):
-        runs[name] = BatchRun(configs[name], rules[name], a, rejects[j], flags[lam_of[name]],
-                              spent[j - r0] if j >= r0 else a)
-    return {name: runs[name] for name in configs}
-
-
-def _step_block(rows: Sequence[tuple[Rule, ProcedureConfig]], lam_index: np.ndarray,
-                p: np.ndarray, flags: np.ndarray, clock0: np.ndarray, bounds: NullBounds,
-                alphas: np.ndarray, rejects: np.ndarray, spent: np.ndarray) -> None:
-    """Step P procedures (``rows``, investing first and rewarded last) over the
-    K x m ``p`` together, one step of all P x K columns at a time, into
-    ``alphas``, ``rejects`` (P x K x m) and the rewarded rows' ``spent``.
-
-    ``flags`` and ``clock0`` hold the eligibility flags and clock 0 for each
-    distinct lambda, and ``lam_index`` each row's.  A rewarded row adds its
-    reward part and carry to the base and spends F(alpha); the other rows add
-    zeros.  Each run of rows with one gamma' keeps the reward parts of all
-    steps in one time-major array, rows x K per step: the rewards collected
-    at a step are added to the parts of the later steps in gamma'.window, each
-    weighted by gamma'_{t' - t} (a kernel's part is divided by h when read).
-    """
-    P, K, m = alphas.shape
-    r0 = P - len(spent)
-    n_investing = sum(rule.investing for rule, _ in rows)
-    bases = _BlockBases(rows, lam_index, clock0)
-    runs = []  # (gamma', first row, end row, span, weights, reward parts ahead)
-    for gp, run in groupby(range(r0, P), key=lambda j: rows[j][1].gamma_prime):
+    spent = np.empty((P - r0, K, m))
+    bases = _BlockBases([(rules[name], configs[name]) for name in block], lam_index, clock0)
+    # each run of rows with one gamma' keeps the reward parts of all steps in
+    # one time-major array, rows x K per step: the rewards collected at a step
+    # are added to the parts of the later steps in gamma'.window, each weighted
+    # by gamma'_{t' - t} (a kernel's part is divided by h when read)
+    reward_runs = []  # (gamma', first row, end row, span, weights, reward parts ahead)
+    for gp, run in groupby(range(r0, P), key=lambda j: configs[block[j]].gamma_prime):
         a, *rest = run
         b = a + 1 + len(rest)
         span = m if gp.window is None else gp.window
         weights = None if gp.kind == "kernel" else gp.table(span)[1:span + 1, None, None]
-        runs.append((gp, a, b, span, weights, np.zeros((m, b - a, K))))
+        reward_runs.append((gp, a, b, span, weights, np.zeros((m, b - a, K))))
     sure, eps = np.zeros((P, K)), np.zeros((P, K))  # reward part and carry
     eps_r = eps[r0:]
     flag_index = lam_index[r0:]
     for i in range(m):
-        for gp, a, b, _, weights, ahead in runs:
+        for gp, a, b, _, weights, ahead in reward_runs:
             if weights is None:
                 np.divide(ahead[i], gp.h, out=sure[a:b])
             else:
@@ -567,7 +554,7 @@ def _step_block(rows: Sequence[tuple[Rule, ProcedureConfig]], lam_index: np.ndar
             # rho >= 0, so rho times the eligibility flag is the collected reward
             collected = np.subtract(alpha_r, f)
             collected *= eligible
-            for _, a, b, span, weights, ahead in runs:
+            for _, a, b, span, weights, ahead in reward_runs:
                 end = min(m, i + 1 + span)
                 rho = collected[a - r0:b - r0]
                 ahead[i + 1:end] += rho if weights is None else weights[:end - i - 1] * rho
@@ -575,6 +562,10 @@ def _step_block(rows: Sequence[tuple[Rule, ProcedureConfig]], lam_index: np.ndar
             eps_r[eligible] = 0.0
         if n_investing:
             bases.reject(reject[:n_investing], i)
+    for j, (name, a) in enumerate(zip(block, alphas)):
+        runs[name] = BatchRun(configs[name], rules[name], a, rejects[j], flags[lam_of[name]],
+                              spent[j - r0] if j >= r0 else a)
+    return {name: runs[name] for name in configs}
 
 
 # -- budget audits ---------------------------------------------------------------

@@ -8,8 +8,10 @@ alternative positions give one group an elevated probability.
 The sweep runs the trials of the points that share their procedures a chunk
 at a time: each chunk is drawn, tested, run as one batch of all procedures
 (``procedures.run_batch``) and audited, and only its reject flags, labels and
-audit verdicts are kept, so memory stays flat in the number of trials.  Each
-trial keeps its own seeded draws, so the results do not depend on the chunks.
+audit verdicts are kept.  So a chunk's working set is bounded by
+BATCH_COLUMNS, but the kept flags and labels grow with the trial count, about
+10 bytes per step per trial with 9 procedures.  Each trial keeps its own
+seeded draws, so the results do not depend on the chunks.
 """
 
 from __future__ import annotations
@@ -90,8 +92,8 @@ def place_signal(m: int, m3: int, scheme: str, rng: np.random.Generator | None =
     """1-based alternative positions for a placement scheme.
 
     Two-block schemes put ceil(m3/2) at the first named anchor and the rest
-    at the second (anchors: stream start, floor(m/2), stream end), shifting
-    blocks just enough to keep them disjoint within the stream.
+    at the second (anchors: stream start, floor(m/2) but at least 1, stream
+    end), shifting blocks just enough to keep them disjoint within the stream.
     """
     if m3 > m:
         raise ValueError("m3 must not exceed m")
@@ -104,7 +106,7 @@ def place_signal(m: int, m3: int, scheme: str, rng: np.random.Generator | None =
     b1, b2 = m3 - m3 // 2, m3 // 2
     # the starts of the first and the second block
     starts = {"B": (1, 1 + b1), "E": (m - m3 + 1, m - b2 + 1), "BM": (1, max(m // 2, b1 + 1)),
-              "BE": (1, m - b2 + 1), "ME": (min(m // 2, m - m3 + 1), m - b2 + 1)}
+              "BE": (1, m - b2 + 1), "ME": (max(1, min(m // 2, m - m3 + 1)), m - b2 + 1)}
     if scheme not in starts:
         raise ValueError(f"unknown placement {scheme!r}")
     first, second = starts[scheme]
@@ -178,19 +180,22 @@ class TrialResults:
 def _run_stacked(scenarios: Sequence[ScenarioConfig],
                  configs: dict[str, ProcedureConfig]) -> list[TrialResults]:
     """Every trial of every scenario (all of one stream length), in chunks of at
-    most BATCH_COLUMNS // P trials, P the procedures ``run_batch`` steps through
-    time (the investing and rewarded ones; OB and AOB take no step loop); a
-    chunk may span scenarios.
+    most BATCH_COLUMNS // P trials, P the procedures whose rule is
+    ``Rule.stepped``; a chunk may span scenarios.
 
     Each chunk is drawn, gets one exact-test table per run of one scenario and
     one ``NullBounds``, runs as one batch and is audited; only its reject
     flags, labels and audit verdicts outlive it.
     """
+    n, m = sum(scenario.n_trials for scenario in scenarios), scenarios[0].m
+    # numpy would reject an array past the address space with a ValueError, not a MemoryError
+    if n * m > np.iinfo(np.intp).max:
+        raise MemoryError(f"{n} trials of {m} steps are too many for one array")
     trials = [(scenario, i) for scenario in scenarios for i in range(scenario.n_trials)]
-    labels = np.empty((len(trials), scenarios[0].m), dtype=bool)
+    labels = np.empty((n, m), dtype=bool)
     rejects = {name: np.empty(labels.shape, dtype=bool) for name in configs}
     passed: dict[str, list[bool]] = {name: [] for name in configs}
-    stepped = sum(rule.investing or rule.rewarded for rule in map(parse_name, configs))
+    stepped = sum(parse_name(name).stepped for name in configs)
     size = max(1, BATCH_COLUMNS // max(1, stepped))
     for lo in range(0, len(trials), size):
         rows = slice(lo, lo + size)
@@ -239,7 +244,7 @@ def sweep_points(scenario: ScenarioConfig, configs: dict[str, ProcedureConfig],
 
     Every point is built, and so validated, before any trial runs.  A lambda
     point applies to every procedure; an h point replaces the kernel gamma'
-    of the procedures that have one.
+    of the procedures that have one, and no procedure may have another gamma'.
     """
     if axis is None and values is None:
         return [SweepPoint(scenario, configs, {})]
@@ -247,6 +252,11 @@ def sweep_points(scenario: ScenarioConfig, configs: dict[str, ProcedureConfig],
         raise ValueError(f"unknown sweep axis {axis!r}")
     if not isinstance(values, (list, tuple)) or not values:
         raise ValueError(f"a sweep needs a nonempty list of values, got {values!r}")
+    if axis == "h":
+        for name, c in configs.items():
+            if c.gamma_prime is not None and c.gamma_prime.kind != "kernel":
+                raise ValueError(f"an h sweep sets kernel bandwidths, but {name} has a "
+                                 f"{c.gamma_prime.kind} gamma_prime")
     points = []
     for value in values:
         point_scenario, point_configs = scenario, configs

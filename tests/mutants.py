@@ -233,6 +233,17 @@ MUTANTS = (
            .replace("sys.maxsize))", "sys.maxsize)), start=2)")
            .replace("for row in", "for lineno, row in").replace("{reader.line_num}", "{lineno}"),
            ("tests/test_cli.py::test_analyze_names_the_physical_line_of_a_bad_row",)),
+    # an h sweep sets kernel bandwidths only
+    Mutant("h-sweep-replaces-any-gamma-prime", "simulate.py",
+           'if c.gamma_prime is not None and c.gamma_prime.kind != "kernel":', "if False:",
+           ("tests/test_cli.py::test_simulate_h_sweep_rejects_a_gamma_prime_that_is_not_a_kernel",)),
+    Mutant("oversized-run-not-checked", "simulate.py",
+           "if n * m > np.iinfo(np.intp).max:", "if False:",
+           ("tests/test_cli.py::test_simulate_too_large_for_one_array_is_an_input_error",)),
+    Mutant("me-block-starts-at-zero", "simulate.py",
+           '"ME": (max(1, min(m // 2, m - m3 + 1)), m - b2 + 1)',
+           '"ME": (min(m // 2, m - m3 + 1), m - b2 + 1)',
+           ("tests/test_simulate.py::test_placement_blocks_shift_to_stay_disjoint",)),
     Mutant("sweep-grouped-by-size", "simulate.py",
            "key=lambda point: (id(point.configs), point.scenario.m)",
            "key=lambda point: (len(point.configs), point.scenario.m)",

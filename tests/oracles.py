@@ -123,7 +123,7 @@ def place_signal_oracle(m: int, m3: int, scheme: str, rng: np.random.Generator |
     elif scheme == "BE":
         idx = list(range(1, b1 + 1)) + list(range(m - b2 + 1, m + 1))
     elif scheme == "ME":
-        start1 = min(mid, m - b2 - b1 + 1)
+        start1 = max(1, min(mid, m - b2 - b1 + 1))
         idx = list(range(start1, start1 + b1)) + list(range(m - b2 + 1, m + 1))
     elif scheme == "Random":
         if rng is None:

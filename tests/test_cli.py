@@ -622,6 +622,31 @@ def test_simulate_rejects_fractional_kernel_bandwidth(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_simulate_h_sweep_rejects_a_gamma_prime_that_is_not_a_kernel(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {
+        "scenario": {"m": 50, "n_trials": 2},
+        "procedures": [{"name": "rho-ob", "gamma_prime": {"family": "power", "q": 1.6}}],
+        "sweep": {"axis": "h", "values": [5]},
+    })
+    out = tmp_path / "r.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    _assert_one_error_line(capsys, "sweep:", "rho-ob", "power")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payload", [
+    {"scenario": {"m": 2**62, "n_trials": 2}},
+    # two points of one stream length stack into one run of two trials
+    {"scenario": {"m": 2**62, "n_trials": 1}, "sweep": {"axis": "N", "values": [3, 4]}},
+])
+def test_simulate_too_large_for_one_array_is_an_input_error(tmp_path, capsys, payload):
+    cfg = _write_config(tmp_path, {**payload, "procedures": [{"name": "ob"}]})
+    out = tmp_path / "r.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    _assert_one_error_line(capsys, "2 trials of 4611686018427387904 steps")
+    assert not out.exists()
+
+
 def test_simulate_outputs_are_all_or_nothing(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"scenario": {"m": 10, "n_trials": 1},
                                    "procedures": [{"name": "ob"}]})

@@ -64,13 +64,15 @@ def test_placement_block_conventions():
 
 
 def test_placement_blocks_shift_to_stay_disjoint():
-    # small stream: middle and end blocks would overlap without shifting
+    # small streams: middle and end blocks would overlap without shifting, and
+    # at m = 1 the middle anchor floor(m/2) is 0
     for scheme in PLACEMENTS[:-1]:
-        for m, m3 in [(6, 5), (8, 7), (10, 9)]:
-            idx = place_signal(m, m3, scheme)
-            assert len(idx) == m3
-            assert len(set(idx)) == m3
-            assert all(1 <= i <= m for i in idx)
+        for m in range(1, 11):
+            for m3 in range(m + 1):
+                idx = place_signal(m, m3, scheme)
+                assert len(idx) == m3
+                assert len(set(idx)) == m3
+                assert all(1 <= i <= m for i in idx), (m, m3, scheme)
 
 
 def test_placement_matches_the_branch_per_scheme_reference():
